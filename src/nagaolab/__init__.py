@@ -11,11 +11,11 @@ from .curves import (
     LPolynomial2,
     TraceRecord,
     curve_from_poly,
+    curve_trace,
     hyperelliptic_trace,
     l_polynomial_genus2,
     normalized_angle,
-    trace_elliptic,
-    trace_genus2,
+    sweep_traces,
     trace_oracle_exhaustive,
 )
 from .finite_field import is_prime, legendre, poly_eval_mod, primes_in, residue_table
@@ -46,7 +46,6 @@ from .twist import (
     peterson_D,
     twist_surface,
     verify_factorization,
-    verify_mixed_factorization,
 )
 
 __version__ = "0.1.0"

@@ -11,24 +11,26 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .cache import CacheCorruptError, TraceCache
 from .curves import (
+    DEFAULT_LPOLY_CAP,
+    N_HARD_CAP,
     CapExceededError,
     CurveError,
     CurveSpec,
     TraceRecord,
     curve_from_poly,
-    hyperelliptic_trace,
+    good_primes,
     l_polynomial_genus2,
     normalized_angle,
+    sweep_traces,
 )
-from .finite_field import primes_in
 from .polynomials import IntPolynomial, ParseError, PolynomialError, parse_polynomial, poly_to_str
 from .stats import (
     MEASURE_TAGS,
+    MomentReport,
     empirical_moments,
     identify_st_class,
     ks_distance,
@@ -44,18 +46,13 @@ from .twist import (
     peterson_D,
     twist_surface,
     verify_factorization,
-    verify_mixed_factorization,
 )
-
-N_HARD_CAP = 10**7
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_BAD_CURVE = 2
 EXIT_CAP = 3
 EXIT_CACHE = 4
-
-_BLOCK = 128  # primes per worker block
 
 
 class ConfigError(Exception):
@@ -70,7 +67,6 @@ class ExperimentConfig:
     sigma: str = ""
     N: int = 1000
     grid: str = "geometric:20"
-    mode: str = "fast-twist"
     r: int = 2
     s_curves: list[str] = field(default_factory=list)
     threads: int = 1
@@ -112,7 +108,7 @@ def _fmt(v) -> str:
 def _write_report(rows: list[dict], columns: list[str], cfg: ExperimentConfig) -> None:
     if cfg.fmt == "json":
         payload = [{k: row.get(k) for k in columns} for row in rows]
-        text = json.dumps(payload, indent=2, default=_fmt) + "\n"
+        text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = [",".join(columns)]
         lines += [",".join(_fmt(row.get(k)) for k in columns) for row in rows]
@@ -141,62 +137,23 @@ def _write_skipped(bad_polys: list[IntPolynomial], bad: set[int], n_max: int, cf
         fh.write("\n".join(lines) + ("\n" if lines else ""))
 
 
-def _good_primes(bad: frozenset[int] | set[int], n_max: int) -> list[int]:
-    return [p for p in primes_in(3, n_max + 1) if p not in bad]
-
-
-def sweep_traces(
-    f: IntPolynomial,
-    primes: list[int],
-    threads: int = 1,
-    cache: TraceCache | None = None,
-) -> list[tuple[int, int]]:
-    """a_p(y^2 = f) for the given good primes, ascending; cache-aware.
-
-    Workers compute disjoint prime blocks; the coordinator merges in ascending
-    p and owns the single cache write, so output is independent of thread count.
-    """
-    need = [p for p in primes if cache is None or cache.get(p) is None]
-    computed: dict[int, int] = {}
-    if need:
-        blocks = [need[i : i + _BLOCK] for i in range(0, len(need), _BLOCK)]
-
-        def work(block: list[int]) -> list[tuple[int, int]]:
-            return [(p, hyperelliptic_trace(f, p)) for p in block]
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                parts = list(ex.map(work, blocks))
-        else:
-            parts = [work(b) for b in blocks]
-        for part in parts:
-            computed.update(part)
-        if cache is not None:
-            cache.append(sorted(computed.items()))
-    out = []
-    for p in primes:
-        a = computed.get(p)
-        if a is None:
-            a = cache.get(p)  # type: ignore[union-attr]
-        out.append((p, a))
-    return out
-
-
-def run_verify_cache(f: IntPolynomial, cache: TraceCache) -> None:
+def run_verify_cache(cache: TraceCache, threads: int = 1) -> None:
     """Recompute every cached record; quarantine and fail on any disagreement."""
-    for p, a in sorted(cache.records.items()):
-        if hyperelliptic_trace(f, p) != a:
+    for p, (a,) in sweep_traces([cache.poly], sorted(cache.records), threads):
+        if a != cache.records[p]:
             cache._fail(f"cached a_p disagrees with recomputation at p={p}")
 
 
-def _open_cache(cfg: ExperimentConfig, f: IntPolynomial) -> TraceCache | None:
+def _open_caches(cfg: ExperimentConfig, polys: list[IntPolynomial]) -> list[TraceCache]:
+    """One cache per distinct curve of a sweep, or none without a cache dir."""
     cache_dir = os.environ.get("NAGAOLAB_CACHE", cfg.cache_dir)
     if not cache_dir:
-        return None
-    cache = TraceCache(cache_dir, f)
+        return []
+    caches = [TraceCache(cache_dir, g) for g in dict.fromkeys(polys)]
     if cfg.verify_cache:
-        run_verify_cache(f, cache)
-    return cache
+        for cache in caches:
+            run_verify_cache(cache, cfg.threads)
+    return caches
 
 
 def _parse_grid(cfg: ExperimentConfig) -> list[int]:
@@ -222,12 +179,16 @@ def _check_n(cfg: ExperimentConfig) -> None:
         raise CapExceededError(f"N = {cfg.N} exceeds the hard cap {N_HARD_CAP}")
 
 
+def _traces(cfg: ExperimentConfig, c: CurveSpec) -> list[TraceRecord]:
+    primes = good_primes(c.bad_primes, cfg.N)
+    sweep = sweep_traces([c.f], primes, cfg.threads, _open_caches(cfg, [c.f]))
+    return [TraceRecord(p, a, c.genus) for p, (a,) in sweep]
+
+
 def cmd_trace(cfg: ExperimentConfig) -> None:
     _check_n(cfg)
     c = _curve(cfg)
-    cache = _open_cache(cfg, c.f)
-    traces = sweep_traces(c.f, _good_primes(c.bad_primes, cfg.N), cfg.threads, cache)
-    rows = [{"p": p, "a": a} for p, a in traces]
+    rows = [{"p": t.p, "a": t.a} for t in _traces(cfg, c)]
     _write_report(rows, ["p", "a"], cfg)
     _write_skipped([c.f], set(c.bad_primes), cfg.N, cfg)
 
@@ -237,8 +198,13 @@ def cmd_lpoly(cfg: ExperimentConfig) -> None:
     c = _curve(cfg)
     if c.genus != 2:
         raise CurveError("lpoly requires a genus-2 curve (degree 5 or 6)")
+    primes = good_primes(c.bad_primes, cfg.N)
+    if primes and primes[-1] > DEFAULT_LPOLY_CAP:
+        raise CapExceededError(
+            f"p = {primes[-1]} exceeds the F_p^2 counting cap {DEFAULT_LPOLY_CAP}"
+        )
     rows = []
-    for p in _good_primes(c.bad_primes, cfg.N):
+    for p in primes:
         lp = l_polynomial_genus2(c, p)
         rows.append({"p": p, "a": lp.a, "b": lp.b})
     _write_report(rows, ["p", "a", "b"], cfg)
@@ -251,12 +217,9 @@ def cmd_nagao(cfg: ExperimentConfig) -> None:
     if f is None:
         raise ConfigError("--f is required")
     D = parse_polynomial(cfg.D) if cfg.D else f
-    surface = twist_surface(f, D, cfg.mode)
-    cache = _open_cache(cfg, f)
-    traces = dict(
-        sweep_traces(f, _good_primes(surface.bad_primes, cfg.N), cfg.threads, cache)
-    )
-    series = nagao_series(surface, cfg.N, _parse_grid(cfg), trace_provider=traces.__getitem__)
+    surface = twist_surface(f, D)
+    caches = _open_caches(cfg, [f, D])
+    series = nagao_series(surface, cfg.N, _parse_grid(cfg), cfg.threads, caches)
     rows = [
         {"N": n, "S1": s1, "S2": s2, "n_primes": k}
         for n, s1, s2, k in zip(series.n_grid, series.s1, series.s2, series.n_primes)
@@ -265,12 +228,10 @@ def cmd_nagao(cfg: ExperimentConfig) -> None:
     _write_skipped([f, D], set(surface.bad_primes), cfg.N, cfg)
 
 
-def _moment_rows(cfg: ExperimentConfig) -> tuple[CurveSpec, list[TraceRecord], dict]:
+def _moment_rows(cfg: ExperimentConfig) -> tuple[CurveSpec, MomentReport, dict]:
     _check_n(cfg)
     c = _curve(cfg)
-    cache = _open_cache(cfg, c.f)
-    pairs = sweep_traces(c.f, _good_primes(c.bad_primes, cfg.N), cfg.threads, cache)
-    traces = [TraceRecord(p, a, c.genus) for p, a in pairs]
+    traces = _traces(cfg, c)
     report = empirical_moments(traces, N=cfg.N)
     row = {
         "N": cfg.N,
@@ -286,7 +247,7 @@ def _moment_rows(cfg: ExperimentConfig) -> tuple[CurveSpec, list[TraceRecord], d
     else:
         for tag in MEASURE_TAGS:
             row["ks_" + tag.replace("-", "_")] = None
-    return c, traces, row
+    return c, report, row
 
 
 _MOMENT_COLUMNS = [
@@ -305,8 +266,7 @@ def cmd_moments(cfg: ExperimentConfig) -> None:
 
 
 def cmd_st_classify(cfg: ExperimentConfig) -> None:
-    c, traces, row = _moment_rows(cfg)
-    report = empirical_moments(traces, N=cfg.N)
+    c, report, _ = _moment_rows(cfg)
     cls = moment_class(report.second_moment)
     candidates = identify_st_class(report) if cls is not None else []
     out = {
@@ -352,12 +312,12 @@ def cmd_factor_check(cfg: ExperimentConfig) -> None:
         D = parse_polynomial(cfg.D)
     else:
         raise ConfigError("--D (a polynomial or 'auto-peterson') is required")
+    others = []
     if cfg.s_curves:
-        e_curve = curve_from_poly(f)
-        others = [curve_from_poly(parse_polynomial(s)) for s in cfg.s_curves]
-        rep = verify_mixed_factorization(D, e_curve, cfg.r, others, cfg.N)
-    else:
-        rep = verify_factorization(D, f, cfg.r, cfg.N)
+        curve_from_poly(f)  # a bad E exits 2, like a bad E_i
+        others = [curve_from_poly(parse_polynomial(s)).f for s in cfg.s_curves]
+    caches = _open_caches(cfg, [D, f, *others])
+    rep = verify_factorization(D, f, cfg.r, cfg.N, others, cfg.threads, caches)
     _write_report(
         [
             {
@@ -421,7 +381,6 @@ def build_parser() -> _Parser:
         p.add_argument("--sigma", default="", help="Moebius transform, e.g. '(x+1)/(-3x+1)' or '1/x'")
         p.add_argument("--N", type=int, default=1000)
         p.add_argument("--grid", default="geometric:20", help="'geometric:k' or comma-separated cutoffs")
-        p.add_argument("--mode", choices=["fast-twist", "fiberwise"], default="fast-twist")
         p.add_argument("--r", type=int, default=2)
         p.add_argument("--s-curves", default="", help="comma-separated genus-1 polynomials")
         p.add_argument("--threads", type=int, default=1)
@@ -441,7 +400,6 @@ def config_from_args(argv: list[str]) -> ExperimentConfig:
         sigma=args.sigma,
         N=args.N,
         grid=args.grid,
-        mode=args.mode,
         r=args.r,
         s_curves=[s for s in args.s_curves.split(",") if s.strip()],
         threads=args.threads,

@@ -13,21 +13,27 @@ exhaustive counting oracle in the test suite.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import sympy
 
+from .cache import TraceCache
 from .finite_field import (
     ResidueTable,
-    legendre,
     poly_eval_all_mod,
     poly_eval_mod,
+    primes_in,
     residue_table,
 )
 from .polynomials import IntPolynomial, PolynomialError
 
 DEFAULT_LPOLY_CAP = 10**4
+N_HARD_CAP = 10**7
+
+_BLOCK = 128  # primes per worker block
 
 
 class CurveError(PolynomialError):
@@ -94,8 +100,8 @@ def hyperelliptic_trace(f: IntPolynomial, p: int, table: ResidueTable | None = N
     """Trace of Frobenius of the smooth projective model of y^2 = f(x) at a good p.
 
     a = -sum_x chi_p(f(x)) minus the point-at-infinity correction chi_p(lead f)
-    for even degree.  Valid for any degree >= 3 (genus (deg-1)//2 for odd deg,
-    deg/2 - 1 for even).
+    for even degree.  Valid for any degree >= 1, genus (deg - 1) // 2; in
+    genus 0 (degree 1 or 2) the trace is 0.
     """
     tab = table if table is not None and table.p == p else residue_table(p)
     vals = poly_eval_all_mod(f.coeffs, p)
@@ -104,34 +110,82 @@ def hyperelliptic_trace(f: IntPolynomial, p: int, table: ResidueTable | None = N
     return -s - corr
 
 
-def _checked_trace(c: CurveSpec, p: int, table: ResidueTable | None) -> TraceRecord:
+def good_primes(bad: frozenset[int] | set[int], n_max: int) -> list[int]:
+    """The odd primes p <= n_max outside ``bad``, ascending."""
+    return [p for p in primes_in(3, n_max + 1) if p not in bad]
+
+
+def sweep_traces(
+    polys: Sequence[IntPolynomial],
+    primes: Sequence[int],
+    threads: int = 1,
+    caches: Iterable[TraceCache] | None = None,
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield (p, (a_p(g) for g in polys)) for the given good primes, ascending.
+
+    The one trace sweep behind every command.  Identical polynomials are
+    computed once.  A value held by the cache of its polynomial (caches are
+    matched through ``TraceCache.poly``) is read, not computed.  A prime with
+    a miss gets one residue table, shared by every polynomial that missed, and
+    every computed a_p is checked against the Weil bound a^2 <= 4 g^2 p with
+    g = (deg - 1) // 2.  Misses run in blocks of _BLOCK primes, on a pool of
+    ``threads`` workers when threads > 1; this generator merges the blocks in
+    ascending p and makes every cache write, so the output does not depend on
+    the thread count.  With one thread a block is computed only when the
+    consumer reaches it.
+    """
+    distinct = list(dict.fromkeys(polys))
+    slot = [distinct.index(g) for g in polys]
+    by_poly = {c.poly: c for c in caches or ()}
+    stores = [by_poly.get(g) for g in distinct]
+    values = [[None if c is None else c.get(p) for c in stores] for p in primes]
+    need = [i for i, vals in enumerate(values) if None in vals]
+    blocks = [need[k : k + _BLOCK] for k in range(0, len(need), _BLOCK)]
+
+    def work(block: list[int]) -> list[list[int]]:
+        out = []
+        for i in block:
+            p = primes[i]
+            tab = residue_table(p)
+            row = []
+            for g, a in zip(distinct, values[i]):
+                if a is None:
+                    a = hyperelliptic_trace(g, p, tab)
+                    genus = (g.degree - 1) // 2
+                    if a * a > 4 * genus * genus * p:
+                        raise AssertionError(
+                            f"Weil bound violated at p={p}: a={a}, genus {genus} (counting bug)"
+                        )
+                row.append(a)
+            out.append(row)
+        return out
+
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 and blocks else None
+    try:
+        done = pool.map(work, blocks) if pool else map(work, blocks)
+        pending = iter(blocks)
+        block = next(pending, None)
+        for i, p in enumerate(primes):
+            if block and i == block[0]:
+                for j, row in zip(block, next(done)):
+                    values[j] = row
+                for k, c in enumerate(stores):
+                    if c is not None:
+                        c.append([(primes[j], values[j][k]) for j in block])
+                block = next(pending, None)
+            vals = values[i]
+            yield p, tuple(vals[k] for k in slot)
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+
+
+def curve_trace(c: CurveSpec, p: int) -> TraceRecord:
+    """The Weil-checked trace a = p + 1 - #C(F_p) at one good prime."""
     if p in c.bad_primes:
         raise BadPrimeError(p)
-    a = hyperelliptic_trace(c.f, p, table)
-    if a * a > 4 * c.genus * c.genus * p:
-        raise AssertionError(
-            f"Weil bound violated at p={p}: a={a}, genus {c.genus} (counting bug)"
-        )
+    ((_, (a,)),) = sweep_traces([c.f], [p])
     return TraceRecord(p, a, c.genus)
-
-
-def trace_elliptic(c: CurveSpec, p: int, table: ResidueTable | None = None) -> TraceRecord:
-    """Genus-1 trace a = -sum chi_p(f(x)) for a degree-3 model; a = p + 1 - #E(F_p)."""
-    if c.genus != 1 or c.f.degree != 3:
-        raise CurveError("trace_elliptic requires a degree-3 genus-1 curve")
-    return _checked_trace(c, p, table)
-
-
-def trace_genus2(c: CurveSpec, p: int, table: ResidueTable | None = None) -> TraceRecord:
-    """Genus-2 trace a = p + 1 - #C(F_p) for the smooth model, degree 5 or 6."""
-    if c.genus != 2:
-        raise CurveError("trace_genus2 requires a genus-2 curve (degree 5 or 6)")
-    return _checked_trace(c, p, table)
-
-
-def curve_trace(c: CurveSpec, p: int, table: ResidueTable | None = None) -> TraceRecord:
-    """Genus-aware trace dispatch used by sweeps."""
-    return _checked_trace(c, p, table)
 
 
 def _count_fp2(f: IntPolynomial, p: int) -> int:
@@ -162,9 +216,11 @@ def l_polynomial_genus2(c: CurveSpec, p: int, cap: int = DEFAULT_LPOLY_CAP) -> L
 
     b = (a^2 - (p^2 + 1 - #C(F_{p^2}))) / 2, an exact integer.
     """
+    if c.genus != 2:
+        raise CurveError("l_polynomial_genus2 requires a genus-2 curve (degree 5 or 6)")
     if p > cap:
         raise CapExceededError(f"p = {p} exceeds the F_p^2 counting cap {cap}")
-    rec = trace_genus2(c, p)
+    rec = curve_trace(c, p)
     a2 = p * p + 1 - _count_fp2(c.f, p)
     num = rec.a * rec.a - a2
     assert num % 2 == 0, "parity failure in b (counting bug)"

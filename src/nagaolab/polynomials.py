@@ -7,7 +7,6 @@ Squarefreeness and discriminants are exact, via sympy's integer resultants.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -105,9 +104,6 @@ def poly_to_str(f: IntPolynomial, var: str = "x") -> str:
     for sign, term in parts[1:]:
         out += f" {sign} {term}"
     return out
-
-
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[xT])|(?P<op>[-+*^]))")
 
 
 def parse_polynomial(text: str) -> IntPolynomial:

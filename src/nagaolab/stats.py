@@ -50,17 +50,13 @@ def _parse_table(lines: Iterable[str]) -> tuple[STGroupRecord, ...]:
 def load_st_table(path: str | None = None) -> tuple[STGroupRecord, ...]:
     """The 34 Sato-Tate group rows for abelian surfaces over Q.
 
-    Reads the versioned data file shipped with the package (or an explicit
-    path); falls back to the compiled-in copy if the file is unavailable.
+    Reads the versioned data file shipped with the package, or an explicit path.
     """
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             return _parse_table(fh)
-    try:
-        text = resources.files("nagaolab").joinpath("data/st_groups_q.txt").read_text()
-        return _parse_table(text.splitlines())
-    except (FileNotFoundError, ModuleNotFoundError):
-        return _parse_table(_EMBEDDED_TABLE.splitlines())
+    text = resources.files("nagaolab").joinpath("data/st_groups_q.txt").read_text()
+    return _parse_table(text.splitlines())
 
 
 # -- angle measures on [0, pi] ----------------------------------------------
@@ -237,40 +233,3 @@ def predict_rank(f: IntPolynomial, moment_cls: int) -> int:
         raise ValueError("f must define a genus-1 or genus-2 curve (degree 3..6)")
     return moment_cls
 
-
-_EMBEDDED_TABLE = """\
-J(C_2);C;2;2;x^5-x
-J(C_4);C;2;2;x^6+x^5-5*x^4-5*x^2-x+1
-J(C_6);C;2;2;x^6-15*x^4-20*x^3+6*x+1
-J(D_2);R;1;1;x^5+9*x
-J(D_3);R;1;1;x^6+10*x^3-2
-J(D_4);R;1;1;x^5+3*x
-J(D_6);R;1;1;x^6+3*x^5+10*x^3-15*x^2+15*x-6
-J(T);R;1;1;x^6+6*x^5-20*x^4+20*x^3-20*x^2-8*x+8
-J(O);R;1;1;x^6-5*x^4+10*x^3-5*x^2+2*x-1
-C_{2,1};M2(R);4;4;x^6+1
-C_{6,1};C;2;2;x^6+6*x^5-30*x^4+20*x^3+15*x^2-12*x+1
-D_{2,1};RxR;2;2;x^5+x
-D_{4,1};R;1;1;x^5+2*x
-D_{6,1};R;1;1;x^6+6*x^5-30*x^4-40*x^3+60*x^2+24*x-8
-D_{3,2};RxR;2;2;x^6+4
-D_{4,2};RxR;2;2;x^6+x^5+10*x^3+5*x^2+x-2
-D_{6,2};RxR;2;2;x^6+2
-O_1;R;1;1;x^6+7*x^5+10*x^4+10*x^3+15*x^2+17*x+4
-E_1;M2(R);4;4;x^6+x^4+x^2+1
-E_2;C;2;2;x^6+x^5+3*x^4+3*x^2-x+1
-E_3;C;2;2;x^5+x^4-3*x^3-4*x^2-x
-E_4;C;2;2;x^5+x^4+x^2-x
-E_6;C;2;2;x^5+2*x^4-x^3-3*x^2-x
-J(E_1);RxR;2;2;x^5+x^3+x
-J(E_2);R;1;1;x^5+x^3-x
-J(E_3);R;1;1;x^6+x^3+4
-J(E_4);R;1;1;x^5+x^3+2*x
-J(E_6);R;1;1;x^6+x^3-2
-F_ac;R;1;1;x^5+1
-F_{a,b};RxR;2;2;x^6+3*x^4+x^2-1
-N(G_{1,3});RxR;2;2;x^6+3*x^4-2
-G_{3,3};RxR;2;2;x^6+x^2+1
-N(G_{3,3});R;1;1;x^6+x^5+x-1
-USp(4);R;1;1;x^5-x+1
-"""

@@ -15,12 +15,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .curves import CurveSpec, BadPrimeError, hyperelliptic_bad_primes, hyperelliptic_trace
-from .finite_field import ResidueTable, poly_eval_all_mod, poly_eval_mod, primes_in, residue_table
+from .cache import TraceCache
+from .curves import (
+    N_HARD_CAP,
+    BadPrimeError,
+    CapExceededError,
+    good_primes,
+    hyperelliptic_bad_primes,
+    hyperelliptic_trace,
+    sweep_traces,
+)
+from .finite_field import ResidueTable, legendre, poly_eval_all_mod, poly_eval_mod, residue_table
 from .polynomials import (
     IntPolynomial,
     PolynomialError,
@@ -34,8 +43,6 @@ from .polynomials import (
     frac_trim,
 )
 
-DEFAULT_N_CAP = 10**7
-
 
 class PetersonError(ValueError):
     pass
@@ -48,14 +55,11 @@ class TwistSurfaceSpec:
     f: IntPolynomial
     D: IntPolynomial
     bad_primes: frozenset[int]
-    mode: str = "fast-twist"  # or "fiberwise"
 
 
-def twist_surface(f: IntPolynomial, D: IntPolynomial, mode: str = "fast-twist") -> TwistSurfaceSpec:
-    if mode not in ("fast-twist", "fiberwise"):
-        raise ValueError(f"unknown mode {mode!r}")
+def twist_surface(f: IntPolynomial, D: IntPolynomial) -> TwistSurfaceSpec:
     bad = hyperelliptic_bad_primes(f) | hyperelliptic_bad_primes(D)
-    return TwistSurfaceSpec(f, D, frozenset(bad), mode)
+    return TwistSurfaceSpec(f, D, frozenset(bad))
 
 
 def char_sum(D: IntPolynomial, p: int, table: ResidueTable | None = None) -> int:
@@ -77,22 +81,20 @@ def fiber_trace(s: TwistSurfaceSpec, p: int, t: int, table: ResidueTable | None 
 
 
 def average_trace(s: TwistSurfaceSpec, p: int, table: ResidueTable | None = None) -> Fraction:
-    """A_p as an exact rational with denominator p.
+    """A_p as an exact rational with denominator p, summed fiber by fiber.
 
-    fast-twist mode evaluates a_p(f) * char_sum(D) / p; fiberwise mode sums the
-    per-fiber traces directly.  The two agree exactly.
+    The test oracle for ``nagao_series``, which derives the same value from
+    a_p(f) and a_p(D).
     """
     if p in s.bad_primes:
         raise BadPrimeError(p)
     tab = table if table is not None and table.p == p else residue_table(p)
     a_f = hyperelliptic_trace(s.f, p, tab)
-    if s.mode == "fiberwise":
-        total = 0
-        for t in range(p):
-            chi = tab.chi_of(poly_eval_mod(s.D.coeffs, t, p))
-            total += chi * a_f
-        return Fraction(total, p)
-    return Fraction(a_f * char_sum(s.D, p, tab), p)
+    total = 0
+    for t in range(p):
+        chi = tab.chi_of(poly_eval_mod(s.D.coeffs, t, p))
+        total += chi * a_f
+    return Fraction(total, p)
 
 
 @dataclass(frozen=True)
@@ -132,21 +134,20 @@ def nagao_series(
     s: TwistSurfaceSpec,
     n_max: int,
     grid: Sequence[int] | None = None,
-    trace_provider: Callable[[int], int] | None = None,
+    threads: int = 1,
+    caches: Iterable[TraceCache] | None = None,
 ) -> NagaoSeries:
     """Both partial-sum estimators on a cutoff grid, over good primes <= n_max.
 
-    ``trace_provider`` optionally supplies cached a_p(f) values; the chi-sum
-    over D is always recomputed (cheaper than storing it).  When f == D the
-    chi-sum is derived from a_p(f) instead of re-evaluated.
+    One sweep of [f, D] gives a_p(f) and a_p(D); the chi-sum over D is
+    sum_t chi_p(D(t)) = -a_p(D) - [deg D even] chi_p(lead D).
     """
-    if n_max > DEFAULT_N_CAP:
-        raise ValueError(f"N = {n_max} exceeds cap {DEFAULT_N_CAP}")
+    if n_max > N_HARD_CAP:
+        raise CapExceededError(f"N = {n_max} exceeds the hard cap {N_HARD_CAP}")
     grid = sorted(set(grid)) if grid else geometric_grid(n_max)
     if any(g < 2 or g > n_max for g in grid):
         raise ValueError("grid cutoffs must lie in [2, N]")
-    self_twist = s.f.coeffs == s.D.coeffs
-    even_corr = s.f.degree % 2 == 0
+    even_D = s.D.degree % 2 == 0
     records: list[tuple[int, Fraction]] = []
     sum_w = _Kahan()  # sum of -A_p log p
     sum_u = _Kahan()  # sum of -A_p
@@ -154,30 +155,24 @@ def nagao_series(
     s1: list[float] = []
     s2: list[float] = []
     n_primes: list[int] = []
-    gi = 0
-    primes = primes_in(3, n_max + 1)
-    for p in primes + [None]:
-        while gi < len(grid) and (p is None or p > grid[gi]):
-            s1.append(sum_w.s / grid[gi])
+
+    def close_cutoffs(below: float) -> None:  # report every open cutoff < below
+        while len(s1) < len(grid) and grid[len(s1)] < below:
+            s1.append(sum_w.s / grid[len(s1)])
             s2.append(sum_u.s / count if count else 0.0)
             n_primes.append(count)
-            gi += 1
-        if p is None:
-            break
-        if p in s.bad_primes:
-            continue
-        tab = residue_table(p)
-        a_f = trace_provider(p) if trace_provider else hyperelliptic_trace(s.f, p, tab)
-        if self_twist:
-            cs = -a_f - (tab.chi_of(s.D.lead) if even_corr else 0)
-        else:
-            cs = char_sum(s.D, p, tab)
+
+    sweep = sweep_traces([s.f, s.D], good_primes(s.bad_primes, n_max), threads, caches)
+    for p, (a_f, a_D) in sweep:
+        close_cutoffs(p)
+        cs = -a_D - (legendre(s.D.lead, p) if even_D else 0)
         a_avg = Fraction(a_f * cs, p)
         records.append((p, a_avg))
         v = -float(a_avg)
         sum_w.add(v * math.log(p))
         sum_u.add(v)
         count += 1
+    close_cutoffs(math.inf)
     return NagaoSeries(tuple(grid), tuple(s1), tuple(s2), tuple(n_primes), tuple(records))
 
 
@@ -280,48 +275,29 @@ class FactorizationReport:
     primes_checked: int
 
 
-def verify_factorization(D: IntPolynomial, f: IntPolynomial, r: int, n_max: int) -> FactorizationReport:
-    """Certify a_p(J_D) = r * a_p(J_f) at every good odd prime <= n_max.
-
-    A necessary condition for J_D ~ J_f^r (trace identity on the L-polynomial
-    linear coefficients), not a proof of the isogeny.  Reports the least
-    violating prime on failure.
-    """
-    bad = hyperelliptic_bad_primes(D) | hyperelliptic_bad_primes(f)
-    checked = 0
-    for p in primes_in(3, n_max + 1):
-        if p in bad:
-            continue
-        tab = residue_table(p)
-        if hyperelliptic_trace(D, p, tab) != r * hyperelliptic_trace(f, p, tab):
-            return FactorizationReport(False, p, checked)
-        checked += 1
-    return FactorizationReport(True, None, checked)
-
-
-def verify_mixed_factorization(
+def verify_factorization(
     D: IntPolynomial,
-    e_curve: CurveSpec,
+    f: IntPolynomial,
     r: int,
-    others: Sequence[CurveSpec],
     n_max: int,
+    others: Sequence[IntPolynomial] = (),
+    threads: int = 1,
+    caches: Iterable[TraceCache] | None = None,
 ) -> FactorizationReport:
-    """Certify a_p(J_D) = r * a_p(E) + sum_i a_p(E_i) at every good prime <= n_max."""
-    if e_curve.genus != 1 or any(c.genus != 1 for c in others):
+    """Certify a_p(J_D) = r * a_p(J_f) + sum_i a_p(E_i) at every good odd prime <= n_max.
+
+    A necessary condition for J_D ~ J_f^r x prod E_i (trace identity on the
+    L-polynomial linear coefficients), not a proof of the isogeny.  With
+    ``others`` given, f and every E_i must be genus-1 curves.  Stops at, and
+    reports, the least violating prime.
+    """
+    if others and any(not 3 <= g.degree <= 4 for g in (f, *others)):
         raise PolynomialError("E and all E_i must be genus-1 curves")
-    bad = hyperelliptic_bad_primes(D) | set(e_curve.bad_primes)
-    for c in others:
-        bad |= c.bad_primes
+    polys = [D, f, *others]
+    bad = frozenset().union(*(hyperelliptic_bad_primes(g) for g in polys))
     checked = 0
-    for p in primes_in(3, n_max + 1):
-        if p in bad:
-            continue
-        tab = residue_table(p)
-        lhs = hyperelliptic_trace(D, p, tab)
-        rhs = r * hyperelliptic_trace(e_curve.f, p, tab) + sum(
-            hyperelliptic_trace(c.f, p, tab) for c in others
-        )
-        if lhs != rhs:
+    for p, (a_D, a_f, *a_others) in sweep_traces(polys, good_primes(bad, n_max), threads, caches):
+        if a_D != r * a_f + sum(a_others):
             return FactorizationReport(False, p, checked)
         checked += 1
     return FactorizationReport(True, None, checked)

@@ -3,6 +3,9 @@ import os
 
 import pytest
 
+import nagaolab.cli as cli_mod
+import nagaolab.curves as curves_mod
+import nagaolab.twist as twist_mod
 from nagaolab.cache import HEADER, TraceCache, cache_path, fingerprint
 from nagaolab.cli import (
     EXIT_BAD_CURVE,
@@ -64,6 +67,13 @@ def test_lpoly_command(tmp_path):
     assert lines[1] == "3,0,-2"
 
 
+def test_lpoly_cap_checked_before_any_count(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli_mod, "l_polynomial_genus2", lambda c, p: calls.append(p))
+    assert run(cfg("lpoly", f="x^5-x+1", N=20000, output="-")) == EXIT_CAP
+    assert calls == []
+
+
 def test_json_mirrors_csv_fields(tmp_path):
     out_c = tmp_path / "m.csv"
     out_j = tmp_path / "m.json"
@@ -86,6 +96,7 @@ def test_exit_code_parse_error(tmp_path):
     assert run(cfg("trace", f="x^^3", N=10, output="-")) == EXIT_CONFIG
     assert run(cfg("nagao", f="", N=10, output="-")) == EXIT_CONFIG
     assert main(["trace", "--badflag"]) == EXIT_CONFIG
+    assert main(["nagao", "--f", "T^3+T", "--N", "100", "--mode", "fiberwise"]) == EXIT_CONFIG
 
 
 def test_exit_code_bad_curve():
@@ -97,9 +108,18 @@ def test_exit_code_cap():
     assert run(cfg("nagao", f="T^3+T", N=10**7 + 1, output="-")) == EXIT_CAP
 
 
-def test_st_classify_runs(tmp_path):
+def test_st_classify_runs(tmp_path, monkeypatch):
+    calls = []
+    real = cli_mod.empirical_moments
+
+    def counted(traces, N=None):
+        calls.append(N)
+        return real(traces, N=N)
+
+    monkeypatch.setattr(cli_mod, "empirical_moments", counted)
     out = tmp_path / "s.json"
     assert run(cfg("st-classify", f="x^5-x+1", N=3000, output=str(out), fmt="json")) == EXIT_OK
+    assert calls == [3000]
     (row,) = json.loads(out.read_text())
     assert row["moment_class"] in (1, 2, None)
     if row["moment_class"] == 1:
@@ -218,22 +238,20 @@ def test_thread_count_determinism_small(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_fiberwise_mode_cli(tmp_path):
-    out_fast = tmp_path / "fast.csv"
-    out_fib = tmp_path / "fib.csv"
-    assert run(cfg("nagao", f="T^3+T", D="T^3+T+1", N=200, grid="200", output=str(out_fast))) == EXIT_OK
-    assert (
-        run(
-            cfg(
-                "nagao",
-                f="T^3+T",
-                D="T^3+T+1",
-                N=200,
-                grid="200",
-                mode="fiberwise",
-                output=str(out_fib),
-            )
-        )
-        == EXIT_OK
-    )
-    assert out_fast.read_bytes() == out_fib.read_bytes()
+def test_warm_self_twist_builds_no_residue_table(tmp_path, monkeypatch):
+    tables = []
+    real = curves_mod.residue_table
+
+    def counted(p, *args):
+        tables.append(p)
+        return real(p, *args)
+
+    for mod in (curves_mod, twist_mod):
+        monkeypatch.setattr(mod, "residue_table", counted)
+    base = dict(f="T^3+T", N=2000, grid="500,2000", cache_dir=str(tmp_path / "cache"))
+    assert run(cfg("nagao", output=str(tmp_path / "cold.csv"), **base)) == EXIT_OK
+    assert tables  # the cold run computed its traces
+    tables.clear()
+    assert run(cfg("nagao", output=str(tmp_path / "warm.csv"), **base)) == EXIT_OK
+    assert tables == []
+    assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()

@@ -1,20 +1,28 @@
 import math
 import random
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nagaolab.curves as curves_mod
+from nagaolab.cache import TraceCache
 from nagaolab.curves import (
     BadPrimeError,
     CapExceededError,
     CurveError,
+    CurveSpec,
     TraceRecord,
     curve_from_poly,
+    curve_trace,
+    good_primes,
+    hyperelliptic_bad_primes,
     l_polynomial_genus2,
     lpoly_roots,
     normalized_angle,
-    trace_elliptic,
-    trace_genus2,
+    sweep_traces,
     trace_oracle_exhaustive,
 )
 from nagaolab.finite_field import legendre, primes_in
@@ -52,25 +60,18 @@ def test_bad_primes_include_lead_and_disc():
 
 def test_trace_elliptic_known():
     c = curve("x^3+x")
-    assert trace_elliptic(c, 5).a == 2  # #E(F_5) = 4
-    assert trace_elliptic(c, 3).a == 0  # #E(F_3) = 4
+    assert curve_trace(c, 5).a == 2  # #E(F_5) = 4
+    assert curve_trace(c, 3).a == 0  # #E(F_3) = 4
     with pytest.raises(BadPrimeError):
-        trace_elliptic(c, 2)
+        curve_trace(c, 2)
 
 
 def test_trace_genus2_known():
     c = curve("x^5-x")
-    assert trace_genus2(c, 3).a == 0  # x^5 = x for all x mod 3
-    assert trace_genus2(curve("x^5+1"), 7).a == 0  # x -> x^5 bijective mod 7
+    assert curve_trace(c, 3).a == 0  # x^5 = x for all x mod 3
+    assert curve_trace(curve("x^5+1"), 7).a == 0  # x -> x^5 bijective mod 7
     with pytest.raises(BadPrimeError):
-        trace_genus2(c, 2)
-
-
-def test_trace_dispatch_guards():
-    with pytest.raises(CurveError):
-        trace_elliptic(curve("x^5-x"), 7)
-    with pytest.raises(CurveError):
-        trace_genus2(curve("x^3+x"), 7)
+        curve_trace(c, 2)
 
 
 def test_oracle_known_values():
@@ -90,8 +91,6 @@ def _random_squarefree(rng, degree):
 def test_oracle_equivalence_random_curves():
     rng = random.Random(2024)
     corpus = [_random_squarefree(rng, d) for d in (3, 3, 3, 4, 5, 5, 5, 6, 6, 6)]
-    from nagaolab.curves import curve_trace
-
     for f in corpus:
         c = curve_from_poly(f)
         for p in primes_in(3, 100):
@@ -103,8 +102,6 @@ def test_oracle_equivalence_random_curves():
 def test_weil_bounds_on_sweeps():
     for s, g in (("x^3+x+1", 1), ("x^5-x+1", 2), ("x^6+1", 2)):
         c = curve(s)
-        from nagaolab.curves import curve_trace
-
         for p in primes_in(3, 2000):
             if p in c.bad_primes:
                 continue
@@ -124,14 +121,66 @@ def test_quadratic_twist_covariance():
     for p in primes_in(3, 1000):
         if p in c.bad_primes or p in ct.bad_primes:
             continue
-        assert trace_elliptic(ct, p).a == legendre(d, p) * trace_elliptic(c, p).a
+        assert curve_trace(ct, p).a == legendre(d, p) * curve_trace(c, p).a
 
 
 def test_cm_vanishing_mod4_regression():
     c = curve("x^3+x")
     for p in primes_in(3, 10**4):
-        a = trace_elliptic(c, p).a
+        a = curve_trace(c, p).a
         assert (a == 0) == (p % 4 == 3)
+
+
+# -- the sweep engine --------------------------------------------------------
+
+PETERSON_D = parse_polynomial("x^10+2*x^8+3*x^6+3*x^4+2*x^2+1")
+
+squarefree_curves = (
+    st.integers(3, 6)
+    .flatmap(
+        lambda d: st.tuples(
+            st.lists(st.integers(-9, 9), min_size=d, max_size=d),
+            st.sampled_from([1, -1, 2, 3]),
+        )
+    )
+    .map(lambda t: IntPolynomial(tuple(t[0]) + (t[1],)))
+    .filter(lambda f: f.is_squarefree())
+)
+
+
+def _oracle(f: IntPolynomial, p: int) -> int:
+    spec = CurveSpec(f, (f.degree - 1) // 2, hyperelliptic_bad_primes(f))
+    return trace_oracle_exhaustive(spec, p).a
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(squarefree_curves, min_size=1, max_size=3), st.booleans(), st.sampled_from([1, 2]))
+def test_sweep_matches_oracle(curves, cached, threads):
+    polys = curves + [curves[0], PETERSON_D]  # a repeated curve and a degree-10 D
+    bad = frozenset().union(*(hyperelliptic_bad_primes(g) for g in polys))
+    primes = good_primes(bad, 300)
+    want = [(p, tuple(_oracle(g, p) for g in polys)) for p in primes]
+    with tempfile.TemporaryDirectory() as cache_dir:
+        for _ in range(2 if cached else 1):  # cold, then warm from the cache files
+            caches = [TraceCache(cache_dir, g) for g in set(polys)] if cached else None
+            assert list(sweep_traces(polys, primes, threads, caches)) == want
+
+
+def test_sweep_serial_is_lazy(monkeypatch):
+    calls = []
+    real = curves_mod.hyperelliptic_trace
+
+    def counted(f, p, table=None):
+        calls.append(p)
+        return real(f, p, table)
+
+    monkeypatch.setattr(curves_mod, "hyperelliptic_trace", counted)
+    f = parse_polynomial("x^3+x+1")
+    primes = good_primes(curve_from_poly(f).bad_primes, 3000)
+    assert len(primes) > 2 * 128
+    first = next(iter(sweep_traces([f], primes)))
+    assert first == (primes[0], (curve_trace(curve_from_poly(f), primes[0]).a,))
+    assert len(calls) == 128 + 1  # one block, plus the curve_trace above
 
 
 def test_l_polynomial_known():
@@ -145,6 +194,8 @@ def test_l_polynomial_cap_and_bad_prime():
         l_polynomial_genus2(c, 10007, cap=10**4)
     with pytest.raises(BadPrimeError):
         l_polynomial_genus2(c, 2)
+    with pytest.raises(CurveError):
+        l_polynomial_genus2(curve("x^3+x"), 7)
 
 
 def test_l_polynomial_functional_equation():

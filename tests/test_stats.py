@@ -51,12 +51,6 @@ def test_table_class_sizes():
     assert len(by_moment[2]) == 16
 
 
-def test_table_file_and_fallback_agree(tmp_path):
-    import nagaolab.stats as stats
-
-    assert load_st_table() == stats._parse_table(stats._EMBEDDED_TABLE.splitlines())
-
-
 # -- measures and Haar oracles ----------------------------------------------
 
 

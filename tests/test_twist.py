@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from nagaolab.curves import BadPrimeError, curve_from_poly, curve_trace, hyperelliptic_trace
+from nagaolab.curves import BadPrimeError, CapExceededError, curve_from_poly, curve_trace, hyperelliptic_trace
 from nagaolab.finite_field import primes_in
 from nagaolab.polynomials import IntPolynomial, PolynomialError, parse_polynomial
 from nagaolab.twist import (
@@ -17,14 +17,13 @@ from nagaolab.twist import (
     peterson_D,
     twist_surface,
     verify_factorization,
-    verify_mixed_factorization,
 )
 
 
-def surface(f, d=None, mode="fast-twist"):
+def surface(f, d=None):
     fp = parse_polynomial(f)
     dp = parse_polynomial(d) if d else fp
-    return twist_surface(fp, dp, mode)
+    return twist_surface(fp, dp)
 
 
 def test_char_sum_known():
@@ -57,15 +56,13 @@ def test_mode_agreement_corpus():
         "x^3+x", "x^3+x+1", "x^3-x+3", "x^5-x+1", "x^5+x",
         "x^6+1", "x^6+2", "x^5+x^3+x", "x^3+2*x+5", "x^6+x^2+1",
     ]
-    surfaces = [
-        (surface(f, d), surface(f, d, "fiberwise"))
-        for f, d in zip(polys, polys[1:] + polys[:1])
-    ]
-    for fast, fiber in surfaces:
-        for p in primes_in(3, 2000):
-            if p in fast.bad_primes:
-                continue
-            assert average_trace(fast, p) == average_trace(fiber, p)
+    # D runs over odd and even degrees, so both chi-sum corrections are exercised
+    for f, d in zip(polys, polys[1:] + polys[:1]):
+        s = surface(f, d)
+        records = nagao_series(s, 2000, [2000]).records
+        assert [p for p, _ in records] == [p for p in primes_in(3, 2001) if p not in s.bad_primes]
+        for p, a_avg in records:
+            assert a_avg == average_trace(s, p), (f, d, p)
 
 
 def test_self_twist_identity_both_genera():
@@ -73,11 +70,9 @@ def test_self_twist_identity_both_genera():
     for f in ("x^3+x+1", "x^5-x+1"):
         s = surface(f)
         c = curve_from_poly(s.f)
-        for p in primes_in(3, 10**4):
-            if p in s.bad_primes:
-                continue
+        for p, a_avg in nagao_series(s, 10**4, [10**4]).records:
             a = curve_trace(c, p).a
-            assert p * average_trace(s, p) == -a * a
+            assert p * a_avg == -a * a
 
 
 def test_nagao_series_empty_sum():
@@ -99,6 +94,8 @@ def test_nagao_series_grid_validation():
     s = surface("x^3+x")
     with pytest.raises(ValueError):
         nagao_series(s, 100, [1000])
+    with pytest.raises(CapExceededError):
+        nagao_series(s, 10**7 + 1, [100])
 
 
 def test_nagao_series_matches_direct_sum():
@@ -180,18 +177,19 @@ def test_verify_factorization_failure_reports_least_prime():
 
 def test_verify_mixed_reduces_to_plain():
     f = parse_polynomial("x^3+x+1")
-    e = curve_from_poly(f)
-    assert verify_mixed_factorization(f, e, 1, [], 1000).passed
+    assert verify_factorization(f, f, 1, 1000, others=[]).passed
+    # a_p(f) = 0 * a_p(E) + a_p(f): f itself as the only extra factor
+    e = parse_polynomial("x^3+2*x+3")
+    assert verify_factorization(f, e, 0, 1000, others=[f]).passed
 
 
 def test_verify_mixed_failure():
     f = parse_polynomial("x^3+x+1")
-    e = curve_from_poly(f)
     other = curve_from_poly(parse_polynomial("x^3+2*x+3"))
-    rep = verify_mixed_factorization(f, e, 1, [other], 200)
+    rep = verify_factorization(f, f, 1, 200, others=[other.f])
     assert not rep.passed
     # the reported prime is the least good one where the extra term is nonzero
-    bad = set(e.bad_primes) | set(other.bad_primes)
+    bad = set(curve_from_poly(f).bad_primes) | set(other.bad_primes)
     for p in primes_in(3, 200):
         if p in bad:
             continue
@@ -201,11 +199,8 @@ def test_verify_mixed_failure():
 
 
 def test_verify_mixed_rejects_higher_genus():
-    with pytest.raises(PolynomialError):
-        verify_mixed_factorization(
-            parse_polynomial("x^3+x+1"),
-            curve_from_poly(parse_polynomial("x^5-x+1")),
-            1,
-            [],
-            100,
-        )
+    e = parse_polynomial("x^3+x+1")
+    g2 = parse_polynomial("x^5-x+1")
+    for f, others in ((g2, [e]), (e, [g2])):
+        with pytest.raises(PolynomialError):
+            verify_factorization(e, f, 1, 100, others=others)
