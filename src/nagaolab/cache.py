@@ -8,16 +8,19 @@ Format (LF line endings, decimal integers):
     p,a
     ...
 
-records strictly ascending in p, append-only.  A file whose header or
-fingerprint does not match the requesting curve, or whose records are out of
-order or malformed, is quarantined (renamed with a .corrupt suffix) and a
-CacheCorruptError is raised.
+records strictly ascending in p.  Records above the cached maximum are
+appended; a record below it is merged in by rewriting the file.  A file whose
+header or fingerprint does not match the requesting curve, or whose records
+are out of order or malformed, is quarantined (renamed with a .corrupt
+suffix) and a CacheCorruptError is raised.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import shutil
+import tempfile
 from pathlib import Path
 
 from .polynomials import IntPolynomial
@@ -90,22 +93,45 @@ class TraceCache:
         return self.records.get(p)
 
     def append(self, new_records: list[tuple[int, int]]) -> None:
-        """Extend the file with records beyond the current maximum p.
+        """Add the records whose p is not cached yet.
 
-        Records at or below the cached maximum are assumed already present
-        (same curve, same good-prime set) and are skipped.  The write is a
-        single buffered append so an interrupt never leaves a partial block.
+        When every new p lies above the cached maximum, the records go on in
+        a single buffered append.  A new p below it (a prime the earlier
+        runs did not sweep) is a hole: the sorted merge of old and new
+        records is written to a temporary file in the same directory, which
+        then replaces the cache file, so the file stays strictly ascending
+        and a crash leaves either the old or the new file.
         """
-        fresh = sorted((p, a) for p, a in new_records if p > self._max_p)
-        seen = set(self.records)
-        fresh = [(p, a) for p, a in fresh if p not in seen]
+        fresh = sorted((p, a) for p, a in new_records if p not in self.records)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if not self.path.exists():
-            self.path.write_text(HEADER + "\n" + fingerprint(self.poly) + "\n")
+            self.path.write_text(_header(self.poly))
         if not fresh:
             return
-        with open(self.path, "a", newline="\n") as fh:
-            fh.write("".join(f"{p},{a}\n" for p, a in fresh))
-        for p, a in fresh:
-            self.records[p] = a
-        self._max_p = fresh[-1][0]
+        self.records.update(fresh)
+        if fresh[0][0] > self._max_p:
+            with open(self.path, "a", newline="\n") as fh:
+                fh.write(_lines(fresh))
+        else:
+            self._rewrite()
+        self._max_p = max(self._max_p, fresh[-1][0])
+
+    def _rewrite(self) -> None:
+        fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", newline="\n") as fh:
+                fh.write(_header(self.poly))
+                fh.write(_lines(sorted(self.records.items())))
+            shutil.copymode(self.path, tmp)
+            os.replace(tmp, self.path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+
+
+def _header(f: IntPolynomial) -> str:
+    return HEADER + "\n" + fingerprint(f) + "\n"
+
+
+def _lines(records) -> str:
+    return "".join(f"{p},{a}\n" for p, a in records)

@@ -158,14 +158,17 @@ def _open_caches(cfg: ExperimentConfig, polys: list[IntPolynomial]) -> list[Trac
 
 def _parse_grid(cfg: ExperimentConfig) -> list[int]:
     text = cfg.grid.strip()
-    if text.startswith("geometric"):
-        _, _, k = text.partition(":")
-        points = int(k) if k else 20
-        return geometric_grid(cfg.N, points)
     try:
-        return sorted({int(v) for v in text.split(",")})
+        if text.startswith("geometric"):
+            _, _, k = text.partition(":")
+            grid = geometric_grid(cfg.N, int(k) if k else 20)
+        else:
+            grid = sorted({int(v) for v in text.split(",")})
     except ValueError as e:
         raise ConfigError(f"bad grid {text!r}: {e}") from None
+    if grid[0] < 2 or grid[-1] > cfg.N:
+        raise ConfigError(f"bad grid {text!r}: cutoffs must lie in [2, N] = [2, {cfg.N}]")
+    return grid
 
 
 def _curve(cfg: ExperimentConfig) -> CurveSpec:

@@ -96,6 +96,20 @@ def curve_from_poly(f: IntPolynomial) -> CurveSpec:
     return CurveSpec(f, genus, hyperelliptic_bad_primes(f))
 
 
+def char_sum(g: IntPolynomial, p: int, table: ResidueTable | None = None) -> int:
+    """sum_x chi_p(g(x)) over x = 0..p-1.
+
+    When g has no odd-degree term, g(x) = h(x^2) = g(-x), and the sum is
+    chi_p(h(0)) + 2 sum_k chi_p(h(k^2)) over k = 1..(p-1)/2: h has half the
+    degree of g and is evaluated at the (p-1)/2 entries of ``table.squares``.
+    """
+    tab = table if table is not None and table.p == p else residue_table(p)
+    if any(g.coeffs[1::2]):
+        return int(tab.chi[poly_eval_all_mod(g.coeffs, p)].sum(dtype=np.int64))
+    vals = poly_eval_all_mod(g.coeffs[::2], p, tab.squares)
+    return tab.chi_of(g(0)) + 2 * int(tab.chi[vals].sum(dtype=np.int64))
+
+
 def hyperelliptic_trace(f: IntPolynomial, p: int, table: ResidueTable | None = None) -> int:
     """Trace of Frobenius of the smooth projective model of y^2 = f(x) at a good p.
 
@@ -104,10 +118,8 @@ def hyperelliptic_trace(f: IntPolynomial, p: int, table: ResidueTable | None = N
     genus 0 (degree 1 or 2) the trace is 0.
     """
     tab = table if table is not None and table.p == p else residue_table(p)
-    vals = poly_eval_all_mod(f.coeffs, p)
-    s = int(tab.chi[vals].sum(dtype=np.int64))
     corr = tab.chi_of(f.lead) if f.degree % 2 == 0 else 0
-    return -s - corr
+    return -char_sum(f, p, tab) - corr
 
 
 def good_primes(bad: frozenset[int] | set[int], n_max: int) -> list[int]:

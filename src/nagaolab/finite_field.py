@@ -16,6 +16,7 @@ PRIME_CAP = 1 << 62
 DEFAULT_TABLE_CAP = 1 << 31
 
 _SEGMENT = 1 << 20
+_INT64_MAX = (1 << 63) - 1
 
 # Witness set deterministic for every n < 2**64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -116,12 +117,14 @@ class ResidueTable:
     """Precomputed chi_p values for all residues mod p.
 
     ``chi`` is an int8 array of length p with chi[0] = 0 (the distinguished
-    zero mark), +1 on nonzero squares, -1 on non-squares.  Immutable and
-    shareable across threads.
+    zero mark), +1 on nonzero squares, -1 on non-squares.  ``squares`` is the
+    int64 array k^2 mod p for k = 1..(p-1)/2, each nonzero square once.
+    Immutable and shareable across threads.
     """
 
     p: int
     chi: np.ndarray = field(repr=False)
+    squares: np.ndarray = field(repr=False)
 
     def chi_of(self, a: int) -> int:
         return int(self.chi[a % self.p])
@@ -132,16 +135,21 @@ class ResidueTable:
 
 
 def residue_table(p: int, cap: int = DEFAULT_TABLE_CAP) -> ResidueTable:
-    """Build the chi_p lookup table for an odd prime p below the cap."""
+    """Build the chi_p lookup table for an odd prime p below the cap.
+
+    k^2 = (p - k)^2, so the squares of 1..(p-1)/2 already hit every nonzero
+    square.
+    """
     if p > cap:
         raise TableTooLargeError(
             f"table for p={p} too large (cap {cap}); use legendre() per element"
         )
-    idx = np.arange(p, dtype=np.int64)
+    k = np.arange(1, p // 2 + 1, dtype=np.int64)
+    squares = k * k % p
     chi = np.full(p, -1, dtype=np.int8)
-    chi[(idx * idx) % p] = 1
+    chi[squares] = 1
     chi[0] = 0
-    return ResidueTable(p, chi)
+    return ResidueTable(p, chi, squares)
 
 
 def poly_eval_mod(coeffs, x: int, p: int) -> int:
@@ -153,12 +161,26 @@ def poly_eval_mod(coeffs, x: int, p: int) -> int:
     return v
 
 
-def poly_eval_all_mod(coeffs, p: int) -> np.ndarray:
-    """Vectorized Horner: values f(0), ..., f(p-1) mod p as an int64 array."""
-    x = np.arange(p, dtype=np.int64)
-    v = np.zeros(p, dtype=np.int64)
-    for c in reversed(coeffs):
+def poly_eval_all_mod(coeffs, p: int, x: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized Horner: f at every entry of x mod p, as an int64 array.
+
+    ``x`` holds residues in [0, p) and defaults to 0, ..., p-1; p^2 must fit
+    in int64.  The coefficients are reduced once.  The running values are
+    reduced only when a bound on them says the next v*x + c could pass
+    2^63 - 1, and once at the end: for p < 55108 a quintic takes 2
+    reductions instead of 6.
+    """
+    if x is None:
+        x = np.arange(p, dtype=np.int64)
+    top, *rest = [c % p for c in reversed(coeffs)] or [0]  # [0]: the zero polynomial
+    v = np.full(len(x), top, dtype=np.int64)
+    bound = top  # every entry of v lies in [0, bound]
+    for c in rest:
+        if bound * (p - 1) + c > _INT64_MAX:
+            v %= p
+            bound = p - 1
         v *= x
-        v += c % p
-        v %= p
+        v += c
+        bound = bound * (p - 1) + c
+    v %= p
     return v

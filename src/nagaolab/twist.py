@@ -17,19 +17,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .cache import TraceCache
 from .curves import (
     N_HARD_CAP,
     BadPrimeError,
     CapExceededError,
+    char_sum,  # re-exported: the one chi-sum kernel lives in curves
     good_primes,
     hyperelliptic_bad_primes,
     hyperelliptic_trace,
     sweep_traces,
 )
-from .finite_field import ResidueTable, legendre, poly_eval_all_mod, poly_eval_mod, residue_table
+from .finite_field import ResidueTable, legendre, poly_eval_mod, residue_table
 from .polynomials import (
     IntPolynomial,
     PolynomialError,
@@ -60,13 +59,6 @@ class TwistSurfaceSpec:
 def twist_surface(f: IntPolynomial, D: IntPolynomial) -> TwistSurfaceSpec:
     bad = hyperelliptic_bad_primes(f) | hyperelliptic_bad_primes(D)
     return TwistSurfaceSpec(f, D, frozenset(bad))
-
-
-def char_sum(D: IntPolynomial, p: int, table: ResidueTable | None = None) -> int:
-    """sum_t chi_p(D(t)) over t = 0..p-1 (straight evaluation if p | lead D)."""
-    tab = table if table is not None and table.p == p else residue_table(p)
-    vals = poly_eval_all_mod(D.coeffs, p)
-    return int(tab.chi[vals].sum(dtype=np.int64))
 
 
 def fiber_trace(s: TwistSurfaceSpec, p: int, t: int, table: ResidueTable | None = None) -> int:

@@ -18,6 +18,7 @@ from nagaolab.cli import (
     parse_mobius,
     run,
 )
+from nagaolab.curves import curve_from_poly, curve_trace
 from nagaolab.polynomials import ParseError, PolynomialError, parse_polynomial
 
 
@@ -92,11 +93,15 @@ def test_nagao_csv_columns(tmp_path):
     assert len(lines) == 3
 
 
-def test_exit_code_parse_error(tmp_path):
+def test_exit_code_parse_error(tmp_path, capsys):
     assert run(cfg("trace", f="x^^3", N=10, output="-")) == EXIT_CONFIG
     assert run(cfg("nagao", f="", N=10, output="-")) == EXIT_CONFIG
     assert main(["trace", "--badflag"]) == EXIT_CONFIG
     assert main(["nagao", "--f", "T^3+T", "--N", "100", "--mode", "fiberwise"]) == EXIT_CONFIG
+    for grid in ("5000", "1,50", "geometric:x"):  # a cutoff outside [2, N], a bad point count
+        capsys.readouterr()
+        assert main(["nagao", "--f", "T^3+T", "--N", "100", "--grid", grid]) == EXIT_CONFIG
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_exit_code_bad_curve():
@@ -185,6 +190,27 @@ def test_cache_extended_not_rewritten(tmp_path):
     after = path.read_text()
     assert after.startswith(before)  # append-only
     assert len(after) > len(before)
+
+
+def test_cache_fills_hole_below_max(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    f = parse_polynomial("x^3+x")
+    path = cache_path(cache, f)
+    base = dict(f="x^3+x", N=3000, cache_dir=str(cache))
+    assert run(cfg("nagao", D="x^3+5*x+7", output=str(tmp_path / "n.csv"), **base)) == EXIT_OK
+    assert 1823 not in TraceCache(cache, f).records  # bad for D = x^3+5x+7 (disc -1823) only
+    assert run(cfg("trace", output=str(tmp_path / "t1.csv"), **base)) == EXIT_OK
+    filled = path.read_bytes()
+    records = TraceCache(cache, f).records  # loading checks the order
+    assert records[1823] == curve_trace(curve_from_poly(f), 1823).a
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        cache_path(cache, parse_polynomial(g)).name for g in ("x^3+x", "x^3+5*x+7")
+    )
+    computed = []
+    monkeypatch.setattr(curves_mod, "hyperelliptic_trace", lambda *a: computed.append(a))
+    assert run(cfg("trace", output=str(tmp_path / "t2.csv"), **base)) == EXIT_OK
+    assert computed == [] and path.read_bytes() == filled
+    assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
 
 
 def test_cache_corruption_quarantined(tmp_path):

@@ -147,6 +147,20 @@ squarefree_curves = (
     .filter(lambda f: f.is_squarefree())
 )
 
+# f(x) = h(x^2) of degree 4 and 6: the squares path of char_sum, together with
+# the point-at-infinity correction of even degree
+even_curves = (
+    st.integers(2, 3)
+    .flatmap(
+        lambda d: st.tuples(
+            st.lists(st.integers(-9, 9), min_size=d, max_size=d),
+            st.sampled_from([1, -1, 2, 3]),
+        )
+    )
+    .map(lambda t: IntPolynomial(tuple(c for h in t[0] + [t[1]] for c in (h, 0))[:-1]))
+    .filter(lambda f: f.is_squarefree())
+)
+
 
 def _oracle(f: IntPolynomial, p: int) -> int:
     spec = CurveSpec(f, (f.degree - 1) // 2, hyperelliptic_bad_primes(f))
@@ -154,9 +168,14 @@ def _oracle(f: IntPolynomial, p: int) -> int:
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.lists(squarefree_curves, min_size=1, max_size=3), st.booleans(), st.sampled_from([1, 2]))
-def test_sweep_matches_oracle(curves, cached, threads):
-    polys = curves + [curves[0], PETERSON_D]  # a repeated curve and a degree-10 D
+@given(
+    st.lists(squarefree_curves, min_size=1, max_size=3),
+    even_curves,
+    st.booleans(),
+    st.sampled_from([1, 2]),
+)
+def test_sweep_matches_oracle(curves, even, cached, threads):
+    polys = curves + [curves[0], even, PETERSON_D]  # a repeated curve, f(x) = h(x^2), a degree-10 D
     bad = frozenset().union(*(hyperelliptic_bad_primes(g) for g in polys))
     primes = good_primes(bad, 300)
     want = [(p, tuple(_oracle(g, p) for g in polys)) for p in primes]

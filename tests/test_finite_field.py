@@ -8,6 +8,7 @@ from nagaolab.finite_field import (
     TableTooLargeError,
     is_prime,
     legendre,
+    poly_eval_all_mod,
     poly_eval_mod,
     primes_in,
     residue_table,
@@ -102,6 +103,8 @@ def test_residue_table_popcount_balance():
     for p in primes_in(3, 1000):
         tab = residue_table(p)
         assert int(np.count_nonzero(tab.chi == 1)) == (p - 1) // 2
+        assert np.unique(tab.squares).size == tab.squares.size == (p - 1) // 2
+        assert (tab.chi[tab.squares] == 1).all()
 
 
 def test_residue_table_matches_legendre_exhaustive():
@@ -121,3 +124,22 @@ def test_poly_eval_mod():
     assert poly_eval_mod(f, 2, 5) == 0
     assert poly_eval_mod(f, 1, 5) == 2
     assert poly_eval_mod((0, -1, 0, 0, 0, 1), 2, 3) == 0  # x^5 - x at 2 mod 3
+
+
+# On either side of p^4 = 2^63 (55108.5) and p^3 = 2^63 (2097152), and the
+# residue-table cap 2^31 - 1: where the lazy reduction in poly_eval_all_mod
+# changes how many Horner steps run without a reduction.
+@pytest.mark.parametrize("p", [55103, 55109, 2097143, 2097169, 2**31 - 1])
+def test_poly_eval_all_mod_exact_at_reduction_thresholds(p):
+    assert is_prime(p)
+    rng = random.Random(p)
+    xs = [p - 1, p - 2, 1, 0] + [rng.randrange(p) for _ in range(996)]
+    x = np.array(xs, dtype=np.int64)
+    for deg in range(3, 11):
+        worst = (-1,) * (deg + 1)  # every coefficient p - 1 mod p: the largest bound
+        rand = tuple(rng.randint(-(10**9), 10**9) for _ in range(deg)) + (rng.choice([1, -1, 10**9 - 7]),)
+        for f in (worst, rand):
+            want = [poly_eval_mod(f, v, p) for v in xs]
+            assert poly_eval_all_mod(f, p, x).tolist() == want, (deg, f)
+            if p < 2**17:
+                assert poly_eval_all_mod(f, p)[x].tolist() == want, (deg, f)
