@@ -10,6 +10,7 @@ from .curves import (
     CurveSpec,
     LPolynomial2,
     TraceRecord,
+    char_sum,
     curve_from_poly,
     curve_trace,
     hyperelliptic_trace,
@@ -40,7 +41,6 @@ from .twist import (
     PetersonError,
     TwistSurfaceSpec,
     average_trace,
-    char_sum,
     fiber_trace,
     nagao_series,
     peterson_D,

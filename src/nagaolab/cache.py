@@ -9,10 +9,12 @@ Format (LF line endings, decimal integers):
     ...
 
 records strictly ascending in p.  Records above the cached maximum are
-appended; a record below it is merged in by rewriting the file.  A file whose
-header or fingerprint does not match the requesting curve, or whose records
-are out of order or malformed, is quarantined (renamed with a .corrupt
-suffix) and a CacheCorruptError is raised.
+appended; a record below it is merged in by rewriting the file.  Every record
+ends in a newline, so an unterminated last line is an append cut short by a
+crash: it is dropped, and the file is truncated after the last newline.  A
+file whose header or fingerprint does not match the requesting curve, or
+whose records are out of order or malformed, is quarantined (renamed with a
+.corrupt suffix) and a CacheCorruptError is raised.
 """
 
 from __future__ import annotations
@@ -71,7 +73,9 @@ class TraceCache:
         raise CacheCorruptError(self.path, reason)
 
     def _load(self) -> None:
-        lines = self.path.read_text().splitlines()
+        data = self.path.read_bytes()
+        end = data.rfind(b"\n") + 1  # past the last complete line
+        lines = data[:end].decode().splitlines()
         if not lines or lines[0] != HEADER:
             self._fail("bad header")
         if len(lines) < 2 or lines[1] != fingerprint(self.poly):
@@ -88,6 +92,8 @@ class TraceCache:
             last = p
             self.records[p] = a
         self._max_p = last
+        if end < len(data):
+            os.truncate(self.path, end)
 
     def get(self, p: int) -> int | None:
         return self.records.get(p)

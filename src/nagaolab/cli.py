@@ -182,8 +182,7 @@ def _check_n(cfg: ExperimentConfig) -> None:
         raise CapExceededError(f"N = {cfg.N} exceeds the hard cap {N_HARD_CAP}")
 
 
-def _traces(cfg: ExperimentConfig, c: CurveSpec) -> list[TraceRecord]:
-    primes = good_primes(c.bad_primes, cfg.N)
+def _traces(cfg: ExperimentConfig, c: CurveSpec, primes: list[int]) -> list[TraceRecord]:
     sweep = sweep_traces([c.f], primes, cfg.threads, _open_caches(cfg, [c.f]))
     return [TraceRecord(p, a, c.genus) for p, (a,) in sweep]
 
@@ -191,7 +190,7 @@ def _traces(cfg: ExperimentConfig, c: CurveSpec) -> list[TraceRecord]:
 def cmd_trace(cfg: ExperimentConfig) -> None:
     _check_n(cfg)
     c = _curve(cfg)
-    rows = [{"p": t.p, "a": t.a} for t in _traces(cfg, c)]
+    rows = [{"p": t.p, "a": t.a} for t in _traces(cfg, c, good_primes(c.bad_primes, cfg.N))]
     _write_report(rows, ["p", "a"], cfg)
     _write_skipped([c.f], set(c.bad_primes), cfg.N, cfg)
 
@@ -234,7 +233,10 @@ def cmd_nagao(cfg: ExperimentConfig) -> None:
 def _moment_rows(cfg: ExperimentConfig) -> tuple[CurveSpec, MomentReport, dict]:
     _check_n(cfg)
     c = _curve(cfg)
-    traces = _traces(cfg, c)
+    primes = good_primes(c.bad_primes, cfg.N)
+    if not primes:
+        raise ConfigError(f"no good prime p <= N = {cfg.N} to take moments over")
+    traces = _traces(cfg, c, primes)
     report = empirical_moments(traces, N=cfg.N)
     row = {
         "N": cfg.N,
@@ -374,6 +376,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _split_curves(text: str) -> list[str]:
+    return [s for s in text.split(",") if s.strip()]
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="nagaolab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -385,7 +391,7 @@ def build_parser() -> _Parser:
         p.add_argument("--N", type=int, default=1000)
         p.add_argument("--grid", default="geometric:20", help="'geometric:k' or comma-separated cutoffs")
         p.add_argument("--r", type=int, default=2)
-        p.add_argument("--s-curves", default="", help="comma-separated genus-1 polynomials")
+        p.add_argument("--s-curves", type=_split_curves, default="", help="comma-separated genus-1 polynomials")
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--output", default="-")
@@ -395,22 +401,7 @@ def build_parser() -> _Parser:
 
 
 def config_from_args(argv: list[str]) -> ExperimentConfig:
-    args = build_parser().parse_args(argv)
-    return ExperimentConfig(
-        command=args.command,
-        f=args.f,
-        D=args.D,
-        sigma=args.sigma,
-        N=args.N,
-        grid=args.grid,
-        r=args.r,
-        s_curves=[s for s in args.s_curves.split(",") if s.strip()],
-        threads=args.threads,
-        cache_dir=args.cache_dir,
-        output=args.output,
-        fmt=args.fmt,
-        verify_cache=args.verify_cache,
-    )
+    return ExperimentConfig(**vars(build_parser().parse_args(argv)))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -78,10 +78,10 @@ class LPolynomial2:
 
 def hyperelliptic_bad_primes(f: IntPolynomial) -> frozenset[int]:
     """{2} together with primes dividing disc(f) or the leading coefficient."""
-    if not f.is_squarefree():
+    disc = f.discriminant()
+    if disc == 0:
         raise CurveError(f"f = {f} has a repeated root (not squarefree over Q)")
     bad = {2}
-    disc = f.discriminant()
     for n in (abs(disc), abs(f.lead)):
         if n > 1:
             bad.update(int(q) for q in sympy.factorint(n))

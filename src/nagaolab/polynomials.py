@@ -1,14 +1,13 @@
 """Exact integer polynomials: the carrier type for curve equations and twist data.
 
-Coefficients are stored constant-term first, always as Python ints (or
-Fractions in the rational helpers used by the Peterson construction).
-Squarefreeness and discriminants are exact, via sympy's integer resultants.
+Coefficients are stored constant-term first, always as Python ints.
+Squarefreeness and discriminants are exact, via sympy; any other exact
+polynomial algebra goes through ``to_sympy`` and ``sympy.Poly``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import sympy
 
@@ -61,22 +60,15 @@ class IntPolynomial:
             v = v * x + c
         return v
 
-    def derivative(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
     def to_sympy(self, var=_X):
         return sympy.Poly(list(reversed(self.coeffs or (0,))), var)
 
     def discriminant(self) -> int:
-        return int(sympy.discriminant(self.to_sympy().as_expr(), _X))
+        return int(self.to_sympy().discriminant())
 
     def is_squarefree(self) -> bool:
-        """Squarefree over Q, i.e. gcd(f, f') is constant (resultant nonzero)."""
-        if self.is_zero or self.degree == 0:
-            return False
-        if self.degree == 1:
-            return True
-        return int(sympy.resultant(self.to_sympy().as_expr(), self.derivative().to_sympy().as_expr(), _X)) != 0
+        """Squarefree over Q: disc(f) = +-Res(f, f')/lead(f) is nonzero (1 in degree 1)."""
+        return not self.is_zero and self.degree >= 1 and self.discriminant() != 0
 
     def __str__(self) -> str:
         return poly_to_str(self)
@@ -176,71 +168,3 @@ def parse_polynomial(text: str) -> IntPolynomial:
     deg = max(coeffs) if coeffs else 0
     return IntPolynomial(tuple(coeffs.get(k, 0) for k in range(deg + 1)))
 
-
-# ---------------------------------------------------------------------------
-# Exact rational-coefficient helpers (Peterson construction, root-permutation
-# checks).  These operate on plain lists of Fractions, constant term first.
-# ---------------------------------------------------------------------------
-
-
-def frac_coeffs(f: IntPolynomial) -> list[Fraction]:
-    return [Fraction(c) for c in f.coeffs]
-
-
-def frac_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c = c[:-1]
-    return c
-
-
-def frac_add(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] += v
-    return frac_trim(out)
-
-
-def frac_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u == 0:
-            continue
-        for j, v in enumerate(b):
-            out[i + j] += u * v
-    return frac_trim(out)
-
-
-def frac_scale(a: list[Fraction], s: Fraction) -> list[Fraction]:
-    return frac_trim([v * s for v in a])
-
-
-def frac_compose(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    """f(g(x)) by Horner over the coefficient list of f."""
-    out: list[Fraction] = []
-    for c in reversed(f):
-        out = frac_add(frac_mul(out, g), [c])
-    return out
-
-
-def frac_pow(a: list[Fraction], k: int) -> list[Fraction]:
-    out = [Fraction(1)]
-    for _ in range(k):
-        out = frac_mul(out, a)
-    return out
-
-
-def clear_denominators(c: list[Fraction]) -> tuple[IntPolynomial, int]:
-    """Scale a rational polynomial to an integral one by the LCM of denominators.
-
-    Returns (M * poly, M).  Callers that need a square scaling multiply twice.
-    """
-    m = 1
-    for v in c:
-        m = m * v.denominator // sympy.gcd(m, v.denominator)
-    ints = [v * m for v in c]
-    assert all(v.denominator == 1 for v in ints)
-    return IntPolynomial(tuple(int(v) for v in ints)), int(m)

@@ -17,30 +17,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import sympy
+
 from .cache import TraceCache
 from .curves import (
     N_HARD_CAP,
     BadPrimeError,
     CapExceededError,
-    char_sum,  # re-exported: the one chi-sum kernel lives in curves
     good_primes,
     hyperelliptic_bad_primes,
     hyperelliptic_trace,
     sweep_traces,
 )
 from .finite_field import ResidueTable, legendre, poly_eval_mod, residue_table
-from .polynomials import (
-    IntPolynomial,
-    PolynomialError,
-    clear_denominators,
-    frac_add,
-    frac_coeffs,
-    frac_compose,
-    frac_mul,
-    frac_pow,
-    frac_scale,
-    frac_trim,
-)
+from .polynomials import IntPolynomial, PolynomialError
 
 
 class PetersonError(ValueError):
@@ -200,12 +190,6 @@ class MobiusTransform:
             raise PetersonError("sigma has a pole at infinity")
         return Fraction(-self.d, self.c)
 
-    def __call__(self, x: Fraction) -> Fraction:
-        den = self.c * x + self.d
-        if den == 0:
-            raise ZeroDivisionError("pole of the Moebius transform")
-        return Fraction(self.a * x + self.b, 1) / den
-
 
 def permutes_roots(sigma: MobiusTransform, f: IntPolynomial) -> bool:
     """Exact check that sigma permutes the roots of f.
@@ -214,17 +198,11 @@ def permutes_roots(sigma: MobiusTransform, f: IntPolynomial) -> bool:
     permutes the roots iff N is a scalar multiple of f of the same degree.
     """
     n = f.degree
-    num_ax = [Fraction(sigma.b), Fraction(sigma.a)]
-    num_cx = [Fraction(sigma.d), Fraction(sigma.c)]
-    acc: list[Fraction] = []
-    for i, fc in enumerate(f.coeffs):
-        term = frac_mul(frac_pow(num_ax, i), frac_pow(num_cx, n - i))
-        acc = frac_add(acc, frac_scale(term, Fraction(fc)))
-    acc = frac_trim(acc)
-    if len(acc) != n + 1:
-        return False
-    lam = acc[-1] / f.lead
-    return acc == frac_scale(frac_coeffs(f), lam)
+    F = f.to_sympy()
+    num = sympy.Poly([sigma.a, sigma.b], F.gen)
+    den = sympy.Poly([sigma.c, sigma.d], F.gen)
+    N = sum((fi * num**i * den ** (n - i) for i, fi in enumerate(f.coeffs)), F.zero)
+    return N.degree() == n and N * f.lead == F * N.LC()
 
 
 @dataclass(frozen=True)
@@ -251,13 +229,13 @@ def peterson_D(f: IntPolynomial, sigma: MobiusTransform) -> PetersonResult:
     if c0 == 0:
         raise PetersonError("f(sigma(infinity)) = 0")
     e = sigma.inverse_at_infinity()
-    inner = [e, Fraction(0), Fraction(1) / c0]  # T^2 / c0 + e
-    rational_d = frac_compose(frac_coeffs(f), inner)
-    _, m = clear_denominators(rational_d)
-    d_int = IntPolynomial(tuple(int(v * m * m) for v in rational_d))
+    F = f.to_sympy()
+    inner = sympy.Poly([1 / c0, 0, e], F.gen, domain=sympy.QQ)  # T^2 / c0 + e
+    m, cleared = F.compose(inner).clear_denoms()  # m * D(T), m the lcm of the denominators
+    d_int = IntPolynomial(tuple(reversed((cleared * m).all_coeffs())))
     if not d_int.is_squarefree():
         raise PetersonError("constructed D(T) is not squarefree")
-    return PetersonResult(d_int, m)
+    return PetersonResult(d_int, int(m))
 
 
 @dataclass(frozen=True)

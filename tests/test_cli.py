@@ -102,6 +102,9 @@ def test_exit_code_parse_error(tmp_path, capsys):
         capsys.readouterr()
         assert main(["nagao", "--f", "T^3+T", "--N", "100", "--grid", grid]) == EXIT_CONFIG
         assert len(capsys.readouterr().err.splitlines()) == 1
+    for command, f in (("moments", "x^3+x"), ("st-classify", "x^5-x+1")):  # no good prime <= N
+        assert main([command, "--f", f, "--N", "2"]) == EXIT_CONFIG
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_exit_code_bad_curve():
@@ -155,6 +158,16 @@ def test_factor_check_failure_row(tmp_path):
     rc = run(cfg("factor-check", f="x^3+x", D="x^6+2", r=2, N=100, output=str(out)))
     assert rc == EXIT_OK
     assert out.read_text().splitlines()[1] == "fail,5,0"
+
+
+def test_peterson_three_cycle_cli_bytes(tmp_path):
+    base = dict(f="x^3-x", sigma="(x+1)/(-3x+1)")
+    d = "7346640384*T^6 + 2176782336*T^4 - 429981696*T^2 - 56623104"
+    csv_out, json_out = tmp_path / "p.csv", tmp_path / "p.json"
+    assert run(cfg("peterson", output=str(csv_out), **base)) == EXIT_OK
+    assert csv_out.read_text() == f"D,multiplier\n{d},13824\n"
+    assert run(cfg("peterson", output=str(json_out), fmt="json", **base)) == EXIT_OK
+    assert json_out.read_text() == json.dumps([{"D": d, "multiplier": 13824}], indent=2) + "\n"
 
 
 def test_peterson_error_exit_code():
@@ -221,6 +234,26 @@ def test_cache_corruption_quarantined(tmp_path):
     rc = run(cfg("trace", f="x^3+x", N=100, cache_dir=str(cache), output=str(tmp_path / "o2.csv")))
     assert rc == EXIT_CACHE
     assert path.with_suffix(".txt.corrupt").exists()
+
+
+@pytest.mark.parametrize("cut", ["397,2", "-"], ids=["parses", "unparsable"])
+def test_cache_torn_tail_recovered(tmp_path, cut):
+    """An append cut short by a crash loses only its unterminated last line."""
+    cache = tmp_path / "cache"
+    base = dict(f="x^3+x+1", N=400, cache_dir=str(cache))
+    assert run(cfg("trace", output=str(tmp_path / "cold.csv"), **base)) == EXIT_OK
+    path = cache_path(cache, parse_polynomial("x^3+x+1"))
+    full = path.read_bytes()
+    if cut == "-":  # the last negative record, cut right after its sign
+        end = full.rindex(b",-") + 2
+    else:
+        assert full.endswith(b"\n397,25\n")
+        end = len(full) - 2
+    path.write_bytes(full[:end])
+    assert run(cfg("trace", output=str(tmp_path / "warm.csv"), **base)) == EXIT_OK
+    assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+    assert not list(cache.glob("*.corrupt"))
+    assert path.read_bytes() == full
 
 
 def test_verify_cache_detects_bad_record(tmp_path):

@@ -7,8 +7,6 @@ from nagaolab.polynomials import (
     IntPolynomial,
     ParseError,
     PolynomialError,
-    clear_denominators,
-    frac_compose,
     parse_polynomial,
     poly_to_str,
 )
@@ -66,25 +64,11 @@ def test_evaluate_exact():
     assert f(Fraction(-1, 3)) == Fraction(8, 27)
 
 
-def test_derivative():
-    assert parse_polynomial("x^3+x").derivative().coeffs == (1, 0, 3)
-
-
 def test_discriminant_and_squarefree():
     assert parse_polynomial("x^3+x").discriminant() == -4
     assert parse_polynomial("x^3+x").is_squarefree()
     assert not IntPolynomial((0, 0, -1, 1)).is_squarefree()  # x^2 (x - 1)
     assert not parse_polynomial("x^3-3*x+2").is_squarefree()  # (x-1)^2 (x+2)
+    assert IntPolynomial((3, 2)).is_squarefree()
+    assert not IntPolynomial((5,)).is_squarefree() and not IntPolynomial(()).is_squarefree()
 
-
-def test_frac_compose():
-    # f(g) with f = x^2 + 1, g = x/2 + 1
-    f = [Fraction(1), Fraction(0), Fraction(1)]
-    g = [Fraction(1), Fraction(1, 2)]
-    assert frac_compose(f, g) == [Fraction(2), Fraction(1), Fraction(1, 4)]
-
-
-def test_clear_denominators():
-    poly, m = clear_denominators([Fraction(1, 3), Fraction(1, 2)])
-    assert m == 6
-    assert poly.coeffs == (2, 3)

@@ -1,15 +1,23 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from nagaolab.curves import BadPrimeError, CapExceededError, curve_from_poly, curve_trace, hyperelliptic_trace
+from nagaolab.curves import (
+    BadPrimeError,
+    CapExceededError,
+    char_sum,
+    curve_from_poly,
+    curve_trace,
+    hyperelliptic_trace,
+)
 from nagaolab.finite_field import primes_in
 from nagaolab.polynomials import IntPolynomial, PolynomialError, parse_polynomial
 from nagaolab.twist import (
     MobiusTransform,
     PetersonError,
     average_trace,
-    char_sum,
     fiber_trace,
     geometric_grid,
     nagao_series,
@@ -135,6 +143,56 @@ def test_permutes_roots():
     assert not permutes_roots(MobiusTransform(1, 1, 0, 1), f)  # x + 1
 
 
+def _permutes_roots_numeric(sigma: MobiusTransform, f: IntPolynomial) -> bool:
+    """Independent oracle: sigma maps the numeric roots of a squarefree f onto themselves."""
+    roots = np.roots(list(reversed(f.coeffs)))
+    scale = 1e-7 * max(1.0, float(np.abs(roots).max()))
+    dens = sigma.c * roots + sigma.d
+    if np.abs(dens).min() < scale:  # a pole at a root sends it to infinity
+        return False
+    images = (sigma.a * roots + sigma.b) / dens
+    nearest = [int(np.argmin(np.abs(roots - z))) for z in images]
+    close = all(abs(roots[k] - z) < scale * max(1.0, abs(z)) for k, z in zip(nearest, images))
+    return close and sorted(nearest) == list(range(len(roots)))
+
+
+_small = st.integers(-4, 4)
+_nonzero = _small.filter(bool)
+
+
+@st.composite
+def _palindromic(draw):
+    """a x^n + ... + a with mirrored coefficients, n in {3, 5}: 1/x permutes its roots."""
+    n = draw(st.sampled_from((3, 5)))
+    half = [draw(_nonzero)] + [draw(_small) for _ in range((n - 1) // 2)]
+    return IntPolynomial(tuple(half + half[::-1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_palindromic(), _nonzero)
+def test_permutes_roots_palindromic_oracle(f, k):
+    assume(f.is_squarefree())
+    sigma = MobiusTransform(0, k, k, 0)  # 1/x
+    assert _permutes_roots_numeric(sigma, f)
+    assert permutes_roots(sigma, f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        _palindromic(),
+        st.lists(_small, min_size=4, max_size=6)
+        .filter(lambda c: c[-1] != 0 and len(c) in (4, 6))
+        .map(lambda c: IntPolynomial(tuple(c))),
+    ),
+    st.tuples(_small, _small, _small, _small).filter(lambda m: m[0] * m[3] != m[1] * m[2]),
+)
+def test_permutes_roots_random_sigma_oracle(f, m):
+    assume(f.is_squarefree())
+    sigma = MobiusTransform(*m)
+    assert permutes_roots(sigma, f) == _permutes_roots_numeric(sigma, f)
+
+
 def test_peterson_palindromic_quintic():
     f = parse_polynomial("x^5+2*x^4+3*x^3+3*x^2+2*x+1")
     res = peterson_D(f, MobiusTransform(0, 1, 1, 0))
@@ -152,6 +210,12 @@ def test_peterson_three_cycle_cubic():
         want = f(Fraction(27, 8) * t * t + Fraction(1, 3)) * m * m
         assert res.D(t) == want
     assert verify_factorization(res.D, f, 2, 500).passed
+
+
+def test_peterson_three_cycle_exact_model():
+    res = peterson_D(parse_polynomial("x^3-x"), MobiusTransform(1, 1, -3, 1))
+    assert res.D.coeffs == (-56623104, 0, -429981696, 0, 2176782336, 0, 7346640384)
+    assert res.multiplier == 13824 and type(res.multiplier) is int
 
 
 def test_peterson_errors():
