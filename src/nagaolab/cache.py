@@ -13,8 +13,9 @@ appended; a record below it is merged in by rewriting the file.  Every record
 ends in a newline, so an unterminated last line is an append cut short by a
 crash: it is dropped, and the file is truncated after the last newline.  A
 file whose header or fingerprint does not match the requesting curve, or
-whose records are out of order or malformed, is quarantined (renamed with a
-.corrupt suffix) and a CacheCorruptError is raised.
+whose records are out of order or malformed (a byte that is not UTF-8
+included), is quarantined (renamed with a .corrupt suffix) and a
+CacheCorruptError is raised.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class TraceCache:
     def _load(self) -> None:
         data = self.path.read_bytes()
         end = data.rfind(b"\n") + 1  # past the last complete line
-        lines = data[:end].decode().splitlines()
+        lines = data[:end].decode(errors="replace").splitlines()
         if not lines or lines[0] != HEADER:
             self._fail("bad header")
         if len(lines) < 2 or lines[1] != fingerprint(self.poly):

@@ -1,7 +1,7 @@
 """Command-line front end: parsing, sweep orchestration, caching, CSV/JSON reports.
 
-Exit codes: 0 success, 1 parse/config error, 2 bad curve (non-squarefree or
-bad degree), 3 cap exceeded, 4 cache corruption.  Progress goes to stderr;
+Exit codes: 0 success, 1 parse/config or I/O error, 2 bad curve (non-squarefree
+or bad degree), 3 cap exceeded, 4 cache corruption.  Progress goes to stderr;
 report data only to the output file (or stdout with ``--output -``).
 """
 
@@ -12,11 +12,11 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .cache import CacheCorruptError, TraceCache
 from .curves import (
     DEFAULT_LPOLY_CAP,
-    N_HARD_CAP,
     CapExceededError,
     CurveError,
     CurveSpec,
@@ -30,7 +30,6 @@ from .curves import (
 from .polynomials import IntPolynomial, ParseError, PolynomialError, parse_polynomial, poly_to_str
 from .stats import (
     MEASURE_TAGS,
-    MomentReport,
     empirical_moments,
     identify_st_class,
     ks_distance,
@@ -76,6 +75,16 @@ class ExperimentConfig:
     verify_cache: bool = False
 
 
+@dataclass(frozen=True)
+class Report:
+    """A command's result: the report rows, and for the ``.skipped`` sidecar
+    the curves of the sweep with their bad primes, or None for no sidecar."""
+
+    columns: list[str]
+    rows: list[dict]
+    skipped: tuple[list[IntPolynomial], frozenset[int]] | None = None
+
+
 def parse_mobius(text: str) -> MobiusTransform:
     """Parse "(a x + b)/(c x + d)" (shorthands like "1/x" and "-x" accepted)."""
     s = text.strip()
@@ -105,36 +114,34 @@ def _fmt(v) -> str:
     return "" if v is None else str(v)
 
 
-def _write_report(rows: list[dict], columns: list[str], cfg: ExperimentConfig) -> None:
+def _write(report: Report, cfg: ExperimentConfig) -> None:
+    """The report to the output file (or stdout), and beside an output file the
+    ``.skipped`` sidecar of the bad primes p <= N with reasons (p=2 | lead | disc)."""
+    cols = report.columns
     if cfg.fmt == "json":
-        payload = [{k: row.get(k) for k in columns} for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps([{k: row.get(k) for k in cols} for row in report.rows], indent=2) + "\n"
     else:
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(row.get(k)) for k in columns) for row in rows]
+        lines = [",".join(cols)] + [",".join(_fmt(row.get(k)) for k in cols) for row in report.rows]
         text = "\n".join(lines) + "\n"
     if cfg.output == "-":
         sys.stdout.write(text)
-    else:
-        with open(cfg.output, "w", newline="\n") as fh:
-            fh.write(text)
-
-
-def _write_skipped(bad_polys: list[IntPolynomial], bad: set[int], n_max: int, cfg: ExperimentConfig) -> None:
-    """Sidecar log of skipped bad primes with reasons (p=2 | lead | disc)."""
-    if cfg.output == "-":
         return
-    lines = []
-    for p in sorted(q for q in bad if q <= n_max):
+    with open(cfg.output, "w", newline="\n") as fh:
+        fh.write(text)
+    if report.skipped is None:
+        return
+    polys, bad = report.skipped
+    skipped = []
+    for p in sorted(q for q in bad if q <= cfg.N):
         if p == 2:
             reason = "p=2"
-        elif any(f.lead % p == 0 for f in bad_polys):
+        elif any(f.lead % p == 0 for f in polys):
             reason = "lead"
         else:
             reason = "disc"
-        lines.append(f"{p},{reason}")
+        skipped.append(f"{p},{reason}\n")
     with open(cfg.output + ".skipped", "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+        fh.write("".join(skipped))
 
 
 def run_verify_cache(cache: TraceCache, threads: int = 1) -> None:
@@ -144,16 +151,22 @@ def run_verify_cache(cache: TraceCache, threads: int = 1) -> None:
             cache._fail(f"cached a_p disagrees with recomputation at p={p}")
 
 
-def _open_caches(cfg: ExperimentConfig, polys: list[IntPolynomial]) -> list[TraceCache]:
-    """One cache per distinct curve of a sweep, or none without a cache dir."""
-    cache_dir = os.environ.get("NAGAOLAB_CACHE", cfg.cache_dir)
-    if not cache_dir:
-        return []
-    caches = [TraceCache(cache_dir, g) for g in dict.fromkeys(polys)]
-    if cfg.verify_cache:
-        for cache in caches:
+def _cache_dir(cfg: ExperimentConfig) -> str | None:
+    return os.environ.get("NAGAOLAB_CACHE", cfg.cache_dir)
+
+
+def _open_caches(cfg: ExperimentConfig, polys: list[IntPolynomial]) -> Iterator[TraceCache]:
+    """One cache per distinct curve of a sweep, or none without a cache dir.
+
+    Lazy: the engine opens the caches (and with --verify-cache rechecks them)
+    when its sweep starts, so after ``good_primes`` has checked the N cap.
+    """
+    cache_dir = _cache_dir(cfg)
+    for g in dict.fromkeys(polys) if cache_dir else ():
+        cache = TraceCache(cache_dir, g)
+        if cfg.verify_cache:
             run_verify_cache(cache, cfg.threads)
-    return caches
+        yield cache
 
 
 def _parse_grid(cfg: ExperimentConfig) -> list[int]:
@@ -171,33 +184,18 @@ def _parse_grid(cfg: ExperimentConfig) -> list[int]:
     return grid
 
 
-def _curve(cfg: ExperimentConfig) -> CurveSpec:
-    if not cfg.f:
-        raise ConfigError("--f is required")
-    return curve_from_poly(parse_polynomial(cfg.f))
-
-
-def _check_n(cfg: ExperimentConfig) -> None:
-    if cfg.N > N_HARD_CAP:
-        raise CapExceededError(f"N = {cfg.N} exceeds the hard cap {N_HARD_CAP}")
-
-
-def _traces(cfg: ExperimentConfig, c: CurveSpec, primes: list[int]) -> list[TraceRecord]:
+def _traces(cfg: ExperimentConfig, c: CurveSpec) -> list[TraceRecord]:
+    primes = good_primes(c.bad_primes, cfg.N)
     sweep = sweep_traces([c.f], primes, cfg.threads, _open_caches(cfg, [c.f]))
     return [TraceRecord(p, a, c.genus) for p, (a,) in sweep]
 
 
-def cmd_trace(cfg: ExperimentConfig) -> None:
-    _check_n(cfg)
-    c = _curve(cfg)
-    rows = [{"p": t.p, "a": t.a} for t in _traces(cfg, c, good_primes(c.bad_primes, cfg.N))]
-    _write_report(rows, ["p", "a"], cfg)
-    _write_skipped([c.f], set(c.bad_primes), cfg.N, cfg)
+def cmd_trace(cfg: ExperimentConfig, c: CurveSpec) -> Report:
+    rows = [{"p": t.p, "a": t.a} for t in _traces(cfg, c)]
+    return Report(["p", "a"], rows, ([c.f], c.bad_primes))
 
 
-def cmd_lpoly(cfg: ExperimentConfig) -> None:
-    _check_n(cfg)
-    c = _curve(cfg)
+def cmd_lpoly(cfg: ExperimentConfig, c: CurveSpec) -> Report:
     if c.genus != 2:
         raise CurveError("lpoly requires a genus-2 curve (degree 5 or 6)")
     primes = good_primes(c.bad_primes, cfg.N)
@@ -209,131 +207,81 @@ def cmd_lpoly(cfg: ExperimentConfig) -> None:
     for p in primes:
         lp = l_polynomial_genus2(c, p)
         rows.append({"p": p, "a": lp.a, "b": lp.b})
-    _write_report(rows, ["p", "a", "b"], cfg)
-    _write_skipped([c.f], set(c.bad_primes), cfg.N, cfg)
+    return Report(["p", "a", "b"], rows, ([c.f], c.bad_primes))
 
 
-def cmd_nagao(cfg: ExperimentConfig) -> None:
-    _check_n(cfg)
-    f = parse_polynomial(cfg.f) if cfg.f else None
-    if f is None:
-        raise ConfigError("--f is required")
-    D = parse_polynomial(cfg.D) if cfg.D else f
-    surface = twist_surface(f, D)
-    caches = _open_caches(cfg, [f, D])
+def cmd_nagao(cfg: ExperimentConfig, c: CurveSpec) -> Report:
+    D = parse_polynomial(cfg.D) if cfg.D else c.f
+    surface = twist_surface(c.f, D)
+    caches = _open_caches(cfg, [c.f, D])
     series = nagao_series(surface, cfg.N, _parse_grid(cfg), cfg.threads, caches)
     rows = [
         {"N": n, "S1": s1, "S2": s2, "n_primes": k}
         for n, s1, s2, k in zip(series.n_grid, series.s1, series.s2, series.n_primes)
     ]
-    _write_report(rows, ["N", "S1", "S2", "n_primes"], cfg)
-    _write_skipped([f, D], set(surface.bad_primes), cfg.N, cfg)
+    return Report(["N", "S1", "S2", "n_primes"], rows, ([c.f, D], surface.bad_primes))
 
 
-def _moment_rows(cfg: ExperimentConfig) -> tuple[CurveSpec, MomentReport, dict]:
-    _check_n(cfg)
-    c = _curve(cfg)
-    primes = good_primes(c.bad_primes, cfg.N)
-    if not primes:
+def cmd_moments(cfg: ExperimentConfig, c: CurveSpec) -> Report:
+    """``moments``: the trace moments, with Kolmogorov-Smirnov distances of the
+    angles to the 1-D measures in genus 1.  ``st-classify``: the moment class
+    of the second moment, its candidate groups and the predicted rank."""
+    traces = _traces(cfg, c)
+    if not traces:
         raise ConfigError(f"no good prime p <= N = {cfg.N} to take moments over")
-    traces = _traces(cfg, c, primes)
-    report = empirical_moments(traces, N=cfg.N)
-    row = {
-        "N": cfg.N,
-        "second_moment": report.second_moment,
-        "fourth_moment": report.fourth_moment,
-        "zero_fraction": report.zero_fraction,
-        "n_primes": report.n_primes,
-    }
-    if c.genus == 1:
-        angles = [normalized_angle(t) for t in traces]
-        for tag in MEASURE_TAGS:
-            row["ks_" + tag.replace("-", "_")] = ks_distance(angles, st_measure(tag))
+    m = empirical_moments(traces, N=cfg.N)
+    if cfg.command == "st-classify":
+        cls = moment_class(m.second_moment)
+        row = {
+            "N": cfg.N,
+            "second_moment": m.second_moment,
+            "zero_fraction": m.zero_fraction,
+            "moment_class": cls,
+            "candidates": "|".join(r.name for r in identify_st_class(m)) if cls is not None else "",
+            "predicted_rank": predict_rank(c.f, cls) if cls is not None else None,
+            "flag": "" if cls is not None else "no class within tolerance",
+        }
     else:
-        for tag in MEASURE_TAGS:
-            row["ks_" + tag.replace("-", "_")] = None
-    return c, report, row
+        row = {
+            "N": cfg.N,
+            "second_moment": m.second_moment,
+            "fourth_moment": m.fourth_moment,
+            "zero_fraction": m.zero_fraction,
+            "n_primes": m.n_primes,
+        }
+        angles = [normalized_angle(t) for t in traces] if c.genus == 1 else None
+        for tag in MEASURE_TAGS:  # the 1-D angle measures do not apply in genus 2
+            ks = None if angles is None else ks_distance(angles, st_measure(tag))
+            row["ks_" + tag.replace("-", "_")] = ks
+    return Report(list(row), [row], ([c.f], c.bad_primes))
 
 
-_MOMENT_COLUMNS = [
-    "N",
-    "second_moment",
-    "fourth_moment",
-    "zero_fraction",
-    "n_primes",
-] + ["ks_" + t.replace("-", "_") for t in MEASURE_TAGS]
+def cmd_peterson(cfg: ExperimentConfig, c: CurveSpec) -> Report:
+    if not cfg.sigma:
+        raise ConfigError("peterson requires --sigma")
+    result = peterson_D(c.f, parse_mobius(cfg.sigma))
+    row = {"D": poly_to_str(result.D, "T"), "multiplier": result.multiplier}
+    return Report(list(row), [row])
 
 
-def cmd_moments(cfg: ExperimentConfig) -> None:
-    c, _, row = _moment_rows(cfg)
-    _write_report([row], _MOMENT_COLUMNS, cfg)
-    _write_skipped([c.f], set(c.bad_primes), cfg.N, cfg)
-
-
-def cmd_st_classify(cfg: ExperimentConfig) -> None:
-    c, report, _ = _moment_rows(cfg)
-    cls = moment_class(report.second_moment)
-    candidates = identify_st_class(report) if cls is not None else []
-    out = {
-        "N": cfg.N,
-        "second_moment": report.second_moment,
-        "zero_fraction": report.zero_fraction,
-        "moment_class": cls,
-        "candidates": "|".join(r.name for r in candidates),
-        "predicted_rank": predict_rank(c.f, cls) if cls is not None else None,
-        "flag": "" if cls is not None else "no class within tolerance",
-    }
-    _write_report(
-        [out],
-        ["N", "second_moment", "zero_fraction", "moment_class", "candidates", "predicted_rank", "flag"],
-        cfg,
-    )
-    _write_skipped([c.f], set(c.bad_primes), cfg.N, cfg)
-
-
-def cmd_peterson(cfg: ExperimentConfig) -> None:
-    if not cfg.f or not cfg.sigma:
-        raise ConfigError("peterson requires --f and --sigma")
-    f = parse_polynomial(cfg.f)
-    sigma = parse_mobius(cfg.sigma)
-    result = peterson_D(f, sigma)
-    _write_report(
-        [{"D": poly_to_str(result.D, "T"), "multiplier": result.multiplier}],
-        ["D", "multiplier"],
-        cfg,
-    )
-
-
-def cmd_factor_check(cfg: ExperimentConfig) -> None:
-    _check_n(cfg)
-    if not cfg.f:
-        raise ConfigError("--f is required")
-    f = parse_polynomial(cfg.f)
+def cmd_factor_check(cfg: ExperimentConfig, c: CurveSpec) -> Report:
     if cfg.D == "auto-peterson":
         if not cfg.sigma:
             raise ConfigError("--D auto-peterson requires --sigma")
-        D = peterson_D(f, parse_mobius(cfg.sigma)).D
+        D = peterson_D(c.f, parse_mobius(cfg.sigma)).D
     elif cfg.D:
         D = parse_polynomial(cfg.D)
     else:
         raise ConfigError("--D (a polynomial or 'auto-peterson') is required")
-    others = []
-    if cfg.s_curves:
-        curve_from_poly(f)  # a bad E exits 2, like a bad E_i
-        others = [curve_from_poly(parse_polynomial(s)).f for s in cfg.s_curves]
-    caches = _open_caches(cfg, [D, f, *others])
-    rep = verify_factorization(D, f, cfg.r, cfg.N, others, cfg.threads, caches)
-    _write_report(
-        [
-            {
-                "passed": "pass" if rep.passed else "fail",
-                "first_failing_prime": rep.first_failing_prime,
-                "primes_checked": rep.primes_checked,
-            }
-        ],
-        ["passed", "first_failing_prime", "primes_checked"],
-        cfg,
-    )
+    others = [curve_from_poly(parse_polynomial(s)).f for s in cfg.s_curves]
+    caches = _open_caches(cfg, [D, c.f, *others])
+    rep = verify_factorization(D, c.f, cfg.r, cfg.N, others, cfg.threads, caches)
+    row = {
+        "passed": "pass" if rep.passed else "fail",
+        "first_failing_prime": rep.first_failing_prime,
+        "primes_checked": rep.primes_checked,
+    }
+    return Report(list(row), [row])
 
 
 _COMMANDS = {
@@ -341,34 +289,58 @@ _COMMANDS = {
     "lpoly": cmd_lpoly,
     "nagao": cmd_nagao,
     "moments": cmd_moments,
-    "st-classify": cmd_st_classify,
+    "st-classify": cmd_moments,
     "peterson": cmd_peterson,
     "factor-check": cmd_factor_check,
 }
 
+# Exception -> exit code; the first match wins, so CurveError precedes its
+# base class PolynomialError (which ParseError also derives from).
+_EXIT_CODES = {
+    CacheCorruptError: EXIT_CACHE,
+    CapExceededError: EXIT_CAP,
+    CurveError: EXIT_BAD_CURVE,
+    PolynomialError: EXIT_CONFIG,
+    PetersonError: EXIT_CONFIG,
+    ConfigError: EXIT_CONFIG,
+    OSError: EXIT_CONFIG,
+}
+
+
+def _exit_code(e: Exception) -> int:
+    print(f"error: {e}", file=sys.stderr)
+    return next(code for kind, code in _EXIT_CODES.items() if isinstance(e, kind))
+
+
+def _check_paths(cfg: ExperimentConfig) -> None:
+    """Fail before any work on an output or cache path that cannot be written."""
+    out = cfg.output
+    if out != "-" and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+        raise ConfigError(f"cannot write --output {out}: a directory, or in a missing one")
+    cache_dir = _cache_dir(cfg)
+    if cache_dir and os.path.exists(cache_dir) and not os.path.isdir(cache_dir):
+        raise ConfigError(f"cache dir {cache_dir} is not a directory")
+
 
 def run(cfg: ExperimentConfig) -> int:
-    """Execute a command; returns the process exit code."""
+    """Execute a command; returns the process exit code.
+
+    Every command needs the curve y^2 = f(x) of --f, squarefree of degree
+    3..6.  Its handler returns a Report, which is written here.
+    """
     try:
         handler = _COMMANDS.get(cfg.command)
         if handler is None:
             raise ConfigError(f"unknown command {cfg.command!r}")
         if cfg.threads < 1:
             raise ConfigError("thread count must be >= 1")
-        handler(cfg)
+        if not cfg.f:
+            raise ConfigError("--f is required")
+        _check_paths(cfg)
+        _write(handler(cfg, curve_from_poly(parse_polynomial(cfg.f))), cfg)
         return EXIT_OK
-    except CacheCorruptError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CACHE
-    except CapExceededError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CAP
-    except CurveError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_CURVE
-    except (ConfigError, ParseError, PetersonError, PolynomialError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    except tuple(_EXIT_CODES) as e:
+        return _exit_code(e)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -407,9 +379,8 @@ def config_from_args(argv: list[str]) -> ExperimentConfig:
 def main(argv: list[str] | None = None) -> int:
     try:
         cfg = config_from_args(sys.argv[1:] if argv is None else argv)
-    except (ConfigError, ParseError, PolynomialError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    except tuple(_EXIT_CODES) as e:
+        return _exit_code(e)
     return run(cfg)
 
 

@@ -123,7 +123,13 @@ def hyperelliptic_trace(f: IntPolynomial, p: int, table: ResidueTable | None = N
 
 
 def good_primes(bad: frozenset[int] | set[int], n_max: int) -> list[int]:
-    """The odd primes p <= n_max outside ``bad``, ascending."""
+    """The odd primes p <= n_max outside ``bad``, ascending.
+
+    Every sweep takes its primes from here, so this is where N is checked
+    against the hard cap, before the sieve and before any trace.
+    """
+    if n_max > N_HARD_CAP:
+        raise CapExceededError(f"N = {n_max} exceeds the hard cap {N_HARD_CAP}")
     return [p for p in primes_in(3, n_max + 1) if p not in bad]
 
 
@@ -223,15 +229,15 @@ def _count_fp2(f: IntPolynomial, p: int) -> int:
     return total
 
 
-def l_polynomial_genus2(c: CurveSpec, p: int, cap: int = DEFAULT_LPOLY_CAP) -> LPolynomial2:
+def l_polynomial_genus2(c: CurveSpec, p: int) -> LPolynomial2:
     """Local genus-2 L-data (a, b) via counts over F_p and F_{p^2}.
 
     b = (a^2 - (p^2 + 1 - #C(F_{p^2}))) / 2, an exact integer.
     """
     if c.genus != 2:
         raise CurveError("l_polynomial_genus2 requires a genus-2 curve (degree 5 or 6)")
-    if p > cap:
-        raise CapExceededError(f"p = {p} exceeds the F_p^2 counting cap {cap}")
+    if p > DEFAULT_LPOLY_CAP:
+        raise CapExceededError(f"p = {p} exceeds the F_p^2 counting cap {DEFAULT_LPOLY_CAP}")
     rec = curve_trace(c, p)
     a2 = p * p + 1 - _count_fp2(c.f, p)
     num = rec.a * rec.a - a2

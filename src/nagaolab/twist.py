@@ -21,9 +21,7 @@ import sympy
 
 from .cache import TraceCache
 from .curves import (
-    N_HARD_CAP,
     BadPrimeError,
-    CapExceededError,
     good_primes,
     hyperelliptic_bad_primes,
     hyperelliptic_trace,
@@ -104,8 +102,10 @@ class _Kahan:
 
 def geometric_grid(n_max: int, points: int = 20, lo: int = 1000) -> list[int]:
     """Default cutoff grid: geometric, `points` values from lo to n_max."""
+    if points < 1:
+        raise ValueError(f"a geometric grid needs at least 1 point, got {points}")
     lo = min(lo, n_max)
-    if points <= 1 or lo == n_max:
+    if points == 1 or lo == n_max:
         return [n_max]
     ratio = (n_max / lo) ** (1.0 / (points - 1))
     grid = sorted({min(n_max, max(lo, round(lo * ratio**k))) for k in range(points)})
@@ -124,8 +124,6 @@ def nagao_series(
     One sweep of [f, D] gives a_p(f) and a_p(D); the chi-sum over D is
     sum_t chi_p(D(t)) = -a_p(D) - [deg D even] chi_p(lead D).
     """
-    if n_max > N_HARD_CAP:
-        raise CapExceededError(f"N = {n_max} exceeds the hard cap {N_HARD_CAP}")
     grid = sorted(set(grid)) if grid else geometric_grid(n_max)
     if any(g < 2 or g > n_max for g in grid):
         raise ValueError("grid cutoffs must lie in [2, N]")

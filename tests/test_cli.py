@@ -98,7 +98,7 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert run(cfg("nagao", f="", N=10, output="-")) == EXIT_CONFIG
     assert main(["trace", "--badflag"]) == EXIT_CONFIG
     assert main(["nagao", "--f", "T^3+T", "--N", "100", "--mode", "fiberwise"]) == EXIT_CONFIG
-    for grid in ("5000", "1,50", "geometric:x"):  # a cutoff outside [2, N], a bad point count
+    for grid in ("5000", "1,50", "geometric:x", "geometric:0"):  # a cutoff outside [2, N], a bad point count
         capsys.readouterr()
         assert main(["nagao", "--f", "T^3+T", "--N", "100", "--grid", grid]) == EXIT_CONFIG
         assert len(capsys.readouterr().err.splitlines()) == 1
@@ -114,6 +114,108 @@ def test_exit_code_bad_curve():
 
 def test_exit_code_cap():
     assert run(cfg("nagao", f="T^3+T", N=10**7 + 1, output="-")) == EXIT_CAP
+
+
+QUINTIC = "x^5+2*x^4+3*x^3+3*x^2+2*x+1"
+BIG_N = str(10**7 + 1)
+
+# (argv, documented exit code); a cache-corruption case finds a garbled cache
+# file of its --f curve in --cache-dir.
+EXIT_CASES = [
+    (["trace", "--f", "x^3+x", "--N", "50"], EXIT_OK),
+    (["trace", "--f", "x^^3"], EXIT_CONFIG),
+    (["trace"], EXIT_CONFIG),
+    (["trace", "--f", "x^3-3*x+2"], EXIT_BAD_CURVE),
+    (["trace", "--f", "x^2+1"], EXIT_BAD_CURVE),
+    (["trace", "--f", "x^3+x", "--N", BIG_N], EXIT_CAP),
+    (["trace", "--f", "x^3+x", "--N", "50"], EXIT_CACHE),
+    (["lpoly", "--f", "x^5-x", "--N", "20"], EXIT_OK),
+    (["lpoly", "--f", "x^5-x", "--threads", "0"], EXIT_CONFIG),
+    (["lpoly", "--f", "x^3+x"], EXIT_BAD_CURVE),
+    (["lpoly", "--f", "x^5-x", "--N", BIG_N], EXIT_CAP),
+    (["lpoly", "--f", "x^5-x", "--N", "20000"], EXIT_CAP),
+    (["nagao", "--f", "T^3+T", "--N", "200", "--grid", "100,200"], EXIT_OK),
+    (["nagao", "--f", "T^3+T", "--N", "200", "--grid", "300"], EXIT_CONFIG),
+    (["nagao", "--f", "T^3+T", "--D", "T^2-2*T+1", "--N", "200"], EXIT_BAD_CURVE),
+    (["nagao", "--f", "x^7+x+1", "--N", "200"], EXIT_BAD_CURVE),  # accepted before
+    (["nagao", "--f", "T^3+T", "--N", BIG_N], EXIT_CAP),
+    (["nagao", "--f", "T^3+T", "--N", "200", "--grid", "200"], EXIT_CACHE),
+    (["moments", "--f", "x^3+x+1", "--N", "200"], EXIT_OK),
+    (["moments", "--f", "x^3+x", "--N", "2"], EXIT_CONFIG),
+    (["moments", "--f", "x^4"], EXIT_BAD_CURVE),
+    (["moments", "--f", "x^3+x", "--N", BIG_N], EXIT_CAP),
+    (["moments", "--f", "x^3+x+1", "--N", "200"], EXIT_CACHE),
+    (["st-classify", "--f", "x^5-x+1", "--N", "200"], EXIT_OK),
+    (["st-classify", "--f", "x^5-x+1", "--N", "2"], EXIT_CONFIG),
+    (["st-classify", "--f", "x^7+1"], EXIT_BAD_CURVE),
+    (["st-classify", "--f", "x^5-x+1", "--N", BIG_N], EXIT_CAP),
+    (["st-classify", "--f", "x^5-x+1", "--N", "200"], EXIT_CACHE),
+    (["peterson", "--f", QUINTIC, "--sigma", "1/x"], EXIT_OK),
+    (["peterson", "--f", "x^3-x", "--sigma", "-x"], EXIT_CONFIG),
+    (["peterson", "--f", "x^3-x"], EXIT_CONFIG),
+    (["peterson", "--f", "x^3", "--sigma", "1/x"], EXIT_BAD_CURVE),  # exit 1 before
+    (["factor-check", "--f", "x^3+x", "--D", "x^6+2", "--N", "100"], EXIT_OK),
+    (["factor-check", "--f", "x^3+x", "--N", "100"], EXIT_CONFIG),
+    (["factor-check", "--f", "x^3+x", "--D", "auto-peterson", "--N", "100"], EXIT_CONFIG),
+    (["factor-check", "--f", "x^3+x", "--D", "x^6+2", "--s-curves", "x^3", "--N", "100"], EXIT_BAD_CURVE),
+    (["factor-check", "--f", "x^7+x+1", "--D", "x^3+x", "--N", "100"], EXIT_BAD_CURVE),  # accepted before
+    (["factor-check", "--f", QUINTIC, "--D", "auto-peterson", "--sigma", "1/x", "--N", BIG_N], EXIT_CAP),
+    (["factor-check", "--f", "x^3+x", "--D", "x^6+2", "--N", "100"], EXIT_CACHE),
+]
+
+
+@pytest.mark.parametrize("argv, code", EXIT_CASES, ids=[" ".join(a) + f" -> {c}" for a, c in EXIT_CASES])
+def test_exit_codes(argv, code, tmp_path, capsys, monkeypatch):
+    """Each command's documented exit codes; a failure prints one stderr line
+    and computes no trace."""
+    monkeypatch.delenv("NAGAOLAB_CACHE", raising=False)
+    computed = []
+    real = curves_mod.hyperelliptic_trace
+    monkeypatch.setattr(curves_mod, "hyperelliptic_trace", lambda *a: computed.append(a) or real(*a))
+    cache = tmp_path / "cache"
+    if code == EXIT_CACHE:
+        cache.mkdir()
+        cache_path(cache, parse_polynomial(argv[argv.index("--f") + 1])).write_text("NOT A CACHE\n")
+    assert main(argv + ["--cache-dir", str(cache), "--output", str(tmp_path / "out.csv")]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_OK:
+        assert err == "" and (tmp_path / "out.csv").exists()
+    else:
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert computed == []
+
+
+@pytest.mark.parametrize("where", ["missing-output-dir", "output-is-dir", "cache-dir-is-file"])
+def test_unwritable_path_fails_before_any_trace(where, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("NAGAOLAB_CACHE", raising=False)
+    computed = []
+    monkeypatch.setattr(curves_mod, "hyperelliptic_trace", lambda *a: computed.append(a))
+    out, cache = tmp_path / "out.csv", tmp_path / "cache"
+    if where == "missing-output-dir":
+        out = tmp_path / "no-such-dir" / "out.csv"
+    elif where == "output-is-dir":
+        out.mkdir()
+    else:
+        cache.write_text("a file\n")
+    argv = ["nagao", "--f", "T^3+T", "--N", "300", "--cache-dir", str(cache), "--output", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert computed == []
+
+
+def test_cache_not_utf8_quarantined(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    base = dict(f="x^3+x+1", N=50, cache_dir=str(cache))
+    assert run(cfg("trace", output=str(tmp_path / "cold.csv"), **base)) == EXIT_OK
+    path = cache_path(cache, parse_polynomial("x^3+x+1"))
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\xfe\n")
+    capsys.readouterr()
+    assert run(cfg("trace", output=str(tmp_path / "warm.csv"), **base)) == EXIT_CACHE
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert path.with_suffix(".txt.corrupt").exists() and not path.exists()
+
 
 
 def test_st_classify_runs(tmp_path, monkeypatch):

@@ -210,7 +210,7 @@ def test_l_polynomial_known():
 def test_l_polynomial_cap_and_bad_prime():
     c = curve("x^5-x")
     with pytest.raises(CapExceededError):
-        l_polynomial_genus2(c, 10007, cap=10**4)
+        l_polynomial_genus2(c, 10007)
     with pytest.raises(BadPrimeError):
         l_polynomial_genus2(c, 2)
     with pytest.raises(CurveError):

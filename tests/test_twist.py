@@ -239,6 +239,12 @@ def test_verify_factorization_failure_reports_least_prime():
     assert rep.first_failing_prime == 5
 
 
+def test_verify_factorization_above_cap_raises():
+    f = parse_polynomial("x^3+x")
+    with pytest.raises(CapExceededError):
+        verify_factorization(f, f, 1, n_max=10**7 + 1)
+
+
 def test_verify_mixed_reduces_to_plain():
     f = parse_polynomial("x^3+x+1")
     assert verify_factorization(f, f, 1, 1000, others=[]).passed
