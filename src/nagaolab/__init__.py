@@ -32,7 +32,6 @@ from .stats import (
     ks_distance,
     load_st_table,
     moment_class,
-    predict_rank,
     st_measure,
 )
 from .twist import (

@@ -22,19 +22,20 @@ from .curves import (
     CurveSpec,
     TraceRecord,
     curve_from_poly,
+    genus2_b,
     good_primes,
-    l_polynomial_genus2,
     normalized_angle,
     sweep_traces,
 )
 from .polynomials import IntPolynomial, ParseError, PolynomialError, parse_polynomial, poly_to_str
 from .stats import (
+    GENUS1_GROUPS,
     MEASURE_TAGS,
     empirical_moments,
+    haar_second_moment,
     identify_st_class,
     ks_distance,
     moment_class,
-    predict_rank,
     st_measure,
 )
 from .twist import (
@@ -151,19 +152,14 @@ def run_verify_cache(cache: TraceCache, threads: int = 1) -> None:
             cache._fail(f"cached a_p disagrees with recomputation at p={p}")
 
 
-def _cache_dir(cfg: ExperimentConfig) -> str | None:
-    return os.environ.get("NAGAOLAB_CACHE", cfg.cache_dir)
-
-
 def _open_caches(cfg: ExperimentConfig, polys: list[IntPolynomial]) -> Iterator[TraceCache]:
     """One cache per distinct curve of a sweep, or none without a cache dir.
 
     Lazy: the engine opens the caches (and with --verify-cache rechecks them)
     when its sweep starts, so after ``good_primes`` has checked the N cap.
     """
-    cache_dir = _cache_dir(cfg)
-    for g in dict.fromkeys(polys) if cache_dir else ():
-        cache = TraceCache(cache_dir, g)
+    for g in dict.fromkeys(polys) if cfg.cache_dir else ():
+        cache = TraceCache(cfg.cache_dir, g)
         if cfg.verify_cache:
             run_verify_cache(cache, cfg.threads)
         yield cache
@@ -203,10 +199,7 @@ def cmd_lpoly(cfg: ExperimentConfig, c: CurveSpec) -> Report:
         raise CapExceededError(
             f"p = {primes[-1]} exceeds the F_p^2 counting cap {DEFAULT_LPOLY_CAP}"
         )
-    rows = []
-    for p in primes:
-        lp = l_polynomial_genus2(c, p)
-        rows.append({"p": p, "a": lp.a, "b": lp.b})
+    rows = [{"p": t.p, "a": t.a, "b": genus2_b(c.f, t.p, t.a)} for t in _traces(cfg, c)]
     return Report(["p", "a", "b"], rows, ([c.f], c.bad_primes))
 
 
@@ -225,20 +218,25 @@ def cmd_nagao(cfg: ExperimentConfig, c: CurveSpec) -> Report:
 def cmd_moments(cfg: ExperimentConfig, c: CurveSpec) -> Report:
     """``moments``: the trace moments, with Kolmogorov-Smirnov distances of the
     angles to the 1-D measures in genus 1.  ``st-classify``: the moment class
-    of the second moment, its candidate groups and the predicted rank."""
+    of the second moment, its candidate groups of the curve's genus and the
+    predicted rank."""
     traces = _traces(cfg, c)
     if not traces:
         raise ConfigError(f"no good prime p <= N = {cfg.N} to take moments over")
     m = empirical_moments(traces, N=cfg.N)
     if cfg.command == "st-classify":
         cls = moment_class(m.second_moment)
+        if c.genus == 1:
+            groups = [g for g, tag in GENUS1_GROUPS if round(haar_second_moment(st_measure(tag))) == cls]
+        else:
+            groups = [r.name for r in identify_st_class(m)]
         row = {
             "N": cfg.N,
             "second_moment": m.second_moment,
             "zero_fraction": m.zero_fraction,
             "moment_class": cls,
-            "candidates": "|".join(r.name for r in identify_st_class(m)) if cls is not None else "",
-            "predicted_rank": predict_rank(c.f, cls) if cls is not None else None,
+            "candidates": "|".join(groups),
+            "predicted_rank": cls,
             "flag": "" if cls is not None else "no class within tolerance",
         }
     else:
@@ -284,14 +282,19 @@ def cmd_factor_check(cfg: ExperimentConfig, c: CurveSpec) -> Report:
     return Report(list(row), [row])
 
 
+# Each command's handler and the flags it reads; its parser accepts no others.
+# run reads _COMMON for every command, and every sweep reads _SWEEP.
+_COMMON = ("--f", "--threads", "--cache-dir", "--output", "--format")
+_SWEEP = (*_COMMON, "--N", "--verify-cache")
+
 _COMMANDS = {
-    "trace": cmd_trace,
-    "lpoly": cmd_lpoly,
-    "nagao": cmd_nagao,
-    "moments": cmd_moments,
-    "st-classify": cmd_moments,
-    "peterson": cmd_peterson,
-    "factor-check": cmd_factor_check,
+    "trace": (cmd_trace, _SWEEP),
+    "lpoly": (cmd_lpoly, _SWEEP),
+    "nagao": (cmd_nagao, (*_SWEEP, "--D", "--grid")),
+    "moments": (cmd_moments, _SWEEP),
+    "st-classify": (cmd_moments, _SWEEP),
+    "peterson": (cmd_peterson, (*_COMMON, "--sigma")),
+    "factor-check": (cmd_factor_check, (*_SWEEP, "--D", "--sigma", "--r", "--s-curves")),
 }
 
 # Exception -> exit code; the first match wins, so CurveError precedes its
@@ -313,13 +316,16 @@ def _exit_code(e: Exception) -> int:
 
 
 def _check_paths(cfg: ExperimentConfig) -> None:
-    """Fail before any work on an output or cache path that cannot be written."""
+    """Fail before any work on an output or cache path that cannot be written,
+    or on --verify-cache without a cache to verify."""
     out = cfg.output
     if out != "-" and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
         raise ConfigError(f"cannot write --output {out}: a directory, or in a missing one")
-    cache_dir = _cache_dir(cfg)
+    cache_dir = cfg.cache_dir
     if cache_dir and os.path.exists(cache_dir) and not os.path.isdir(cache_dir):
         raise ConfigError(f"cache dir {cache_dir} is not a directory")
+    if cfg.verify_cache and not cache_dir:
+        raise ConfigError("--verify-cache requires --cache-dir")
 
 
 def run(cfg: ExperimentConfig) -> int:
@@ -329,9 +335,9 @@ def run(cfg: ExperimentConfig) -> int:
     3..6.  Its handler returns a Report, which is written here.
     """
     try:
-        handler = _COMMANDS.get(cfg.command)
-        if handler is None:
+        if cfg.command not in _COMMANDS:
             raise ConfigError(f"unknown command {cfg.command!r}")
+        handler, _ = _COMMANDS[cfg.command]
         if cfg.threads < 1:
             raise ConfigError("thread count must be >= 1")
         if not cfg.f:
@@ -352,33 +358,38 @@ def _split_curves(text: str) -> list[str]:
     return [s for s in text.split(",") if s.strip()]
 
 
+_FLAGS = {
+    "--f": dict(help="curve polynomial f(x)"),
+    "--D": dict(help="twisting polynomial D(T), or 'auto-peterson'"),
+    "--sigma": dict(help="Moebius transform, e.g. '(x+1)/(-3x+1)' or '1/x'"),
+    "--N": dict(type=int),
+    "--grid": dict(help="'geometric:k' or comma-separated cutoffs"),
+    "--r": dict(type=int),
+    "--s-curves": dict(type=_split_curves, help="comma-separated genus-1 polynomials"),
+    "--threads": dict(type=int),
+    "--cache-dir": dict(),
+    "--output": dict(),
+    "--format": dict(dest="fmt", choices=["csv", "json"]),
+    "--verify-cache": dict(action="store_true"),
+}
+
+
 def build_parser() -> _Parser:
+    """One subparser per command with the flags of ``_COMMANDS``; a flag left
+    out keeps the default of its ExperimentConfig field."""
     parser = _Parser(prog="nagaolab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--f", default="", help="curve polynomial f(x)")
-        p.add_argument("--D", default="", help="twisting polynomial D(T), or 'auto-peterson'")
-        p.add_argument("--sigma", default="", help="Moebius transform, e.g. '(x+1)/(-3x+1)' or '1/x'")
-        p.add_argument("--N", type=int, default=1000)
-        p.add_argument("--grid", default="geometric:20", help="'geometric:k' or comma-separated cutoffs")
-        p.add_argument("--r", type=int, default=2)
-        p.add_argument("--s-curves", type=_split_curves, default="", help="comma-separated genus-1 polynomials")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--cache-dir", default=None)
-        p.add_argument("--output", default="-")
-        p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
-        p.add_argument("--verify-cache", action="store_true")
+    for name, (_, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
-
-
-def config_from_args(argv: list[str]) -> ExperimentConfig:
-    return ExperimentConfig(**vars(build_parser().parse_args(argv)))
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cfg = config_from_args(sys.argv[1:] if argv is None else argv)
+        args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
+        cfg = ExperimentConfig(**vars(args))
     except tuple(_EXIT_CODES) as e:
         return _exit_code(e)
     return run(cfg)

@@ -229,23 +229,25 @@ def _count_fp2(f: IntPolynomial, p: int) -> int:
     return total
 
 
-def l_polynomial_genus2(c: CurveSpec, p: int) -> LPolynomial2:
-    """Local genus-2 L-data (a, b) via counts over F_p and F_{p^2}.
-
-    b = (a^2 - (p^2 + 1 - #C(F_{p^2}))) / 2, an exact integer.
-    """
-    if c.genus != 2:
-        raise CurveError("l_polynomial_genus2 requires a genus-2 curve (degree 5 or 6)")
-    if p > DEFAULT_LPOLY_CAP:
-        raise CapExceededError(f"p = {p} exceeds the F_p^2 counting cap {DEFAULT_LPOLY_CAP}")
-    rec = curve_trace(c, p)
-    a2 = p * p + 1 - _count_fp2(c.f, p)
-    num = rec.a * rec.a - a2
+def genus2_b(f: IntPolynomial, p: int, a: int) -> int:
+    """The L-coefficient b = (a^2 - (p^2 + 1 - #C(F_{p^2}))) / 2 of a genus-2
+    curve at a good p with trace a: an exact integer, checked against |b| <= 6p."""
+    num = a * a - (p * p + 1 - _count_fp2(f, p))
     assert num % 2 == 0, "parity failure in b (counting bug)"
     b = num // 2
     if abs(b) > 6 * p:
         raise AssertionError(f"|b| <= 6p violated at p={p}: b={b}")
-    return LPolynomial2(p, rec.a, b)
+    return b
+
+
+def l_polynomial_genus2(c: CurveSpec, p: int) -> LPolynomial2:
+    """Local genus-2 L-data (a, b) via counts over F_p and F_{p^2}."""
+    if c.genus != 2:
+        raise CurveError("l_polynomial_genus2 requires a genus-2 curve (degree 5 or 6)")
+    if p > DEFAULT_LPOLY_CAP:
+        raise CapExceededError(f"p = {p} exceeds the F_p^2 counting cap {DEFAULT_LPOLY_CAP}")
+    a = curve_trace(c, p).a
+    return LPolynomial2(p, a, genus2_b(c.f, p, a))
 
 
 def lpoly_roots(lp: LPolynomial2) -> np.ndarray:

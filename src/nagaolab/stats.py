@@ -1,6 +1,6 @@
 """Sato-Tate statistics: empirical moments, equidistribution distances, the
-Haar-measure moment oracles, the group table for abelian surfaces over Q, and
-rank prediction for self-twist surfaces.
+Haar-measure moment oracles, the Sato-Tate groups of elliptic curves and of
+abelian surfaces over Q, and classification by second moment.
 
 The key identity consumed here: for each group in the table, the second moment
 E[a_p^2/p] equals the real rank of the endomorphism algebra, which equals the
@@ -21,8 +21,6 @@ from .quadrature import adaptive_simpson, adaptive_simpson_2d
 
 MOMENT_CLASSES = (1, 2, 4)
 DEFAULT_CLASS_TOLERANCE = 0.25
-
-_ENDO_RANKS = {"C": 2, "R": 1, "M2(R)": 4, "RxR": 2}
 
 
 @dataclass(frozen=True)
@@ -66,6 +64,9 @@ UNIFORM = "uniform"
 HALF_UNIFORM_DIRAC = "half-uniform-dirac"
 
 MEASURE_TAGS = (SATO_TATE, UNIFORM, HALF_UNIFORM_DIRAC)
+
+# The Sato-Tate groups of elliptic curves over Q, with their angle measures.
+GENUS1_GROUPS = (("SU(2)", SATO_TATE), ("N(U(1))", HALF_UNIFORM_DIRAC), ("U(1)", UNIFORM))
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,7 @@ def ks_distance(angles: Sequence[float], measure: STMeasure1D) -> float:
     return d
 
 
-# -- classification and rank prediction --------------------------------------
+# -- classification --------------------------------------------------------
 
 
 def moment_class(value: float, tolerance: float = DEFAULT_CLASS_TOLERANCE) -> int | None:
@@ -219,17 +220,4 @@ def identify_st_class(
     """
     tab = table if table is not None else load_st_table()
     return [row for row in tab if abs(report.second_moment - row.second_moment) <= tolerance]
-
-
-def predict_rank(f: IntPolynomial, moment_cls: int) -> int:
-    """Predicted rank of the self-twist surface f(T) y^2 = f(x) over Q(T).
-
-    The rank equals the real endomorphism-algebra rank, which coincides with
-    the second-moment class.
-    """
-    if moment_cls not in MOMENT_CLASSES:
-        raise ValueError(f"moment class must be one of {MOMENT_CLASSES}")
-    if f.is_zero or not 3 <= f.degree <= 6:
-        raise ValueError("f must define a genus-1 or genus-2 curve (degree 3..6)")
-    return moment_cls
 

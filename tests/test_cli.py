@@ -20,6 +20,7 @@ from nagaolab.cli import (
 )
 from nagaolab.curves import curve_from_poly, curve_trace
 from nagaolab.polynomials import ParseError, PolynomialError, parse_polynomial
+from nagaolab.stats import load_st_table
 
 
 def cfg(command, **kw):
@@ -70,9 +71,20 @@ def test_lpoly_command(tmp_path):
 
 def test_lpoly_cap_checked_before_any_count(monkeypatch):
     calls = []
-    monkeypatch.setattr(cli_mod, "l_polynomial_genus2", lambda c, p: calls.append(p))
+    monkeypatch.setattr(curves_mod, "_count_fp2", lambda *a: calls.append(a))
+    monkeypatch.setattr(curves_mod, "hyperelliptic_trace", lambda *a: calls.append(a))
     assert run(cfg("lpoly", f="x^5-x+1", N=20000, output="-")) == EXIT_CAP
     assert calls == []
+
+
+def test_lpoly_warm_rerun_reads_cache(tmp_path, monkeypatch):
+    base = dict(f="x^5-x+1", N=300, cache_dir=str(tmp_path / "cache"))
+    assert run(cfg("lpoly", output=str(tmp_path / "cold.csv"), **base)) == EXIT_OK
+    computed = []
+    monkeypatch.setattr(curves_mod, "hyperelliptic_trace", lambda *a: computed.append(a))
+    assert run(cfg("lpoly", output=str(tmp_path / "warm.csv"), **base)) == EXIT_OK
+    assert computed == []
+    assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
 
 
 def test_json_mirrors_csv_fields(tmp_path):
@@ -93,11 +105,14 @@ def test_nagao_csv_columns(tmp_path):
     assert len(lines) == 3
 
 
-def test_exit_code_parse_error(tmp_path, capsys):
+def test_exit_code_parse_error(tmp_path, capsys, monkeypatch):
+    computed = []
+    monkeypatch.setattr(curves_mod, "hyperelliptic_trace", lambda *a: computed.append(a))
     assert run(cfg("trace", f="x^^3", N=10, output="-")) == EXIT_CONFIG
     assert run(cfg("nagao", f="", N=10, output="-")) == EXIT_CONFIG
     assert main(["trace", "--badflag"]) == EXIT_CONFIG
     assert main(["nagao", "--f", "T^3+T", "--N", "100", "--mode", "fiberwise"]) == EXIT_CONFIG
+    assert main(["nagao", "--f", "T^3+T", "--N", "100", "--gr", "100"]) == EXIT_CONFIG  # no prefix of --grid
     for grid in ("5000", "1,50", "geometric:x", "geometric:0"):  # a cutoff outside [2, N], a bad point count
         capsys.readouterr()
         assert main(["nagao", "--f", "T^3+T", "--N", "100", "--grid", grid]) == EXIT_CONFIG
@@ -105,6 +120,9 @@ def test_exit_code_parse_error(tmp_path, capsys):
     for command, f in (("moments", "x^3+x"), ("st-classify", "x^5-x+1")):  # no good prime <= N
         assert main([command, "--f", f, "--N", "2"]) == EXIT_CONFIG
         assert len(capsys.readouterr().err.splitlines()) == 1
+    assert main(["trace", "--f", "x^3+x", "--N", "50", "--verify-cache"]) == EXIT_CONFIG  # no cache to verify
+    assert capsys.readouterr().err == "error: --verify-cache requires --cache-dir\n"
+    assert computed == []
 
 
 def test_exit_code_bad_curve():
@@ -134,6 +152,7 @@ EXIT_CASES = [
     (["lpoly", "--f", "x^3+x"], EXIT_BAD_CURVE),
     (["lpoly", "--f", "x^5-x", "--N", BIG_N], EXIT_CAP),
     (["lpoly", "--f", "x^5-x", "--N", "20000"], EXIT_CAP),
+    (["lpoly", "--f", "x^5-x", "--N", "20"], EXIT_CACHE),
     (["nagao", "--f", "T^3+T", "--N", "200", "--grid", "100,200"], EXIT_OK),
     (["nagao", "--f", "T^3+T", "--N", "200", "--grid", "300"], EXIT_CONFIG),
     (["nagao", "--f", "T^3+T", "--D", "T^2-2*T+1", "--N", "200"], EXIT_BAD_CURVE),
@@ -168,7 +187,6 @@ EXIT_CASES = [
 def test_exit_codes(argv, code, tmp_path, capsys, monkeypatch):
     """Each command's documented exit codes; a failure prints one stderr line
     and computes no trace."""
-    monkeypatch.delenv("NAGAOLAB_CACHE", raising=False)
     computed = []
     real = curves_mod.hyperelliptic_trace
     monkeypatch.setattr(curves_mod, "hyperelliptic_trace", lambda *a: computed.append(a) or real(*a))
@@ -185,9 +203,45 @@ def test_exit_codes(argv, code, tmp_path, capsys, monkeypatch):
         assert computed == []
 
 
+COMMON = ["--f", "--threads", "--cache-dir", "--output", "--format"]
+SWEEP = COMMON + ["--N", "--verify-cache"]
+ACCEPTED = {
+    "trace": SWEEP,
+    "lpoly": SWEEP,
+    "nagao": SWEEP + ["--D", "--grid"],
+    "moments": SWEEP,
+    "st-classify": SWEEP,
+    "peterson": COMMON + ["--sigma"],
+    "factor-check": SWEEP + ["--D", "--sigma", "--r", "--s-curves"],
+}
+FLAG_VALUES = {
+    "--f": "x^3+x", "--D": "x^3+5*x+7", "--sigma": "1/x", "--N": "50", "--grid": "geometric:3",
+    "--r": "2", "--s-curves": "x^3+x+1", "--threads": "2", "--cache-dir": "cache",
+    "--output": "-", "--format": "json", "--verify-cache": None,
+}
+FLAG_CASES = [(command, flag) for command in ACCEPTED for flag in FLAG_VALUES]
+
+
+@pytest.mark.parametrize("command, flag", FLAG_CASES, ids=[f"{c} {f}" for c, f in FLAG_CASES])
+def test_command_accepts_only_its_flags(command, flag, capsys, monkeypatch):
+    """Each command parses exactly the flags it reads; any other flag exits 1
+    with one error line before any trace."""
+    computed = []
+    monkeypatch.setattr(curves_mod, "hyperelliptic_trace", lambda *a: computed.append(a))
+    argv = [command, flag] + ([] if FLAG_VALUES[flag] is None else [FLAG_VALUES[flag]])
+    if flag in ACCEPTED[command]:
+        args = vars(cli_mod.build_parser().parse_args(argv))
+        assert len(args) == 2  # the command and this flag; the rest keep the config defaults
+        ExperimentConfig(**args)
+        return
+    assert main(argv + ["--f", "x^3+x"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: unrecognized arguments: " + flag), err
+    assert computed == []
+
+
 @pytest.mark.parametrize("where", ["missing-output-dir", "output-is-dir", "cache-dir-is-file"])
 def test_unwritable_path_fails_before_any_trace(where, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("NAGAOLAB_CACHE", raising=False)
     computed = []
     monkeypatch.setattr(curves_mod, "hyperelliptic_trace", lambda *a: computed.append(a))
     out, cache = tmp_path / "out.csv", tmp_path / "cache"
@@ -235,6 +289,16 @@ def test_st_classify_runs(tmp_path, monkeypatch):
     if row["moment_class"] == 1:
         assert row["predicted_rank"] == 1
         assert "USp(4)" in row["candidates"]
+
+
+@pytest.mark.parametrize("f", ["x^3+x", "x^3+x+1"], ids=["cm", "non-cm"])
+def test_st_classify_genus1_candidates(f, tmp_path):
+    out = tmp_path / "s.json"
+    assert run(cfg("st-classify", f=f, N=3000, output=str(out), fmt="json")) == EXIT_OK
+    (row,) = json.loads(out.read_text())
+    assert row["moment_class"] == 1
+    assert row["candidates"] == "SU(2)|N(U(1))"
+    assert not set(row["candidates"].split("|")) & {r.name for r in load_st_table()}
 
 
 def test_peterson_and_factor_check_cli(tmp_path):
@@ -377,14 +441,6 @@ def test_verify_cache_detects_bad_record(tmp_path):
         )
     )
     assert rc == EXIT_CACHE
-
-
-def test_cache_env_var_overrides(tmp_path, monkeypatch):
-    env_cache = tmp_path / "envcache"
-    monkeypatch.setenv("NAGAOLAB_CACHE", str(env_cache))
-    run(cfg("trace", f="x^3+x", N=50, cache_dir=str(tmp_path / "flagcache"), output=str(tmp_path / "o.csv")))
-    assert env_cache.exists()
-    assert not (tmp_path / "flagcache").exists()
 
 
 def test_thread_count_determinism_small(tmp_path):

@@ -28,7 +28,7 @@ PETERSON_D = "x^10+2*x^8+3*x^6+3*x^4+2*x^2+1"
 # name -> (argv, curves whose cache file a sweep may add)
 CASES = {
     "trace": (["trace", "--f", "x^3+x", "--N", "400"], []),
-    "lpoly": (["lpoly", "--f", "x^5-x+1", "--N", "60"], []),
+    "lpoly": (["lpoly", "--f", "x^5-x+1", "--N", "60"], ["x^5-x+1"]),
     "nagao-self": (["nagao", "--f", "T^3+T", "--N", "1500", "--grid", "200,700,1500"], []),
     "nagao-self-even": (["nagao", "--f", "x^6+1", "--N", "800", "--grid", "geometric:3"], []),
     "nagao-twist": (

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from nagaolab.curves import TraceRecord
-from nagaolab.polynomials import parse_polynomial
 from nagaolab.stats import (
     HALF_UNIFORM_DIRAC,
     MEASURE_TAGS,
@@ -17,7 +16,6 @@ from nagaolab.stats import (
     ks_distance,
     load_st_table,
     moment_class,
-    predict_rank,
     st_measure,
     usp4_expectation,
 )
@@ -194,10 +192,3 @@ def test_moment_class_stability_at_centers():
         for eps in (-0.12, 0.0, 0.12):
             assert moment_class(center + eps) == center
 
-
-def test_predict_rank():
-    assert predict_rank(parse_polynomial("x^5-x+1"), 1) == 1
-    assert predict_rank(parse_polynomial("x^6+1"), 4) == 4
-    assert predict_rank(parse_polynomial("x^3+x"), 1) == 1
-    with pytest.raises(ValueError):
-        predict_rank(parse_polynomial("x^3+x"), 3)
