@@ -167,10 +167,10 @@ def _open_caches(cfg: ExperimentConfig, polys: list[IntPolynomial]) -> Iterator[
 
 def _parse_grid(cfg: ExperimentConfig) -> list[int]:
     text = cfg.grid.strip()
+    kind, colon, k = text.partition(":")
     try:
-        if text.startswith("geometric"):
-            _, _, k = text.partition(":")
-            grid = geometric_grid(cfg.N, int(k) if k else 20)
+        if kind == "geometric":  # a bare "geometric" means 20 points
+            grid = geometric_grid(cfg.N, int(k) if colon else 20)
         else:
             grid = sorted({int(v) for v in text.split(",")})
     except ValueError as e:
@@ -223,7 +223,7 @@ def cmd_moments(cfg: ExperimentConfig, c: CurveSpec) -> Report:
     traces = _traces(cfg, c)
     if not traces:
         raise ConfigError(f"no good prime p <= N = {cfg.N} to take moments over")
-    m = empirical_moments(traces, N=cfg.N)
+    m = empirical_moments(traces)
     if cfg.command == "st-classify":
         cls = moment_class(m.second_moment)
         if c.genus == 1:

@@ -146,53 +146,45 @@ def sweep_traces(
     matched through ``TraceCache.poly``) is read, not computed.  A prime with
     a miss gets one residue table, shared by every polynomial that missed, and
     every computed a_p is checked against the Weil bound a^2 <= 4 g^2 p with
-    g = (deg - 1) // 2.  Misses run in blocks of _BLOCK primes, on a pool of
-    ``threads`` workers when threads > 1; this generator merges the blocks in
-    ascending p and makes every cache write, so the output does not depend on
-    the thread count.  With one thread a block is computed only when the
-    consumer reaches it.
+    g = (deg - 1) // 2.  The primes run in blocks of _BLOCK consecutive ones,
+    on a pool of ``threads`` workers when threads > 1 and some prime misses;
+    this generator takes the blocks in order, appends each to the caches and
+    then yields it, so the output does not depend on the thread count.  With
+    one thread a block is computed only when the consumer reaches it.
     """
     distinct = list(dict.fromkeys(polys))
     slot = [distinct.index(g) for g in polys]
     by_poly = {c.poly: c for c in caches or ()}
     stores = [by_poly.get(g) for g in distinct]
     values = [[None if c is None else c.get(p) for c in stores] for p in primes]
-    need = [i for i, vals in enumerate(values) if None in vals]
-    blocks = [need[k : k + _BLOCK] for k in range(0, len(need), _BLOCK)]
+    blocks = [range(k, min(k + _BLOCK, len(primes))) for k in range(0, len(primes), _BLOCK)]
 
-    def work(block: list[int]) -> list[list[int]]:
-        out = []
+    def work(block: range) -> range:  # fills the misses of its rows in place
         for i in block:
-            p = primes[i]
+            row, p = values[i], primes[i]
+            if None not in row:
+                continue
             tab = residue_table(p)
-            row = []
-            for g, a in zip(distinct, values[i]):
-                if a is None:
+            for k, g in enumerate(distinct):
+                if row[k] is None:
                     a = hyperelliptic_trace(g, p, tab)
                     genus = (g.degree - 1) // 2
                     if a * a > 4 * genus * genus * p:
                         raise AssertionError(
                             f"Weil bound violated at p={p}: a={a}, genus {genus} (counting bug)"
                         )
-                row.append(a)
-            out.append(row)
-        return out
+                    row[k] = a
+        return block
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 and blocks else None
+    misses = any(None in row for row in values)
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 and misses else None
     try:
-        done = pool.map(work, blocks) if pool else map(work, blocks)
-        pending = iter(blocks)
-        block = next(pending, None)
-        for i, p in enumerate(primes):
-            if block and i == block[0]:
-                for j, row in zip(block, next(done)):
-                    values[j] = row
-                for k, c in enumerate(stores):
-                    if c is not None:
-                        c.append([(primes[j], values[j][k]) for j in block])
-                block = next(pending, None)
-            vals = values[i]
-            yield p, tuple(vals[k] for k in slot)
+        for block in pool.map(work, blocks) if pool else map(work, blocks):
+            for k, c in enumerate(stores):
+                if c is not None:
+                    c.append([(primes[i], values[i][k]) for i in block])
+            for i in block:
+                yield primes[i], tuple(values[i][k] for k in slot)
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)

@@ -13,7 +13,7 @@ import numpy as np
 
 # Caps chosen so p**2 fits in a signed 64-bit intermediate.
 PRIME_CAP = 1 << 62
-DEFAULT_TABLE_CAP = 1 << 31
+TABLE_CAP = 1 << 31
 
 _SEGMENT = 1 << 20
 _INT64_MAX = (1 << 63) - 1
@@ -134,15 +134,15 @@ class ResidueTable:
         return int(self.chi[a % self.p]) == 1
 
 
-def residue_table(p: int, cap: int = DEFAULT_TABLE_CAP) -> ResidueTable:
-    """Build the chi_p lookup table for an odd prime p below the cap.
+def residue_table(p: int) -> ResidueTable:
+    """Build the chi_p lookup table for an odd prime p <= TABLE_CAP.
 
     k^2 = (p - k)^2, so the squares of 1..(p-1)/2 already hit every nonzero
     square.
     """
-    if p > cap:
+    if p > TABLE_CAP:
         raise TableTooLargeError(
-            f"table for p={p} too large (cap {cap}); use legendre() per element"
+            f"table for p={p} too large (cap {TABLE_CAP}); use legendre() per element"
         )
     k = np.arange(1, p // 2 + 1, dtype=np.int64)
     squares = k * k % p

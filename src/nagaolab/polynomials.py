@@ -60,8 +60,8 @@ class IntPolynomial:
             v = v * x + c
         return v
 
-    def to_sympy(self, var=_X):
-        return sympy.Poly(list(reversed(self.coeffs or (0,))), var)
+    def to_sympy(self):
+        return sympy.Poly(list(reversed(self.coeffs or (0,))), _X)
 
     def discriminant(self) -> int:
         return int(self.to_sympy().discriminant())

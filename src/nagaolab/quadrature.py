@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable
 
 
-def adaptive_simpson(fn: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> float:
+def adaptive_simpson(fn: Callable[[float], float], a: float, b: float, tol: float) -> float:
     """Integral of fn over [a, b] with absolute error budget tol."""
     fa, fb = fn(a), fn(b)
     m = 0.5 * (a + b)
@@ -29,17 +29,12 @@ def _refine(fn, a, b, fa, fm, fb, whole, tol, depth):
 
 
 def adaptive_simpson_2d(
-    fn: Callable[[float, float], float],
-    a: float,
-    b: float,
-    c: float,
-    d: float,
-    tol: float = 1e-7,
-    inner_tol: float = 1e-9,
+    fn: Callable[[float, float], float], a: float, b: float, c: float, d: float
 ) -> float:
-    """Iterated 1-D adaptive Simpson over the rectangle [a,b] x [c,d]."""
+    """Iterated 1-D adaptive Simpson over the rectangle [a,b] x [c,d]: error
+    budget 1e-9 for each inner integral, 1e-7 for the outer one."""
 
     def inner(x: float) -> float:
-        return adaptive_simpson(lambda y: fn(x, y), c, d, inner_tol)
+        return adaptive_simpson(lambda y: fn(x, y), c, d, 1e-9)
 
-    return adaptive_simpson(inner, a, b, tol)
+    return adaptive_simpson(inner, a, b, 1e-7)

@@ -13,14 +13,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .curves import TraceRecord
 from .polynomials import IntPolynomial, parse_polynomial
 from .quadrature import adaptive_simpson, adaptive_simpson_2d
 
 MOMENT_CLASSES = (1, 2, 4)
-DEFAULT_CLASS_TOLERANCE = 0.25
+CLASS_TOLERANCE = 0.25
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,12 @@ class STGroupRecord:
     example_curve: IntPolynomial
 
 
-def _parse_table(lines: Iterable[str]) -> tuple[STGroupRecord, ...]:
+def load_st_table() -> tuple[STGroupRecord, ...]:
+    """The 34 Sato-Tate group rows for abelian surfaces over Q, from the
+    versioned data file shipped with the package."""
+    text = resources.files("nagaolab").joinpath("data/st_groups_q.txt").read_text()
     rows = []
-    for line in lines:
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -43,18 +46,6 @@ def _parse_table(lines: Iterable[str]) -> tuple[STGroupRecord, ...]:
             STGroupRecord(name, endo, int(rank), int(moment), parse_polynomial(curve))
         )
     return tuple(rows)
-
-
-def load_st_table(path: str | None = None) -> tuple[STGroupRecord, ...]:
-    """The 34 Sato-Tate group rows for abelian surfaces over Q.
-
-    Reads the versioned data file shipped with the package, or an explicit path.
-    """
-    if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            return _parse_table(fh)
-    text = resources.files("nagaolab").joinpath("data/st_groups_q.txt").read_text()
-    return _parse_table(text.splitlines())
 
 
 # -- angle measures on [0, pi] ----------------------------------------------
@@ -90,8 +81,8 @@ class STMeasure1D:
             return theta / math.pi
         return theta / (2.0 * math.pi) + (self.atom_mass if theta >= math.pi / 2 else 0.0)
 
-    def total_mass(self, tol: float = 1e-10) -> float:
-        return adaptive_simpson(self.density, 0.0, math.pi, tol) + self.atom_mass
+    def total_mass(self) -> float:
+        return adaptive_simpson(self.density, 0.0, math.pi, 1e-10) + self.atom_mass
 
 
 def st_measure(tag: str) -> STMeasure1D:
@@ -102,19 +93,19 @@ def st_measure(tag: str) -> STMeasure1D:
     raise ValueError(f"unknown measure tag {tag!r}")
 
 
-def haar_second_moment(measure: STMeasure1D, tol: float = 1e-10) -> float:
+def haar_second_moment(measure: STMeasure1D) -> float:
     """E[a^2/p] = integral of 4 cos^2(theta) against the measure.
 
     The pi/2 atom contributes 4 cos^2(pi/2) * mass = 0.  Closed forms:
     sato-tate -> 1, uniform -> 2, half-uniform-dirac -> 1.
     """
     integral = adaptive_simpson(
-        lambda t: 4.0 * math.cos(t) ** 2 * measure.density(t), 0.0, math.pi, tol
+        lambda t: 4.0 * math.cos(t) ** 2 * measure.density(t), 0.0, math.pi, 1e-10
     )
     return integral  # + 0.0 from the atom
 
 
-def usp4_expectation(g, tol: float = 1e-7) -> float:
+def usp4_expectation(g) -> float:
     """Expectation of g(theta1, theta2) under the full-group Haar angle density
     (8/pi^2) (cos t1 - cos t2)^2 sin^2 t1 sin^2 t2 on [0, pi]^2."""
 
@@ -127,13 +118,13 @@ def usp4_expectation(g, tol: float = 1e-7) -> float:
         )
         return g(t1, t2) * dens
 
-    return adaptive_simpson_2d(integrand, 0.0, math.pi, 0.0, math.pi, tol)
+    return adaptive_simpson_2d(integrand, 0.0, math.pi, 0.0, math.pi)
 
 
-def haar_second_moment_usp4(tol: float = 1e-7) -> float:
+def haar_second_moment_usp4() -> float:
     """Second moment of the normalized trace 2cos(t1) + 2cos(t2) for the generic
     genus-2 distribution; equals 1."""
-    return usp4_expectation(lambda t1, t2: 4.0 * (math.cos(t1) + math.cos(t2)) ** 2, tol)
+    return usp4_expectation(lambda t1, t2: 4.0 * (math.cos(t1) + math.cos(t2)) ** 2)
 
 
 # -- empirical statistics ----------------------------------------------------
@@ -145,10 +136,9 @@ class MomentReport:
     second_moment: float
     fourth_moment: float
     zero_fraction: float
-    N: int
 
 
-def empirical_moments(traces: Sequence[TraceRecord], N: int | None = None) -> MomentReport:
+def empirical_moments(traces: Sequence[TraceRecord]) -> MomentReport:
     """Second/fourth moments of a_p/sqrt(p) and the exact zero fraction.
 
     Accumulation is over exact rationals (permutation-invariant); the single
@@ -165,8 +155,7 @@ def empirical_moments(traces: Sequence[TraceRecord], N: int | None = None) -> Mo
         if rec.a == 0:
             zeros += 1
     n = len(traces)
-    cutoff = N if N is not None else max(rec.p for rec in traces)
-    return MomentReport(n, float(m2 / n), float(m4 / n), zeros / n, cutoff)
+    return MomentReport(n, float(m2 / n), float(m4 / n), zeros / n)
 
 
 def ks_distance(angles: Sequence[float], measure: STMeasure1D) -> float:
@@ -199,25 +188,25 @@ def ks_distance(angles: Sequence[float], measure: STMeasure1D) -> float:
 # -- classification --------------------------------------------------------
 
 
-def moment_class(value: float, tolerance: float = DEFAULT_CLASS_TOLERANCE) -> int | None:
-    """The moment class in {1, 2, 4} within tolerance of value, or None."""
+def moment_class(value: float) -> int | None:
+    """The moment class in {1, 2, 4} within CLASS_TOLERANCE of value, or None."""
     for m in MOMENT_CLASSES:
-        if abs(value - m) <= tolerance:
+        if abs(value - m) <= CLASS_TOLERANCE:
             return m
     return None
 
 
-def identify_st_class(
-    report: MomentReport,
-    tolerance: float = DEFAULT_CLASS_TOLERANCE,
-    table: tuple[STGroupRecord, ...] | None = None,
-) -> list[STGroupRecord]:
-    """All table rows whose second moment is within tolerance of the empirical one.
+def identify_st_class(report: MomentReport) -> list[STGroupRecord]:
+    """All table rows whose second moment is within CLASS_TOLERANCE of the
+    empirical one.
 
     Classification is only ever by moment class {1, 2, 4}; the groups inside a
     class are indistinguishable from second moments alone.  An empty list means
     no class lies within tolerance.
     """
-    tab = table if table is not None else load_st_table()
-    return [row for row in tab if abs(report.second_moment - row.second_moment) <= tolerance]
+    return [
+        row
+        for row in load_st_table()
+        if abs(report.second_moment - row.second_moment) <= CLASS_TOLERANCE
+    ]
 

@@ -27,7 +27,7 @@ from .curves import (
     hyperelliptic_trace,
     sweep_traces,
 )
-from .finite_field import ResidueTable, legendre, poly_eval_mod, residue_table
+from .finite_field import legendre, poly_eval_mod, residue_table
 from .polynomials import IntPolynomial, PolynomialError
 
 
@@ -49,18 +49,18 @@ def twist_surface(f: IntPolynomial, D: IntPolynomial) -> TwistSurfaceSpec:
     return TwistSurfaceSpec(f, D, frozenset(bad))
 
 
-def fiber_trace(s: TwistSurfaceSpec, p: int, t: int, table: ResidueTable | None = None) -> int:
+def fiber_trace(s: TwistSurfaceSpec, p: int, t: int) -> int:
     """Trace at the fiber T = t: chi_p(D(t)) * a_p(y^2 = f); 0 when p | D(t)."""
     if p in s.bad_primes:
         raise BadPrimeError(p)
-    tab = table if table is not None and table.p == p else residue_table(p)
+    tab = residue_table(p)
     chi = tab.chi_of(poly_eval_mod(s.D.coeffs, t, p))
     if chi == 0:
         return 0
     return chi * hyperelliptic_trace(s.f, p, tab)
 
 
-def average_trace(s: TwistSurfaceSpec, p: int, table: ResidueTable | None = None) -> Fraction:
+def average_trace(s: TwistSurfaceSpec, p: int) -> Fraction:
     """A_p as an exact rational with denominator p, summed fiber by fiber.
 
     The test oracle for ``nagao_series``, which derives the same value from
@@ -68,7 +68,7 @@ def average_trace(s: TwistSurfaceSpec, p: int, table: ResidueTable | None = None
     """
     if p in s.bad_primes:
         raise BadPrimeError(p)
-    tab = table if table is not None and table.p == p else residue_table(p)
+    tab = residue_table(p)
     a_f = hyperelliptic_trace(s.f, p, tab)
     total = 0
     for t in range(p):
@@ -100,11 +100,11 @@ class _Kahan:
         self.s = t
 
 
-def geometric_grid(n_max: int, points: int = 20, lo: int = 1000) -> list[int]:
-    """Default cutoff grid: geometric, `points` values from lo to n_max."""
+def geometric_grid(n_max: int, points: int = 20) -> list[int]:
+    """Cutoff grid: geometric, `points` values from min(1000, n_max) to n_max."""
     if points < 1:
         raise ValueError(f"a geometric grid needs at least 1 point, got {points}")
-    lo = min(lo, n_max)
+    lo = min(1000, n_max)
     if points == 1 or lo == n_max:
         return [n_max]
     ratio = (n_max / lo) ** (1.0 / (points - 1))
@@ -115,7 +115,7 @@ def geometric_grid(n_max: int, points: int = 20, lo: int = 1000) -> list[int]:
 def nagao_series(
     s: TwistSurfaceSpec,
     n_max: int,
-    grid: Sequence[int] | None = None,
+    grid: Sequence[int],
     threads: int = 1,
     caches: Iterable[TraceCache] | None = None,
 ) -> NagaoSeries:
@@ -124,9 +124,9 @@ def nagao_series(
     One sweep of [f, D] gives a_p(f) and a_p(D); the chi-sum over D is
     sum_t chi_p(D(t)) = -a_p(D) - [deg D even] chi_p(lead D).
     """
-    grid = sorted(set(grid)) if grid else geometric_grid(n_max)
-    if any(g < 2 or g > n_max for g in grid):
-        raise ValueError("grid cutoffs must lie in [2, N]")
+    grid = sorted(set(grid))
+    if not grid or grid[0] < 2 or grid[-1] > n_max:
+        raise ValueError("a grid needs at least one cutoff, and every cutoff in [2, N]")
     even_D = s.D.degree % 2 == 0
     records: list[tuple[int, Fraction]] = []
     sum_w = _Kahan()  # sum of -A_p log p

@@ -185,6 +185,47 @@ def test_sweep_matches_oracle(curves, even, cached, threads):
             assert list(sweep_traces(polys, primes, threads, caches)) == want
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("warm", ["alternating", "holes"])
+def test_sweep_partly_warm(tmp_path, monkeypatch, warm, threads):
+    monkeypatch.setattr(curves_mod, "_BLOCK", 4)
+    polys = [parse_polynomial("x^3+x+1"), parse_polynomial("x^5-x+1")]
+    primes = good_primes(frozenset().union(*(hyperelliptic_bad_primes(g) for g in polys)), 150)
+    cold = [TraceCache(tmp_path / "cold", g) for g in polys]
+    want = list(sweep_traces(polys, primes, 1, cold))
+    if warm == "alternating":  # hits and misses alternate inside every block
+        held = [range(0, len(primes), 2), range(0, len(primes), 3)]
+    else:  # a hole inside the second block, and one across the second and third
+        everything = range(len(primes))
+        held = [[i for i in everything if not 5 <= i <= 6], [i for i in everything if not 6 <= i <= 10]]
+    for k, g in enumerate(polys):
+        TraceCache(tmp_path / "warm", g).append([(want[i][0], want[i][1][k]) for i in held[k]])
+    misses = sorted((k, p) for k in range(2) for i, p in enumerate(primes) if i not in held[k])
+
+    calls = []
+    real = curves_mod.hyperelliptic_trace
+
+    def counted(f, p, table=None):
+        calls.append((polys.index(f), p))
+        return real(f, p, table)
+
+    monkeypatch.setattr(curves_mod, "hyperelliptic_trace", counted)
+    warm_caches = [TraceCache(tmp_path / "warm", g) for g in polys]
+    assert list(sweep_traces(polys, primes, threads, warm_caches)) == want
+    assert sorted(calls) == misses
+    for c_cold, c_warm in zip(cold, warm_caches):
+        assert c_warm.path.read_bytes() == c_cold.path.read_bytes()
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a fully warm sweep started a thread pool")
+
+    monkeypatch.setattr(curves_mod, "ThreadPoolExecutor", no_pool)
+    calls.clear()
+    full = [TraceCache(tmp_path / "warm", g) for g in polys]
+    assert list(sweep_traces(polys, primes, 2, full)) == want
+    assert calls == []
+
+
 def test_sweep_serial_is_lazy(monkeypatch):
     calls = []
     real = curves_mod.hyperelliptic_trace

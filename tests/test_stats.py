@@ -98,7 +98,6 @@ def test_empirical_moments_single_record():
     assert rep.second_moment == pytest.approx(4 / 5)
     assert rep.zero_fraction == 0.0
     assert rep.n_primes == 1
-    assert rep.N == 5
 
 
 def test_empirical_moments_empty_rejected():
@@ -109,10 +108,10 @@ def test_empirical_moments_empty_rejected():
 def test_empirical_moments_permutation_invariant():
     rng = random.Random(5)
     traces = [TraceRecord(p, rng.randrange(-4, 5), 1) for p in (5, 7, 11, 13, 17, 19)]
-    rep1 = empirical_moments(traces, N=20)
+    rep1 = empirical_moments(traces)
     shuffled = traces[:]
     rng.shuffle(shuffled)
-    rep2 = empirical_moments(shuffled, N=20)
+    rep2 = empirical_moments(shuffled)
     assert rep1.second_moment == rep2.second_moment  # exact, rational accumulation
     assert rep1.fourth_moment == rep2.fourth_moment
 
@@ -167,7 +166,7 @@ def test_ks_empty_rejected():
 def test_identify_class_moment4():
     from nagaolab.stats import MomentReport
 
-    rep = MomentReport(100, 4.02, 0.0, 0.0, 1000)
+    rep = MomentReport(100, 4.02, 0.0, 0.0)
     names = {r.name for r in identify_st_class(rep)}
     assert names == {"C_{2,1}", "E_1"}
 
@@ -175,7 +174,7 @@ def test_identify_class_moment4():
 def test_identify_class_moment2():
     from nagaolab.stats import MomentReport
 
-    rows = identify_st_class(MomentReport(100, 1.9, 0.0, 0.0, 1000))
+    rows = identify_st_class(MomentReport(100, 1.9, 0.0, 0.0))
     assert len(rows) == 16
     assert all(r.second_moment == 2 for r in rows)
 
@@ -183,7 +182,7 @@ def test_identify_class_moment2():
 def test_identify_class_out_of_range():
     from nagaolab.stats import MomentReport
 
-    assert identify_st_class(MomentReport(100, 10.0, 0.0, 0.0, 1000)) == []
+    assert identify_st_class(MomentReport(100, 10.0, 0.0, 0.0)) == []
     assert moment_class(10.0) is None
 
 
