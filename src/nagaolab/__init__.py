@@ -8,13 +8,11 @@ oracles, and exact trace-identity certificates for Jacobian factorizations.
 from .curves import (
     BadPrimeError,
     CurveSpec,
-    LPolynomial2,
     TraceRecord,
     char_sum,
     curve_from_poly,
     curve_trace,
     hyperelliptic_trace,
-    l_polynomial_genus2,
     normalized_angle,
     sweep_traces,
     trace_oracle_exhaustive,
@@ -28,7 +26,6 @@ from .stats import (
     empirical_moments,
     haar_second_moment,
     haar_second_moment_usp4,
-    identify_st_class,
     ks_distance,
     load_st_table,
     moment_class,
@@ -40,7 +37,6 @@ from .twist import (
     PetersonError,
     TwistSurfaceSpec,
     average_trace,
-    fiber_trace,
     nagao_series,
     peterson_D,
     twist_surface,

@@ -32,9 +32,8 @@ from .stats import (
     GENUS1_GROUPS,
     MEASURE_TAGS,
     empirical_moments,
-    haar_second_moment,
-    identify_st_class,
     ks_distance,
+    load_st_table,
     moment_class,
     st_measure,
 )
@@ -227,9 +226,10 @@ def cmd_moments(cfg: ExperimentConfig, c: CurveSpec) -> Report:
     if cfg.command == "st-classify":
         cls = moment_class(m.second_moment)
         if c.genus == 1:
-            groups = [g for g, tag in GENUS1_GROUPS if round(haar_second_moment(st_measure(tag))) == cls]
+            table = GENUS1_GROUPS
         else:
-            groups = [r.name for r in identify_st_class(m)]
+            table = [(r.name, r.second_moment) for r in load_st_table()]
+        groups = [name for name, moment in table if moment == cls]
         row = {
             "N": cfg.N,
             "second_moment": m.second_moment,

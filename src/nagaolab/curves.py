@@ -66,21 +66,13 @@ class TraceRecord:
     genus: int
 
 
-@dataclass(frozen=True)
-class LPolynomial2:
-    """Genus-2 local data (a, b): trace convention, so the L-polynomial in the
-    opposite sign convention reads 1 - aT + bT^2 - paT^3 + p^2 T^4."""
-
-    p: int
-    a: int
-    b: int
-
-
 def hyperelliptic_bad_primes(f: IntPolynomial) -> frozenset[int]:
     """{2} together with primes dividing disc(f) or the leading coefficient."""
+    if f.is_zero or f.degree == 0:
+        raise CurveError(f"{f} is constant, not a curve")
     disc = f.discriminant()
     if disc == 0:
-        raise CurveError(f"f = {f} has a repeated root (not squarefree over Q)")
+        raise CurveError(f"{f} has a repeated root (not squarefree over Q)")
     bad = {2}
     for n in (abs(disc), abs(f.lead)):
         if n > 1:
@@ -91,7 +83,8 @@ def hyperelliptic_bad_primes(f: IntPolynomial) -> frozenset[int]:
 def curve_from_poly(f: IntPolynomial) -> CurveSpec:
     """Build a CurveSpec from a squarefree f of degree 3..6."""
     if f.is_zero or not 3 <= f.degree <= 6:
-        raise CurveError(f"degree must be 3..6, got {f.coeffs and f.degree}")
+        got = "the zero polynomial" if f.is_zero else f.degree
+        raise CurveError(f"degree must be 3..6, got {got}")
     genus = 1 if f.degree <= 4 else 2
     return CurveSpec(f, genus, hyperelliptic_bad_primes(f))
 
@@ -230,24 +223,6 @@ def genus2_b(f: IntPolynomial, p: int, a: int) -> int:
     if abs(b) > 6 * p:
         raise AssertionError(f"|b| <= 6p violated at p={p}: b={b}")
     return b
-
-
-def l_polynomial_genus2(c: CurveSpec, p: int) -> LPolynomial2:
-    """Local genus-2 L-data (a, b) via counts over F_p and F_{p^2}."""
-    if c.genus != 2:
-        raise CurveError("l_polynomial_genus2 requires a genus-2 curve (degree 5 or 6)")
-    if p > DEFAULT_LPOLY_CAP:
-        raise CapExceededError(f"p = {p} exceeds the F_p^2 counting cap {DEFAULT_LPOLY_CAP}")
-    a = curve_trace(c, p).a
-    return LPolynomial2(p, a, genus2_b(c.f, p, a))
-
-
-def lpoly_roots(lp: LPolynomial2) -> np.ndarray:
-    """Complex roots of the encoded quartic x^4 - a x^3 + b x^2 - pa x + p^2.
-
-    These are the Frobenius eigenvalues; all have absolute value sqrt(p).
-    """
-    return np.roots([1, -lp.a, lp.b, -lp.p * lp.a, lp.p * lp.p])
 
 
 def normalized_angle(rec: TraceRecord) -> float:

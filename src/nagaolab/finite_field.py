@@ -129,10 +129,6 @@ class ResidueTable:
     def chi_of(self, a: int) -> int:
         return int(self.chi[a % self.p])
 
-    def is_square(self, a: int) -> bool:
-        """True iff a is a nonzero square mod p.  a = 0 is never a 'square' here."""
-        return int(self.chi[a % self.p]) == 1
-
 
 def residue_table(p: int) -> ResidueTable:
     """Build the chi_p lookup table for an odd prime p <= TABLE_CAP.

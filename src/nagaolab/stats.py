@@ -56,8 +56,9 @@ HALF_UNIFORM_DIRAC = "half-uniform-dirac"
 
 MEASURE_TAGS = (SATO_TATE, UNIFORM, HALF_UNIFORM_DIRAC)
 
-# The Sato-Tate groups of elliptic curves over Q, with their angle measures.
-GENUS1_GROUPS = (("SU(2)", SATO_TATE), ("N(U(1))", HALF_UNIFORM_DIRAC), ("U(1)", UNIFORM))
+# The Sato-Tate groups of elliptic curves over Q with their second moments,
+# the Haar moments of the sato-tate, half-uniform-dirac and uniform measures.
+GENUS1_GROUPS = (("SU(2)", 1), ("N(U(1))", 1), ("U(1)", 2))
 
 
 @dataclass(frozen=True)
@@ -189,24 +190,13 @@ def ks_distance(angles: Sequence[float], measure: STMeasure1D) -> float:
 
 
 def moment_class(value: float) -> int | None:
-    """The moment class in {1, 2, 4} within CLASS_TOLERANCE of value, or None."""
+    """The moment class in {1, 2, 4} within CLASS_TOLERANCE of value, or None.
+
+    The classes lie at least 1 apart, so at most one is within tolerance; the
+    Sato-Tate candidates of a curve are the groups of its genus whose second
+    moment equals this class.
+    """
     for m in MOMENT_CLASSES:
         if abs(value - m) <= CLASS_TOLERANCE:
             return m
     return None
-
-
-def identify_st_class(report: MomentReport) -> list[STGroupRecord]:
-    """All table rows whose second moment is within CLASS_TOLERANCE of the
-    empirical one.
-
-    Classification is only ever by moment class {1, 2, 4}; the groups inside a
-    class are indistinguishable from second moments alone.  An empty list means
-    no class lies within tolerance.
-    """
-    return [
-        row
-        for row in load_st_table()
-        if abs(report.second_moment - row.second_moment) <= CLASS_TOLERANCE
-    ]
-

@@ -49,17 +49,6 @@ def twist_surface(f: IntPolynomial, D: IntPolynomial) -> TwistSurfaceSpec:
     return TwistSurfaceSpec(f, D, frozenset(bad))
 
 
-def fiber_trace(s: TwistSurfaceSpec, p: int, t: int) -> int:
-    """Trace at the fiber T = t: chi_p(D(t)) * a_p(y^2 = f); 0 when p | D(t)."""
-    if p in s.bad_primes:
-        raise BadPrimeError(p)
-    tab = residue_table(p)
-    chi = tab.chi_of(poly_eval_mod(s.D.coeffs, t, p))
-    if chi == 0:
-        return 0
-    return chi * hyperelliptic_trace(s.f, p, tab)
-
-
 def average_trace(s: TwistSurfaceSpec, p: int) -> Fraction:
     """A_p as an exact rational with denominator p, summed fiber by fiber.
 
@@ -174,20 +163,6 @@ class MobiusTransform:
         if self.a * self.d - self.b * self.c == 0:
             raise PolynomialError("degenerate Moebius transform (ad - bc = 0)")
 
-    @property
-    def has_pole_at_infinity(self) -> bool:
-        return self.c == 0
-
-    def at_infinity(self) -> Fraction:
-        if self.c == 0:
-            raise PetersonError("sigma has a pole at infinity")
-        return Fraction(self.a, self.c)
-
-    def inverse_at_infinity(self) -> Fraction:
-        if self.c == 0:
-            raise PetersonError("sigma has a pole at infinity")
-        return Fraction(-self.d, self.c)
-
 
 def permutes_roots(sigma: MobiusTransform, f: IntPolynomial) -> bool:
     """Exact check that sigma permutes the roots of f.
@@ -219,14 +194,14 @@ def peterson_D(f: IntPolynomial, sigma: MobiusTransform) -> PetersonResult:
     """
     if f.is_zero or f.degree not in (3, 5):
         raise PetersonError("f must have degree 3 or 5")
-    if sigma.has_pole_at_infinity:
+    if sigma.c == 0:
         raise PetersonError("sigma has a pole at infinity")
     if not permutes_roots(sigma, f):
         raise PetersonError("sigma does not permute the roots of f")
-    c0 = f(sigma.at_infinity())
+    c0 = f(Fraction(sigma.a, sigma.c))  # sigma(inf) = a/c
     if c0 == 0:
         raise PetersonError("f(sigma(infinity)) = 0")
-    e = sigma.inverse_at_infinity()
+    e = Fraction(-sigma.d, sigma.c)  # sigma^{-1}(inf) = -d/c
     F = f.to_sympy()
     inner = sympy.Poly([1 / c0, 0, e], F.gen, domain=sympy.QQ)  # T^2 / c0 + e
     m, cleared = F.compose(inner).clear_denoms()  # m * D(T), m the lcm of the denominators

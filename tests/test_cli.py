@@ -131,6 +131,37 @@ def test_exit_code_bad_curve():
     assert run(cfg("trace", f="x^2+1", N=10, output="-")) == EXIT_BAD_CURVE
 
 
+CURVE_ERRORS = [
+    (["trace", "--f", "0"], "error: degree must be 3..6, got the zero polynomial"),
+    (["nagao", "--f", "T^3+T", "--D", "5", "--N", "50"], "error: 5 is constant, not a curve"),
+    (
+        ["factor-check", "--f", "x^3+x", "--D", "x^2-2*x+1", "--N", "50"],
+        "error: x^2 - 2*x + 1 has a repeated root (not squarefree over Q)",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, line", CURVE_ERRORS, ids=[a[0] for a, _ in CURVE_ERRORS])
+def test_curve_error_names_the_polynomial(argv, line, capsys):
+    assert main(argv) == EXIT_BAD_CURVE
+    assert capsys.readouterr().err == line + "\n"
+
+
+SIDECAR_LEAD = [
+    (["trace", "--f", "3*x^3+1", "--N", "20"], "2,p=2\n3,lead\n"),
+    (["nagao", "--f", "x^3+x", "--D", "5*x^3+x+1", "--N", "60", "--grid", "60"], "2,p=2\n5,lead\n"),
+]
+
+
+@pytest.mark.parametrize("argv, sidecar", SIDECAR_LEAD, ids=[a[0] for a, _ in SIDECAR_LEAD])
+def test_sidecar_lead_reason(argv, sidecar, tmp_path):
+    """A prime that divides a leading coefficient is skipped as "lead"; in nagao
+    5 divides only the leading coefficient of D."""
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--output", str(out)]) == EXIT_OK
+    assert (tmp_path / "out.csv.skipped").read_text() == sidecar
+
+
 def test_exit_code_cap():
     assert run(cfg("nagao", f="T^3+T", N=10**7 + 1, output="-")) == EXIT_CAP
 
@@ -300,6 +331,26 @@ def test_st_classify_genus1_candidates(f, tmp_path):
     assert row["moment_class"] == 1
     assert row["candidates"] == "SU(2)|N(U(1))"
     assert not set(row["candidates"].split("|")) & {r.name for r in load_st_table()}
+
+
+CLASS_2 = (
+    "J(C_2)|J(C_4)|J(C_6)|C_{6,1}|D_{2,1}|D_{3,2}|D_{4,2}|D_{6,2}"
+    "|E_2|E_3|E_4|E_6|J(E_1)|F_{a,b}|N(G_{1,3})|G_{3,3}"
+)
+
+
+@pytest.mark.parametrize(
+    "f, cls, candidates", [("x^6+1", 4, "C_{2,1}|E_1"), ("x^5+x", 2, CLASS_2)], ids=["class-4", "class-2"]
+)
+def test_st_classify_genus2_candidates(f, cls, candidates, tmp_path):
+    """The candidates are the table's groups whose second moment is the class,
+    in table order."""
+    out = tmp_path / "s.json"
+    assert run(cfg("st-classify", f=f, N=3000, output=str(out), fmt="json")) == EXIT_OK
+    (row,) = json.loads(out.read_text())
+    assert row["moment_class"] == row["predicted_rank"] == cls
+    assert row["candidates"] == candidates
+    assert candidates.split("|") == [r.name for r in load_st_table() if r.second_moment == cls]
 
 
 def test_peterson_and_factor_check_cli(tmp_path):

@@ -11,16 +11,14 @@ import nagaolab.curves as curves_mod
 from nagaolab.cache import TraceCache
 from nagaolab.curves import (
     BadPrimeError,
-    CapExceededError,
     CurveError,
     CurveSpec,
     TraceRecord,
     curve_from_poly,
     curve_trace,
+    genus2_b,
     good_primes,
     hyperelliptic_bad_primes,
-    l_polynomial_genus2,
-    lpoly_roots,
     normalized_angle,
     sweep_traces,
     trace_oracle_exhaustive,
@@ -244,18 +242,8 @@ def test_sweep_serial_is_lazy(monkeypatch):
 
 
 def test_l_polynomial_known():
-    lp = l_polynomial_genus2(curve("x^5-x"), 3)
-    assert (lp.a, lp.b) == (0, -2)  # #C(F_3)=4, #C(F_9)=6
-
-
-def test_l_polynomial_cap_and_bad_prime():
     c = curve("x^5-x")
-    with pytest.raises(CapExceededError):
-        l_polynomial_genus2(c, 10007)
-    with pytest.raises(BadPrimeError):
-        l_polynomial_genus2(c, 2)
-    with pytest.raises(CurveError):
-        l_polynomial_genus2(curve("x^3+x"), 7)
+    assert genus2_b(c.f, 3, curve_trace(c, 3).a) == -2  # a = 0, #C(F_3)=4, #C(F_9)=6
 
 
 def test_l_polynomial_functional_equation():
@@ -265,8 +253,9 @@ def test_l_polynomial_functional_equation():
         for p in primes_in(3, 200):
             if p in c.bad_primes:
                 continue
-            lp = l_polynomial_genus2(c, p)
-            roots = lpoly_roots(lp)
+            a = curve_trace(c, p).a
+            b = genus2_b(c.f, p, a)
+            roots = np.roots([1, -a, b, -p * a, p * p])
             assert np.allclose(np.abs(roots), math.sqrt(p), atol=1e-9), (s, p)
             # roots pair off into alpha, p/alpha
             assert abs(np.prod(roots).real - p * p) < 1e-6 * p * p

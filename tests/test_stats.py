@@ -5,6 +5,7 @@ import pytest
 
 from nagaolab.curves import TraceRecord
 from nagaolab.stats import (
+    GENUS1_GROUPS,
     HALF_UNIFORM_DIRAC,
     MEASURE_TAGS,
     SATO_TATE,
@@ -12,7 +13,6 @@ from nagaolab.stats import (
     empirical_moments,
     haar_second_moment,
     haar_second_moment_usp4,
-    identify_st_class,
     ks_distance,
     load_st_table,
     moment_class,
@@ -163,27 +163,15 @@ def test_ks_empty_rejected():
 # -- classification ----------------------------------------------------------
 
 
-def test_identify_class_moment4():
-    from nagaolab.stats import MomentReport
-
-    rep = MomentReport(100, 4.02, 0.0, 0.0)
-    names = {r.name for r in identify_st_class(rep)}
-    assert names == {"C_{2,1}", "E_1"}
-
-
-def test_identify_class_moment2():
-    from nagaolab.stats import MomentReport
-
-    rows = identify_st_class(MomentReport(100, 1.9, 0.0, 0.0))
-    assert len(rows) == 16
-    assert all(r.second_moment == 2 for r in rows)
-
-
 def test_identify_class_out_of_range():
-    from nagaolab.stats import MomentReport
-
-    assert identify_st_class(MomentReport(100, 10.0, 0.0, 0.0)) == []
     assert moment_class(10.0) is None
+
+
+def test_genus1_group_moments_are_haar_moments():
+    tags = {"SU(2)": SATO_TATE, "N(U(1))": HALF_UNIFORM_DIRAC, "U(1)": UNIFORM}
+    assert [name for name, _ in GENUS1_GROUPS] == list(tags)
+    for name, moment in GENUS1_GROUPS:
+        assert moment == round(haar_second_moment(st_measure(tags[name]))), name
 
 
 def test_moment_class_stability_at_centers():

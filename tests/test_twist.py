@@ -18,7 +18,6 @@ from nagaolab.twist import (
     MobiusTransform,
     PetersonError,
     average_trace,
-    fiber_trace,
     geometric_grid,
     nagao_series,
     permutes_roots,
@@ -41,15 +40,6 @@ def test_char_sum_known():
         assert char_sum(parse_polynomial("x"), p) == 0
 
 
-def test_fiber_trace_examples():
-    s = surface("x^3+x")
-    assert fiber_trace(s, 5, 1) == -2  # D(1)=2 nonsquare, a_5=2
-    assert fiber_trace(s, 5, 2) == 0  # D(2) = 10 = 0 mod 5
-    assert fiber_trace(s, 5, 0) == 0
-    with pytest.raises(BadPrimeError):
-        fiber_trace(s, 2, 0)
-
-
 def test_average_trace_examples():
     s = surface("x^3+x")
     assert average_trace(s, 5) == Fraction(-4, 5)
@@ -57,6 +47,8 @@ def test_average_trace_examples():
     # trace factor vanishes => A_p = 0 regardless of D
     s2 = surface("x^3+x", "x^3+x+1")
     assert average_trace(s2, 3) == 0
+    with pytest.raises(BadPrimeError):
+        average_trace(s, 2)
 
 
 def test_mode_agreement_corpus():
@@ -128,12 +120,6 @@ def test_geometric_grid():
 def test_mobius_basics():
     with pytest.raises(PolynomialError):
         MobiusTransform(2, 2, 1, 1)  # determinant 0
-    sig = MobiusTransform(0, 1, 1, 0)  # 1/x
-    assert sig.at_infinity() == 0
-    assert sig.inverse_at_infinity() == 0
-    sig2 = MobiusTransform(1, 1, -3, 1)  # 3-cycle 0 -> 1 -> -1 -> 0
-    assert sig2.at_infinity() == Fraction(-1, 3)
-    assert sig2.inverse_at_infinity() == Fraction(1, 3)
 
 
 def test_permutes_roots():
