@@ -11,7 +11,6 @@ from .curves import (
     TraceRecord,
     char_sum,
     curve_from_poly,
-    curve_trace,
     hyperelliptic_trace,
     normalized_angle,
     sweep_traces,

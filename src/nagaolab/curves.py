@@ -89,18 +89,17 @@ def curve_from_poly(f: IntPolynomial) -> CurveSpec:
     return CurveSpec(f, genus, hyperelliptic_bad_primes(f))
 
 
-def char_sum(g: IntPolynomial, p: int, table: ResidueTable | None = None) -> int:
-    """sum_x chi_p(g(x)) over x = 0..p-1.
+def char_sum(g: IntPolynomial, p: int, table: ResidueTable) -> int:
+    """sum_x chi_p(g(x)) over x = 0..p-1, with ``table`` the residue table of p.
 
     When g has no odd-degree term, g(x) = h(x^2) = g(-x), and the sum is
     chi_p(h(0)) + 2 sum_k chi_p(h(k^2)) over k = 1..(p-1)/2: h has half the
     degree of g and is evaluated at the (p-1)/2 entries of ``table.squares``.
     """
-    tab = table if table is not None and table.p == p else residue_table(p)
     if any(g.coeffs[1::2]):
-        return int(tab.chi[poly_eval_all_mod(g.coeffs, p)].sum(dtype=np.int64))
-    vals = poly_eval_all_mod(g.coeffs[::2], p, tab.squares)
-    return tab.chi_of(g(0)) + 2 * int(tab.chi[vals].sum(dtype=np.int64))
+        return int(table.chi[poly_eval_all_mod(g.coeffs, p)].sum(dtype=np.int64))
+    vals = poly_eval_all_mod(g.coeffs[::2], p, table.squares)
+    return table.chi_of(g(0)) + 2 * int(table.chi[vals].sum(dtype=np.int64))
 
 
 def hyperelliptic_trace(f: IntPolynomial, p: int, table: ResidueTable | None = None) -> int:
@@ -181,14 +180,6 @@ def sweep_traces(
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
-
-
-def curve_trace(c: CurveSpec, p: int) -> TraceRecord:
-    """The Weil-checked trace a = p + 1 - #C(F_p) at one good prime."""
-    if p in c.bad_primes:
-        raise BadPrimeError(p)
-    ((_, (a,)),) = sweep_traces([c.f], [p])
-    return TraceRecord(p, a, c.genus)
 
 
 def _count_fp2(f: IntPolynomial, p: int) -> int:

@@ -11,11 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Caps chosen so p**2 fits in a signed 64-bit intermediate.
-PRIME_CAP = 1 << 62
+# Bound on the sieve and on residue tables; at p <= TABLE_CAP, p**2 fits in
+# a signed 64-bit intermediate.
 TABLE_CAP = 1 << 31
 
-_SEGMENT = 1 << 20
 _INT64_MAX = (1 << 63) - 1
 
 # Witness set deterministic for every n < 2**64.
@@ -23,14 +22,14 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class TableTooLargeError(ValueError):
-    """Raised when a residue table would exceed the configured cap."""
+    """Raised when a residue table would exceed TABLE_CAP."""
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 2**64."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -52,41 +51,21 @@ def is_prime(n: int) -> bool:
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
-    """All primes in the half-open range [lo, hi), ascending.
+    """All primes in the half-open range [lo, hi), ascending, for hi - 1 <= TABLE_CAP.
 
-    Segmented sieve of Eratosthenes; an empty or inverted range yields [].
+    Sieve of Eratosthenes over [0, hi); an empty or inverted range yields [].
     """
-    if hi > PRIME_CAP:
-        raise ValueError(f"upper bound {hi} exceeds cap 2^62")
+    if hi - 1 > TABLE_CAP:
+        raise ValueError(f"primes up to {hi - 1} exceed the sieve cap {TABLE_CAP}")
     lo = max(lo, 2)
     if lo >= hi:
         return []
-    root = int(hi**0.5) + 1
-    base = _small_sieve(root + 1)
-    out: list[int] = []
-    for start in range(lo, hi, _SEGMENT):
-        stop = min(start + _SEGMENT, hi)
-        seg = np.ones(stop - start, dtype=bool)
-        for p in base:
-            if p * p >= stop:
-                break
-            first = max(p * p, ((start + p - 1) // p) * p)
-            seg[first - start :: p] = False
-        if start <= 1:
-            seg[: 2 - start] = False
-        out.extend(int(i) for i in np.nonzero(seg)[0] + start)
-    return out
-
-
-def _small_sieve(n: int) -> list[int]:
-    if n < 2:
-        return []
-    flags = np.ones(n, dtype=bool)
+    flags = np.ones(hi, dtype=bool)
     flags[:2] = False
-    for i in range(2, int(n**0.5) + 1):
+    for i in range(2, int(hi**0.5) + 1):
         if flags[i]:
             flags[i * i :: i] = False
-    return [int(i) for i in np.nonzero(flags)[0]]
+    return (np.nonzero(flags[lo:])[0] + lo).tolist()
 
 
 def legendre(a: int, p: int) -> int:
@@ -137,9 +116,7 @@ def residue_table(p: int) -> ResidueTable:
     square.
     """
     if p > TABLE_CAP:
-        raise TableTooLargeError(
-            f"table for p={p} too large (cap {TABLE_CAP}); use legendre() per element"
-        )
+        raise TableTooLargeError(f"table for p={p} too large (cap {TABLE_CAP})")
     k = np.arange(1, p // 2 + 1, dtype=np.int64)
     squares = k * k % p
     chi = np.full(p, -1, dtype=np.int8)

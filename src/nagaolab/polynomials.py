@@ -13,6 +13,11 @@ import sympy
 
 _X = sympy.symbols("x")
 
+# The largest exponent the parser accepts, checked before the dense coefficient
+# tuple is built: far above every degree a command sweeps (the Peterson D of a
+# quintic has degree 10).
+MAX_EXPONENT = 1000
+
 
 class PolynomialError(ValueError):
     pass
@@ -101,7 +106,8 @@ def poly_to_str(f: IntPolynomial, var: str = "x") -> str:
 def parse_polynomial(text: str) -> IntPolynomial:
     """Parse terms like ``c*x^k`` joined by + and -, variable x or T.
 
-    Whitespace-insensitive.  Raises ParseError with the offending column.
+    Whitespace-insensitive; an exponent is at most MAX_EXPONENT.  Raises
+    ParseError with the offending column.
     """
     pos = 0
     n = len(text)
@@ -154,12 +160,14 @@ def parse_polynomial(text: str) -> IntPolynomial:
                 skip_ws()
                 if pos >= n or not text[pos].isdigit():
                     fail("expected integer exponent")
-                start = pos
+                power = 0
                 while pos < n and text[pos].isdigit():
+                    power = 10 * power + int(text[pos])
+                    if power > MAX_EXPONENT:
+                        fail(f"exponent above {MAX_EXPONENT}")
                     pos += 1
                 if pos < n and text[pos] == ".":
                     fail("non-integer exponent")
-                power = int(text[start:pos])
         elif coef is None:
             fail("expected a coefficient or variable")
         if coef is None:

@@ -18,7 +18,7 @@ from nagaolab.cli import (
     parse_mobius,
     run,
 )
-from nagaolab.curves import curve_from_poly, curve_trace
+from nagaolab.curves import hyperelliptic_trace
 from nagaolab.polynomials import ParseError, PolynomialError, parse_polynomial
 from nagaolab.stats import load_st_table
 
@@ -174,6 +174,7 @@ BIG_N = str(10**7 + 1)
 EXIT_CASES = [
     (["trace", "--f", "x^3+x", "--N", "50"], EXIT_OK),
     (["trace", "--f", "x^^3"], EXIT_CONFIG),
+    (["trace", "--f", "x^999999999", "--N", "10"], EXIT_CONFIG),  # exponent cap, before any allocation
     (["trace"], EXIT_CONFIG),
     (["trace", "--f", "x^3-3*x+2"], EXIT_BAD_CURVE),
     (["trace", "--f", "x^2+1"], EXIT_BAD_CURVE),
@@ -433,7 +434,7 @@ def test_cache_fills_hole_below_max(tmp_path, monkeypatch):
     assert run(cfg("trace", output=str(tmp_path / "t1.csv"), **base)) == EXIT_OK
     filled = path.read_bytes()
     records = TraceCache(cache, f).records  # loading checks the order
-    assert records[1823] == curve_trace(curve_from_poly(f), 1823).a
+    assert records[1823] == hyperelliptic_trace(f, 1823)
     assert sorted(p.name for p in cache.iterdir()) == sorted(
         cache_path(cache, parse_polynomial(g)).name for g in ("x^3+x", "x^3+5*x+7")
     )

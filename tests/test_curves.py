@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 import nagaolab.curves as curves_mod
 from nagaolab.cache import TraceCache
 from nagaolab.curves import (
-    BadPrimeError,
     CurveError,
     CurveSpec,
     TraceRecord,
     curve_from_poly,
-    curve_trace,
     genus2_b,
     good_primes,
     hyperelliptic_bad_primes,
+    hyperelliptic_trace,
     normalized_angle,
     sweep_traces,
     trace_oracle_exhaustive,
@@ -58,18 +57,15 @@ def test_bad_primes_include_lead_and_disc():
 
 def test_trace_elliptic_known():
     c = curve("x^3+x")
-    assert curve_trace(c, 5).a == 2  # #E(F_5) = 4
-    assert curve_trace(c, 3).a == 0  # #E(F_3) = 4
-    with pytest.raises(BadPrimeError):
-        curve_trace(c, 2)
+    # #E(F_3) = #E(F_5) = 4; the bad prime 2 is never swept
+    assert list(sweep_traces([c.f], good_primes(c.bad_primes, 5))) == [(3, (0,)), (5, (2,))]
 
 
 def test_trace_genus2_known():
     c = curve("x^5-x")
-    assert curve_trace(c, 3).a == 0  # x^5 = x for all x mod 3
-    assert curve_trace(curve("x^5+1"), 7).a == 0  # x -> x^5 bijective mod 7
-    with pytest.raises(BadPrimeError):
-        curve_trace(c, 2)
+    assert hyperelliptic_trace(c.f, 3) == 0  # x^5 = x for all x mod 3
+    assert hyperelliptic_trace(curve("x^5+1").f, 7) == 0  # x -> x^5 bijective mod 7
+    assert good_primes(c.bad_primes, 7) == [3, 5, 7]  # disc = -2^8: only 2 is bad
 
 
 def test_oracle_known_values():
@@ -94,16 +90,13 @@ def test_oracle_equivalence_random_curves():
         for p in primes_in(3, 100):
             if p in c.bad_primes:
                 continue
-            assert curve_trace(c, p).a == trace_oracle_exhaustive(c, p).a, (f, p)
+            assert hyperelliptic_trace(f, p) == trace_oracle_exhaustive(c, p).a, (f, p)
 
 
 def test_weil_bounds_on_sweeps():
     for s, g in (("x^3+x+1", 1), ("x^5-x+1", 2), ("x^6+1", 2)):
         c = curve(s)
-        for p in primes_in(3, 2000):
-            if p in c.bad_primes:
-                continue
-            a = curve_trace(c, p).a
+        for p, (a,) in sweep_traces([c.f], good_primes(c.bad_primes, 2000)):
             assert a * a <= 4 * g * g * p
 
 
@@ -119,13 +112,12 @@ def test_quadratic_twist_covariance():
     for p in primes_in(3, 1000):
         if p in c.bad_primes or p in ct.bad_primes:
             continue
-        assert curve_trace(ct, p).a == legendre(d, p) * curve_trace(c, p).a
+        assert hyperelliptic_trace(twisted, p) == legendre(d, p) * hyperelliptic_trace(f, p)
 
 
 def test_cm_vanishing_mod4_regression():
     c = curve("x^3+x")
-    for p in primes_in(3, 10**4):
-        a = curve_trace(c, p).a
+    for p, (a,) in sweep_traces([c.f], good_primes(c.bad_primes, 10**4)):
         assert (a == 0) == (p % 4 == 3)
 
 
@@ -237,13 +229,13 @@ def test_sweep_serial_is_lazy(monkeypatch):
     primes = good_primes(curve_from_poly(f).bad_primes, 3000)
     assert len(primes) > 2 * 128
     first = next(iter(sweep_traces([f], primes)))
-    assert first == (primes[0], (curve_trace(curve_from_poly(f), primes[0]).a,))
-    assert len(calls) == 128 + 1  # one block, plus the curve_trace above
+    assert first == (primes[0], (hyperelliptic_trace(f, primes[0]),))
+    assert len(calls) == 128  # one block
 
 
 def test_l_polynomial_known():
     c = curve("x^5-x")
-    assert genus2_b(c.f, 3, curve_trace(c, 3).a) == -2  # a = 0, #C(F_3)=4, #C(F_9)=6
+    assert genus2_b(c.f, 3, hyperelliptic_trace(c.f, 3)) == -2  # a = 0, #C(F_3)=4, #C(F_9)=6
 
 
 def test_l_polynomial_functional_equation():
@@ -253,7 +245,7 @@ def test_l_polynomial_functional_equation():
         for p in primes_in(3, 200):
             if p in c.bad_primes:
                 continue
-            a = curve_trace(c, p).a
+            a = hyperelliptic_trace(c.f, p)
             b = genus2_b(c.f, p, a)
             roots = np.roots([1, -a, b, -p * a, p * p])
             assert np.allclose(np.abs(roots), math.sqrt(p), atol=1e-9), (s, p)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nagaolab.finite_field import (
+    TABLE_CAP,
     TableTooLargeError,
     is_prime,
     legendre,
@@ -16,17 +17,25 @@ from nagaolab.finite_field import (
 
 
 def test_primes_in_first_primes():
-    assert primes_in(2, 12) == [2, 3, 5, 7, 11]
+    for lo in (0, 1, 2):
+        assert primes_in(lo, 12) == [2, 3, 5, 7, 11]
+        assert primes_in(lo, 11) == [2, 3, 5, 7]  # hi prime: excluded
+        assert primes_in(lo, 3) == [2]  # hi one past the prime 2
+    assert primes_in(3, 14) == [3, 5, 7, 11, 13]  # hi one past the prime 13
 
 
 def test_primes_in_empty_range():
     assert primes_in(10, 11) == []
     assert primes_in(7, 7) == []
     assert primes_in(100, 50) == []
+    for lo in (0, 1):
+        assert primes_in(lo, 2) == []  # hi equal to the prime 2
+        assert primes_in(lo, lo) == primes_in(lo, 1) == []
+    assert primes_in(14, 17) == []  # hi equal to the prime 17
 
 
 def test_prime_count_to_1e5_against_plain_sieve():
-    # independent oracle: dense sieve, no segmentation
+    # independent oracle: a bytearray sieve
     n = 100001
     flags = bytearray([1]) * n
     flags[0] = flags[1] = 0
@@ -38,7 +47,7 @@ def test_prime_count_to_1e5_against_plain_sieve():
 
 
 def test_primes_in_segment_boundaries():
-    # range straddling a segment edge agrees with membership tests
+    # a range around 2^20 agrees with membership tests
     lo, hi = (1 << 20) - 50, (1 << 20) + 50
     assert primes_in(lo, hi) == [n for n in range(lo, hi) if is_prime(n)]
 
@@ -117,6 +126,8 @@ def test_residue_table_matches_legendre_exhaustive():
 def test_residue_table_cap():
     with pytest.raises(TableTooLargeError):
         residue_table(2**31 + 11)  # raises before it allocates
+    with pytest.raises(ValueError):
+        primes_in(3, TABLE_CAP + 2)  # raises before it allocates
 
 
 def test_poly_eval_mod():

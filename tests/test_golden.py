@@ -72,8 +72,7 @@ def _files(root: Path) -> dict[str, bytes]:
 
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_bytes(name, threads, tmp_path, monkeypatch):
-    monkeypatch.delenv("NAGAOLAB_CACHE", raising=False)
+def test_golden_bytes(name, threads, tmp_path):
     argv, extra_curves = CASES[name]
     _run_case(argv, threads, tmp_path)
     got = _files(tmp_path)

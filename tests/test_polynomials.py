@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nagaolab.polynomials import (
+    MAX_EXPONENT,
     IntPolynomial,
     ParseError,
     PolynomialError,
@@ -19,6 +20,7 @@ def test_parse_basic():
     assert parse_polynomial("3x").coeffs == (0, 3)
     assert parse_polynomial("-x^2").coeffs == (0, 0, -1)
     assert parse_polynomial("5").coeffs == (5,)
+    assert parse_polynomial(f"x^{MAX_EXPONENT}").degree == MAX_EXPONENT
 
 
 def test_parse_collects_like_terms():
@@ -32,7 +34,7 @@ def test_parse_rejects_fractional_exponent():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "x^", "++x", "x**2", "2.5*x"):
+    for bad in ("", "x^", "++x", "x**2", "2.5*x", f"x^{MAX_EXPONENT + 1}", "x^" + "9" * 5000):
         with pytest.raises(ParseError):
             parse_polynomial(bad)
 
