@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-import sympy
 
 from .cache import TraceCache
 from .finite_field import (
     ResidueTable,
     poly_eval_all_mod,
     poly_eval_mod,
+    prime_factors,
     primes_in,
     residue_table,
 )
@@ -73,11 +73,7 @@ def hyperelliptic_bad_primes(f: IntPolynomial) -> frozenset[int]:
     disc = f.discriminant()
     if disc == 0:
         raise CurveError(f"{f} has a repeated root (not squarefree over Q)")
-    bad = {2}
-    for n in (abs(disc), abs(f.lead)):
-        if n > 1:
-            bad.update(int(q) for q in sympy.factorint(n))
-    return frozenset(bad)
+    return frozenset({2} | prime_factors(abs(disc)) | prime_factors(abs(f.lead)))
 
 
 def curve_from_poly(f: IntPolynomial) -> CurveSpec:

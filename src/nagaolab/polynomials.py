@@ -1,17 +1,14 @@
 """Exact integer polynomials: the carrier type for curve equations and twist data.
 
 Coefficients are stored constant-term first, always as Python ints.
-Squarefreeness and discriminants are exact, via sympy; any other exact
-polynomial algebra goes through ``to_sympy`` and ``sympy.Poly``.
+Discriminants, and with them squarefreeness, are exact: a sub-resultant
+remainder sequence on Python ints.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import sympy
-
-_X = sympy.symbols("x")
 
 # The largest exponent the parser accepts, checked before the dense coefficient
 # tuple is built: far above every degree a command sweeps (the Peterson D of a
@@ -65,11 +62,13 @@ class IntPolynomial:
             v = v * x + c
         return v
 
-    def to_sympy(self):
-        return sympy.Poly(list(reversed(self.coeffs or (0,))), _X)
-
     def discriminant(self) -> int:
-        return int(self.to_sympy().discriminant())
+        """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lead(f): 1 in degree 1, 0 for a constant."""
+        if len(self.coeffs) < 2:
+            return 0
+        n = self.degree
+        res = _resultant(list(self.coeffs), [k * c for k, c in enumerate(self.coeffs)][1:])
+        return (-1) ** (n * (n - 1) // 2) * res // self.lead
 
     def is_squarefree(self) -> bool:
         """Squarefree over Q: disc(f) = +-Res(f, f')/lead(f) is nonzero (1 in degree 1)."""
@@ -77,6 +76,46 @@ class IntPolynomial:
 
     def __str__(self) -> str:
         return poly_to_str(self)
+
+
+def _prem(A: list[int], B: list[int]) -> list[int]:
+    """Pseudo-remainder lead(B)^(deg A - deg B + 1) * A mod B, as a trimmed list."""
+    r, lead_b, deg_b = list(A), B[-1], len(B) - 1
+    steps = len(A) - deg_b
+    while len(r) > deg_b:
+        q, shift = r[-1], len(r) - 1 - deg_b
+        r = [lead_b * c for c in r]
+        for i, b in enumerate(B):
+            r[shift + i] -= q * b
+        while r and r[-1] == 0:
+            r.pop()
+        steps -= 1
+    return [lead_b**steps * c for c in r]
+
+
+def _resultant(A: list[int], B: list[int]) -> int:
+    """Res(A, B) of nonzero integer polynomials given as trimmed lists, constant
+    first, with deg A >= deg B.
+
+    The sub-resultant algorithm: Cohen, A Course in Computational Algebraic
+    Number Theory, GTM 138, Algorithm 3.3.7.  Every division is exact.
+    """
+    a, b = math.gcd(*A), math.gcd(*B)
+    t = a ** (len(B) - 1) * b ** (len(A) - 1)
+    A, B = [c // a for c in A], [c // b for c in B]
+    s = g = h = 1
+    while len(B) > 1:
+        delta = len(A) - len(B)
+        if (len(A) - 1) * (len(B) - 1) % 2:
+            s = -s
+        R = _prem(A, B)
+        if not R:
+            return 0
+        A, B = B, [c // (g * h**delta) for c in R]
+        g = A[-1]
+        h = g**delta * h // h**delta  # h^(1 - delta) g^delta
+    n = len(A) - 1
+    return s * t * (B[0] ** n * h // h**n)  # h^(1 - n) lead(B)^n
 
 
 def poly_to_str(f: IntPolynomial, var: str = "x") -> str:
@@ -145,7 +184,10 @@ def parse_polynomial(text: str) -> IntPolynomial:
                 pos += 1
             if pos < n and text[pos] == ".":
                 fail("non-integer coefficient")
-            coef = int(text[start:pos])
+            try:
+                coef = int(text[start:pos])
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"coefficient of {pos - start} digits is too long", start) from None
             skip_ws()
             if pos < n and text[pos] == "*":
                 pos += 1

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import sympy
-
 from .cache import TraceCache
 from .curves import (
     BadPrimeError,
@@ -164,6 +162,15 @@ class MobiusTransform:
             raise PolynomialError("degenerate Moebius transform (ad - bc = 0)")
 
 
+def _mul(p: list, q: list) -> list:
+    """Product of two coefficient lists (constant term first), exact in their type."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, u in enumerate(p):
+        for j, v in enumerate(q):
+            out[i + j] += u * v
+    return out
+
+
 def permutes_roots(sigma: MobiusTransform, f: IntPolynomial) -> bool:
     """Exact check that sigma permutes the roots of f.
 
@@ -171,11 +178,14 @@ def permutes_roots(sigma: MobiusTransform, f: IntPolynomial) -> bool:
     permutes the roots iff N is a scalar multiple of f of the same degree.
     """
     n = f.degree
-    F = f.to_sympy()
-    num = sympy.Poly([sigma.a, sigma.b], F.gen)
-    den = sympy.Poly([sigma.c, sigma.d], F.gen)
-    N = sum((fi * num**i * den ** (n - i) for i, fi in enumerate(f.coeffs)), F.zero)
-    return N.degree() == n and N * f.lead == F * N.LC()
+    num, den = [sigma.b, sigma.a], [sigma.d, sigma.c]
+    N = [0] * (n + 1)
+    for i, fi in enumerate(f.coeffs):
+        term = [fi]
+        for factor in [num] * i + [den] * (n - i):
+            term = _mul(term, factor)
+        N = [u + v for u, v in zip(N, term)]
+    return N[n] != 0 and all(v * f.lead == c * N[n] for v, c in zip(N, f.coeffs))
 
 
 @dataclass(frozen=True)
@@ -202,13 +212,16 @@ def peterson_D(f: IntPolynomial, sigma: MobiusTransform) -> PetersonResult:
     if c0 == 0:
         raise PetersonError("f(sigma(infinity)) = 0")
     e = Fraction(-sigma.d, sigma.c)  # sigma^{-1}(inf) = -d/c
-    F = f.to_sympy()
-    inner = sympy.Poly([1 / c0, 0, e], F.gen, domain=sympy.QQ)  # T^2 / c0 + e
-    m, cleared = F.compose(inner).clear_denoms()  # m * D(T), m the lcm of the denominators
-    d_int = IntPolynomial(tuple(reversed((cleared * m).all_coeffs())))
+    inner = [e, 0, 1 / c0]  # T^2 / c0 + e
+    D = [Fraction(f.lead)]
+    for fi in reversed(f.coeffs[:-1]):  # Horner: D = D * inner + f_i
+        D = _mul(D, inner)
+        D[0] += fi
+    m = math.lcm(*(c.denominator for c in D))
+    d_int = IntPolynomial(tuple(int(m * m * c) for c in D))
     if not d_int.is_squarefree():
         raise PetersonError("constructed D(T) is not squarefree")
-    return PetersonResult(d_int, int(m))
+    return PetersonResult(d_int, m)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +171,7 @@ def test_exit_code_cap():
 
 QUINTIC = "x^5+2*x^4+3*x^3+3*x^2+2*x+1"
 BIG_N = str(10**7 + 1)
+LONG_COEF = "1" * 5000
 
 # (argv, documented exit code); a cache-corruption case finds a garbled cache
 # file of its --f curve in --cache-dir.
@@ -175,6 +179,7 @@ EXIT_CASES = [
     (["trace", "--f", "x^3+x", "--N", "50"], EXIT_OK),
     (["trace", "--f", "x^^3"], EXIT_CONFIG),
     (["trace", "--f", "x^999999999", "--N", "10"], EXIT_CONFIG),  # exponent cap, before any allocation
+    (["trace", "--f", LONG_COEF + "*x^3+x", "--N", "10"], EXIT_CONFIG),  # beyond int()'s digit limit
     (["trace"], EXIT_CONFIG),
     (["trace", "--f", "x^3-3*x+2"], EXIT_BAD_CURVE),
     (["trace", "--f", "x^2+1"], EXIT_BAD_CURVE),
@@ -216,7 +221,11 @@ EXIT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("argv, code", EXIT_CASES, ids=[" ".join(a) + f" -> {c}" for a, c in EXIT_CASES])
+@pytest.mark.parametrize(
+    "argv, code",
+    EXIT_CASES,
+    ids=[" ".join(a).replace(LONG_COEF, "<5000 ones>") + f" -> {c}" for a, c in EXIT_CASES],
+)
 def test_exit_codes(argv, code, tmp_path, capsys, monkeypatch):
     """Each command's documented exit codes; a failure prints one stderr line
     and computes no trace."""
@@ -234,6 +243,27 @@ def test_exit_codes(argv, code, tmp_path, capsys, monkeypatch):
     else:
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert computed == []
+
+
+def test_commands_run_without_sympy():
+    """trace, nagao and factor-check --D auto-peterson never import sympy, whose
+    import alone takes longer than these sweeps; a fresh interpreter shows it."""
+    runs = [
+        ["trace", "--f", "x^5-x+1", "--N", "50"],
+        ["nagao", "--f", "T^3+T", "--N", "200", "--grid", "100,200"],
+        ["factor-check", "--f", QUINTIC, "--D", "auto-peterson", "--sigma", "1/x", "--N", "100"],
+    ]
+    code = "\n".join([
+        "import sys",
+        "from nagaolab.cli import main",
+        f"for argv in {runs!r}:",
+        "    assert main(argv) == 0, argv",
+        "assert 'sympy' not in sys.modules, 'sympy was imported'",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 COMMON = ["--f", "--threads", "--cache-dir", "--output", "--format"]

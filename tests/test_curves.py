@@ -4,6 +4,7 @@ import tempfile
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,6 +54,21 @@ def test_curve_from_poly_rejects_bad_degree():
 def test_bad_primes_include_lead_and_disc():
     c = curve_from_poly(IntPolynomial((1, 0, 0, 3)))  # 3x^3 + 1
     assert 3 in c.bad_primes and 2 in c.bad_primes
+
+
+@settings(deadline=None)  # sympy's factorint of a hard discriminant can take a second
+@given(
+    st.integers(3, 6).flatmap(lambda d: st.lists(st.integers(-100, 100), min_size=d, max_size=d)),
+    st.integers(1, 100),
+)
+def test_bad_primes_match_sympy(low, lead):
+    """{2} and the primes of disc(f) and lead(f), factored by sympy."""
+    F = sympy.Poly([lead, *reversed(low)], sympy.Symbol("x"))
+    disc = int(F.discriminant())
+    if disc == 0:
+        return
+    want = {2} | set(sympy.factorint(abs(disc))) | set(sympy.factorint(lead))
+    assert hyperelliptic_bad_primes(IntPolynomial((*low, lead))) == want
 
 
 def test_trace_elliptic_known():

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from nagaolab.polynomials import (
@@ -31,6 +32,13 @@ def test_parse_rejects_fractional_exponent():
     with pytest.raises(ParseError) as e:
         parse_polynomial("x^1.5")
     assert e.value.column >= 0
+
+
+def test_parse_rejects_long_coefficient_with_its_column():
+    # int() refuses more than 4300 digits; the parser names where they start
+    with pytest.raises(ParseError) as e:
+        parse_polynomial("x^3 + " + "1" * 5000 + "*x")
+    assert e.value.column == 6
 
 
 def test_parse_rejects_garbage():
@@ -74,3 +82,9 @@ def test_discriminant_and_squarefree():
     assert IntPolynomial((3, 2)).is_squarefree()
     assert not IntPolynomial((5,)).is_squarefree() and not IntPolynomial(()).is_squarefree()
 
+
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=11))
+def test_discriminant_matches_sympy(coeffs):
+    f = IntPolynomial(tuple(coeffs))
+    oracle = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x")).discriminant()
+    assert f.discriminant() == int(oracle)
