@@ -7,6 +7,7 @@ oracles, and exact trace-identity certificates for Jacobian factorizations.
 
 from .curves import (
     BadPrimeError,
+    BadPrimes,
     CurveSpec,
     TraceRecord,
     char_sum,

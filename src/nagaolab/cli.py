@@ -17,6 +17,7 @@ from typing import Iterator
 from .cache import CacheCorruptError, TraceCache
 from .curves import (
     DEFAULT_LPOLY_CAP,
+    BadPrimes,
     CapExceededError,
     CurveError,
     CurveSpec,
@@ -27,6 +28,7 @@ from .curves import (
     normalized_angle,
     sweep_traces,
 )
+from .finite_field import primes_in
 from .polynomials import IntPolynomial, ParseError, PolynomialError, parse_polynomial, poly_to_str
 from .stats import (
     GENUS1_GROUPS,
@@ -82,7 +84,7 @@ class Report:
 
     columns: list[str]
     rows: list[dict]
-    skipped: tuple[list[IntPolynomial], frozenset[int]] | None = None
+    skipped: tuple[list[IntPolynomial], BadPrimes] | None = None
 
 
 def parse_mobius(text: str) -> MobiusTransform:
@@ -132,7 +134,7 @@ def _write(report: Report, cfg: ExperimentConfig) -> None:
         return
     polys, bad = report.skipped
     skipped = []
-    for p in sorted(q for q in bad if q <= cfg.N):
+    for p in (q for q in primes_in(2, cfg.N + 1) if q in bad):
         if p == 2:
             reason = "p=2"
         elif any(f.lead % p == 0 for f in polys):

@@ -1,5 +1,8 @@
 """Hyperelliptic curve models y^2 = f(x): bad primes, Frobenius traces, L-polynomials.
 
+The bad primes are those dividing 2 * disc(f) * lead(f), tested by divisibility
+(``BadPrimes``): nothing is factored.
+
 Sign convention: ``a`` is always the trace of Frobenius, so #C(F_p) = p + 1 - a
 for both genus 1 and genus 2 (the stored ``a`` is the negative of the linear
 L-polynomial coefficient in the 1 + a_p T + ... normalization).
@@ -24,7 +27,6 @@ from .finite_field import (
     ResidueTable,
     poly_eval_all_mod,
     poly_eval_mod,
-    prime_factors,
     primes_in,
     residue_table,
 )
@@ -51,12 +53,26 @@ class CapExceededError(ValueError):
 
 
 @dataclass(frozen=True)
+class BadPrimes:
+    """The primes dividing ``modulus``: ``p in bad`` is ``modulus % p == 0`` for
+    a prime p, and ``bad | other`` holds the primes of either."""
+
+    modulus: int
+
+    def __contains__(self, p: int) -> bool:
+        return self.modulus % p == 0
+
+    def __or__(self, other: BadPrimes) -> BadPrimes:
+        return BadPrimes(self.modulus * other.modulus)
+
+
+@dataclass(frozen=True)
 class CurveSpec:
-    """A curve y^2 = f(x) of genus 1 or 2 with its bad-prime set."""
+    """A curve y^2 = f(x) of genus 1 or 2 with its bad primes."""
 
     f: IntPolynomial
     genus: int
-    bad_primes: frozenset[int]
+    bad_primes: BadPrimes
 
 
 @dataclass(frozen=True)
@@ -66,14 +82,14 @@ class TraceRecord:
     genus: int
 
 
-def hyperelliptic_bad_primes(f: IntPolynomial) -> frozenset[int]:
-    """{2} together with primes dividing disc(f) or the leading coefficient."""
+def hyperelliptic_bad_primes(f: IntPolynomial) -> BadPrimes:
+    """2 together with the primes dividing disc(f) or the leading coefficient."""
     if f.is_zero or f.degree == 0:
         raise CurveError(f"{f} is constant, not a curve")
     disc = f.discriminant()
     if disc == 0:
         raise CurveError(f"{f} has a repeated root (not squarefree over Q)")
-    return frozenset({2} | prime_factors(abs(disc)) | prime_factors(abs(f.lead)))
+    return BadPrimes(2 * disc * f.lead)
 
 
 def curve_from_poly(f: IntPolynomial) -> CurveSpec:
@@ -110,7 +126,7 @@ def hyperelliptic_trace(f: IntPolynomial, p: int, table: ResidueTable | None = N
     return -char_sum(f, p, tab) - corr
 
 
-def good_primes(bad: frozenset[int] | set[int], n_max: int) -> list[int]:
+def good_primes(bad: BadPrimes, n_max: int) -> list[int]:
     """The odd primes p <= n_max outside ``bad``, ascending.
 
     Every sweep takes its primes from here, so this is where N is checked

@@ -1,8 +1,9 @@
-"""Modular arithmetic substrate: primality, factoring, prime ranges, and the
-quadratic character.
+"""Modular arithmetic substrate: primality, prime ranges, and the quadratic
+character.
 
 Everything here works with plain Python integers (exact) plus numpy tables on
-the performance path; only ``prime_factors``, on a hard cofactor, calls sympy.
+the performance path.  Nothing is factored: a curve's bad primes are a
+divisibility test (``curves.BadPrimes``).
 All primes handled downstream are odd; ``primes_in`` itself still reports 2
 when it lies in the requested range and callers filter.
 """
@@ -68,38 +69,6 @@ def primes_in(lo: int, hi: int) -> list[int]:
         if flags[i]:
             flags[i * i :: i] = False
     return (np.nonzero(flags[lo:])[0] + lo).tolist()
-
-
-# The primes prime_factors trial-divides by, sieved once at import (about 0.5 ms).
-_TRIAL_BOUND = 1 << 16
-_TRIAL_PRIMES = tuple(primes_in(2, _TRIAL_BOUND))
-
-
-def prime_factors(n: int) -> set[int]:
-    """The set of primes dividing n >= 1.
-
-    Trial division by the primes below 2^16 leaves a cofactor with no prime
-    factor below 2^16: it is 1, or a prime when below 2^32, or when below
-    2^64 one that ``is_prime`` accepts.  Any other cofactor goes to
-    ``sympy.factorint``, imported only then.
-    """
-    found = set()
-    for q in _TRIAL_PRIMES:
-        if q * q > n:
-            break
-        if n % q == 0:
-            found.add(q)
-            while n % q == 0:
-                n //= q
-    if n == 1:
-        return found
-    if n < _TRIAL_BOUND**2 or (n < 1 << 64 and is_prime(n)):
-        found.add(n)
-    else:
-        import sympy
-
-        found.update(int(q) for q in sympy.factorint(n))
-    return found
 
 
 def legendre(a: int, p: int) -> int:

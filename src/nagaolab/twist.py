@@ -13,13 +13,17 @@ S2(N) = (1/pi(N)) sum_{p<=N} -A_p; at the limit both equal the predicted rank.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .cache import TraceCache
 from .curves import (
     BadPrimeError,
+    BadPrimes,
+    CurveError,
     good_primes,
     hyperelliptic_bad_primes,
     hyperelliptic_trace,
@@ -39,12 +43,11 @@ class TwistSurfaceSpec:
 
     f: IntPolynomial
     D: IntPolynomial
-    bad_primes: frozenset[int]
+    bad_primes: BadPrimes
 
 
 def twist_surface(f: IntPolynomial, D: IntPolynomial) -> TwistSurfaceSpec:
-    bad = hyperelliptic_bad_primes(f) | hyperelliptic_bad_primes(D)
-    return TwistSurfaceSpec(f, D, frozenset(bad))
+    return TwistSurfaceSpec(f, D, hyperelliptic_bad_primes(f) | hyperelliptic_bad_primes(D))
 
 
 def average_trace(s: TwistSurfaceSpec, p: int) -> Fraction:
@@ -244,13 +247,17 @@ def verify_factorization(
 
     A necessary condition for J_D ~ J_f^r x prod E_i (trace identity on the
     L-polynomial linear coefficients), not a proof of the isogeny.  With
-    ``others`` given, f and every E_i must be genus-1 curves.  Stops at, and
-    reports, the least violating prime.
+    ``others`` given, f and every E_i must be genus-1 curves (else CurveError).
+    Stops at, and reports, the least violating prime.
     """
-    if others and any(not 3 <= g.degree <= 4 for g in (f, *others)):
-        raise PolynomialError("E and all E_i must be genus-1 curves")
+    wrong = [g for g in (f, *others) if not 3 <= g.degree <= 4]
+    if others and wrong:
+        g = wrong[0]
+        raise CurveError(
+            f"{g} has degree {g.degree}: with --s-curves, --f and s-curves need degree 3 or 4"
+        )
     polys = [D, f, *others]
-    bad = frozenset().union(*(hyperelliptic_bad_primes(g) for g in polys))
+    bad = reduce(operator.or_, map(hyperelliptic_bad_primes, polys))
     checked = 0
     for p, (a_D, a_f, *a_others) in sweep_traces(polys, good_primes(bad, n_max), threads, caches):
         if a_D != r * a_f + sum(a_others):

@@ -2,7 +2,6 @@ import random
 
 import numpy as np
 import pytest
-import sympy
 from hypothesis import given, strategies as st
 
 from nagaolab.finite_field import (
@@ -12,7 +11,6 @@ from nagaolab.finite_field import (
     legendre,
     poly_eval_all_mod,
     poly_eval_mod,
-    prime_factors,
     primes_in,
     residue_table,
 )
@@ -65,33 +63,6 @@ def test_is_prime_carmichael_and_large():
     assert not is_prime(3215031751)
     assert is_prime(2**61 - 1)
     assert not is_prime(2**62 - 1)
-
-
-@pytest.mark.parametrize(
-    "n, primes, fallback",
-    [
-        pytest.param(1, set(), False, id="one"),
-        pytest.param(2**40, {2}, False, id="2^40"),
-        pytest.param(3**20 * 65521**2, {3, 65521}, False, id="largest-prime-below-2^16"),
-        pytest.param(7 * 4294967291, {7, 4294967291}, False, id="prime-cofactor-below-2^32"),
-        pytest.param(5 * (2**61 - 1), {5, 2**61 - 1}, False, id="prime-cofactor-below-2^64"),
-        pytest.param(65537**2, {65537}, True, id="65537^2"),
-        pytest.param(65537 * 65539, {65537, 65539}, True, id="65537*65539"),
-        pytest.param(2**89 - 1, {2**89 - 1}, True, id="prime-above-2^64"),
-    ],
-)
-def test_prime_factors(n, primes, fallback, monkeypatch):
-    """Trial division below 2^16 decides every cofactor it can; sympy gets the rest."""
-    calls = []
-    real = sympy.factorint
-    monkeypatch.setattr(sympy, "factorint", lambda m: calls.append(m) or real(m))
-    assert prime_factors(n) == primes
-    assert bool(calls) == fallback
-
-
-@given(st.integers(1, 10**15))
-def test_prime_factors_matches_sympy(n):
-    assert prime_factors(n) == set(sympy.factorint(n))
 
 
 def test_legendre_zero_convention():
