@@ -1,15 +1,21 @@
-"""Micro-benchmarks of the trace kernel's layers at one prime, p = 40009.
+"""Micro-benchmarks of the trace kernel's layers at one prime, p = 40009, of
+the prime sieve and of the trace moments.
 
 Outside the tier-1 ``testpaths``; run them from the repository root with
 
     PYTHONPATH=src python -m pytest bench --benchmark-only
 """
 
+import math
+import random
+
 import numpy as np
 import pytest
 
-from nagaolab.finite_field import poly_eval_all_mod, residue_table
+from nagaolab.curves import TraceRecord
+from nagaolab.finite_field import poly_eval_all_mod, primes_in, residue_table
 from nagaolab.polynomials import parse_polynomial
+from nagaolab.stats import empirical_moments
 
 P = 40009
 QUINTIC = parse_polynomial("x^5+2*x^4+3*x^3+3*x^2+2*x+1")
@@ -40,3 +46,15 @@ def test_eval_peterson_D_even(benchmark, table):
 def test_chi_gather(benchmark, table):
     vals = poly_eval_all_mod(QUINTIC.coeffs, P)
     benchmark(lambda: int(table.chi[vals].sum(dtype=np.int64)))
+
+
+def test_primes_in(benchmark):
+    benchmark(primes_in, 0, 10**6)
+
+
+def test_empirical_moments(benchmark):
+    # Hasse-bounded genus-2 traces at the first 10^4 primes but 2
+    rng = random.Random(0)
+    primes = primes_in(3, 104744)
+    traces = [TraceRecord(p, rng.randint(-math.isqrt(16 * p), math.isqrt(16 * p)), 2) for p in primes]
+    benchmark(empirical_moments, traces)

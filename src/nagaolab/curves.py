@@ -20,8 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .cache import TraceCache
 from .finite_field import (
     ResidueTable,
@@ -109,9 +107,9 @@ def char_sum(g: IntPolynomial, p: int, table: ResidueTable) -> int:
     degree of g and is evaluated at the (p-1)/2 entries of ``table.squares``.
     """
     if any(g.coeffs[1::2]):
-        return int(table.chi[poly_eval_all_mod(g.coeffs, p)].sum(dtype=np.int64))
+        return int(table.chi[poly_eval_all_mod(g.coeffs, p)].sum(dtype="int64"))
     vals = poly_eval_all_mod(g.coeffs[::2], p, table.squares)
-    return table.chi_of(g(0)) + 2 * int(table.chi[vals].sum(dtype=np.int64))
+    return table.chi_of(g(0)) + 2 * int(table.chi[vals].sum(dtype="int64"))
 
 
 def hyperelliptic_trace(f: IntPolynomial, p: int, table: ResidueTable | None = None) -> int:
@@ -196,6 +194,8 @@ def sweep_traces(
 
 def _count_fp2(f: IntPolynomial, p: int) -> int:
     """#C(F_{p^2}) for the smooth model of y^2 = f, with F_{p^2} = F_p[u]/(u^2 - n)."""
+    import numpy as np
+
     tab = residue_table(p)
     n = next(a for a in range(2, p) if tab.chi_of(a) == -1)
     # z = z0 + z1 u is a nonzero square in F_{p^2}  iff  chi_p(Norm z) = 1,

@@ -6,13 +6,21 @@ the performance path.  Nothing is factored: a curve's bad primes are a
 divisibility test (``curves.BadPrimes``).
 All primes handled downstream are odd; ``primes_in`` itself still reports 2
 when it lies in the requested range and callers filter.
+
+numpy is imported by the functions that build arrays (``residue_table`` and
+``poly_eval_all_mod``), not by this module: the sieve and the character are
+pure Python, so a run whose traces all come from the cache never loads it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import compress
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Bound on the sieve and on residue tables; at p <= TABLE_CAP, p**2 fits in
 # a signed 64-bit intermediate.
@@ -56,19 +64,25 @@ def is_prime(n: int) -> bool:
 def primes_in(lo: int, hi: int) -> list[int]:
     """All primes in the half-open range [lo, hi), ascending, for hi - 1 <= TABLE_CAP.
 
-    Sieve of Eratosthenes over [0, hi); an empty or inverted range yields [].
+    Sieve of Eratosthenes over the odd numbers below hi, one byte each:
+    ``odd[i]`` marks 2i + 1.  An empty or inverted range yields [].
     """
     if hi - 1 > TABLE_CAP:
         raise ValueError(f"primes up to {hi - 1} exceed the sieve cap {TABLE_CAP}")
     lo = max(lo, 2)
     if lo >= hi:
         return []
-    flags = np.ones(hi, dtype=bool)
-    flags[:2] = False
-    for i in range(2, int(hi**0.5) + 1):
-        if flags[i]:
-            flags[i * i :: i] = False
-    return (np.nonzero(flags[lo:])[0] + lo).tolist()
+    n = hi // 2  # the odd numbers 1, 3, ..., below hi
+    odd = bytearray([1]) * n
+    odd[0] = 0  # 1 is not prime
+    for i in range(1, (math.isqrt(hi - 1) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            odd[start::p] = bytes(len(range(start, n, p)))
+    first = lo // 2  # the index of the least odd number >= lo
+    primes = list(compress(range(2 * first + 1, hi, 2), odd[first:]))
+    return [2, *primes] if lo == 2 else primes
 
 
 def legendre(a: int, p: int) -> int:
@@ -120,6 +134,8 @@ def residue_table(p: int) -> ResidueTable:
     """
     if p > TABLE_CAP:
         raise TableTooLargeError(f"table for p={p} too large (cap {TABLE_CAP})")
+    import numpy as np
+
     k = np.arange(1, p // 2 + 1, dtype=np.int64)
     squares = k * k % p
     chi = np.full(p, -1, dtype=np.int8)
@@ -146,6 +162,8 @@ def poly_eval_all_mod(coeffs, p: int, x: np.ndarray | None = None) -> np.ndarray
     2^63 - 1, and once at the end: for p < 55108 a quintic takes 2
     reductions instead of 6.
     """
+    import numpy as np
+
     if x is None:
         x = np.arange(p, dtype=np.int64)
     top, *rest = [c % p for c in reversed(coeffs)] or [0]  # [0]: the zero polynomial

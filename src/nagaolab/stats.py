@@ -142,21 +142,46 @@ class MomentReport:
 def empirical_moments(traces: Sequence[TraceRecord]) -> MomentReport:
     """Second/fourth moments of a_p/sqrt(p) and the exact zero fraction.
 
-    Accumulation is over exact rationals (permutation-invariant); the single
-    final division is done in double precision.
+    Each moment is float(m / n) for the exact rational sum m of its n terms,
+    rounded once, so the result does not depend on the order of the traces.
+    ``_certified_mean`` gets it in linear time.
     """
     if not traces:
         raise ValueError("empirical_moments requires a nonempty trace sequence")
-    m2 = Fraction(0)
-    m4 = Fraction(0)
-    zeros = 0
-    for rec in traces:
-        m2 += Fraction(rec.a * rec.a, rec.p)
-        m4 += Fraction(rec.a**4, rec.p * rec.p)
-        if rec.a == 0:
-            zeros += 1
+    squares = [(rec.a * rec.a, rec.p) for rec in traces]
+    zeros = sum(1 for rec in traces if rec.a == 0)
     n = len(traces)
-    return MomentReport(n, float(m2 / n), float(m4 / n), zeros / n)
+    return MomentReport(
+        n,
+        _certified_mean(squares),
+        _certified_mean([(a2 * a2, p * p) for a2, p in squares]),
+        zeros / n,
+    )
+
+
+# Fraction bits of the fixed-point terms in _certified_mean.
+_K = 192
+
+
+def _certified_mean(terms: list[tuple[int, int]]) -> float:
+    """float(sum(num / den) / n), correctly rounded, over n terms (num, den)
+    with num >= 0 and den > 0.
+
+    Each term times 2^K is floored to an integer; their sum S is within n of
+    the exact sum times 2^K, so the mean lies in [S, S + n) / (n 2^K).
+    Rounding is monotone, so when both ends round to the same double that is
+    the mean's double.  Otherwise (a mean within about 2^-K of a rounding
+    boundary, or an exact 0) the exact Fraction sum decides.  Adding exact
+    Fractions costs a gcd on a denominator that grows with every prime, so
+    O(n^2); the fixed-point sum is linear.
+    """
+    n = len(terms)
+    s = sum((num << _K) // den for num, den in terms)
+    scale = n << _K
+    mean = float(Fraction(s, scale))
+    if mean == float(Fraction(s + n, scale)):
+        return mean
+    return float(sum((Fraction(num, den) for num, den in terms), Fraction(0)) / n)
 
 
 def ks_distance(angles: Sequence[float], measure: STMeasure1D) -> float:

@@ -23,6 +23,7 @@ from .cache import TraceCache
 from .curves import (
     BadPrimeError,
     BadPrimes,
+    CapExceededError,
     CurveError,
     good_primes,
     hyperelliptic_bad_primes,
@@ -33,8 +34,19 @@ from .finite_field import legendre, poly_eval_mod, residue_table
 from .polynomials import IntPolynomial, PolynomialError
 
 
+# The largest degree of a twisting polynomial D, checked before its
+# discriminant, whose cost grows fast with the degree: 10 is the degree of the
+# Peterson D of a quintic, the largest that peterson_D builds.
+MAX_D_DEGREE = 10
+
+
 class PetersonError(ValueError):
     pass
+
+
+def _check_D_degree(D: IntPolynomial) -> None:
+    if not D.is_zero and D.degree > MAX_D_DEGREE:
+        raise CapExceededError(f"D has degree {D.degree}, above the cap {MAX_D_DEGREE}")
 
 
 @dataclass(frozen=True)
@@ -47,6 +59,8 @@ class TwistSurfaceSpec:
 
 
 def twist_surface(f: IntPolynomial, D: IntPolynomial) -> TwistSurfaceSpec:
+    """The surface D(T) y^2 = f(x); CapExceededError for deg D > MAX_D_DEGREE."""
+    _check_D_degree(D)
     return TwistSurfaceSpec(f, D, hyperelliptic_bad_primes(f) | hyperelliptic_bad_primes(D))
 
 
@@ -248,8 +262,10 @@ def verify_factorization(
     A necessary condition for J_D ~ J_f^r x prod E_i (trace identity on the
     L-polynomial linear coefficients), not a proof of the isogeny.  With
     ``others`` given, f and every E_i must be genus-1 curves (else CurveError).
-    Stops at, and reports, the least violating prime.
+    deg D > MAX_D_DEGREE raises CapExceededError.  Stops at, and reports, the
+    least violating prime.
     """
+    _check_D_degree(D)
     wrong = [g for g in (f, *others) if not 3 <= g.degree <= 4]
     if others and wrong:
         g = wrong[0]

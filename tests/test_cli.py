@@ -196,6 +196,7 @@ EXIT_CASES = [
     (["nagao", "--f", "T^3+T", "--D", "T^2-2*T+1", "--N", "200"], EXIT_BAD_CURVE),
     (["nagao", "--f", "x^7+x+1", "--N", "200"], EXIT_BAD_CURVE),  # accepted before
     (["nagao", "--f", "T^3+T", "--N", BIG_N], EXIT_CAP),
+    (["nagao", "--f", "T^3+T", "--D", "x^11+x+1", "--N", "200"], EXIT_CAP),  # deg D > 10
     (["nagao", "--f", "T^3+T", "--N", "200", "--grid", "200"], EXIT_CACHE),
     (["moments", "--f", "x^3+x+1", "--N", "200"], EXIT_OK),
     (["moments", "--f", "x^3+x", "--N", "2"], EXIT_CONFIG),
@@ -219,6 +220,7 @@ EXIT_CASES = [
     (["factor-check", "--f", "x^3+x", "--D", "x^3+x", "--r", "1", "--s-curves", "x^5-x+1", "--N", "50"], EXIT_BAD_CURVE),
     (["factor-check", "--f", "x^5-x+1", "--D", "x^3+x", "--r", "1", "--s-curves", "x^3+x+1", "--N", "50"], EXIT_BAD_CURVE),
     (["factor-check", "--f", QUINTIC, "--D", "auto-peterson", "--sigma", "1/x", "--N", BIG_N], EXIT_CAP),
+    (["factor-check", "--f", "x^3+x", "--D", "x^11+x+1", "--N", "100"], EXIT_CAP),  # deg D > 10
     (["factor-check", "--f", "x^3+x", "--D", "x^6+2", "--N", "100"], EXIT_CACHE),
 ]
 
@@ -249,30 +251,66 @@ def test_exit_codes(argv, code, tmp_path, capsys, monkeypatch):
 
 def test_commands_run_without_sympy():
     """Every command runs in a fresh interpreter where sympy cannot be imported.
-    The cubic with 38-digit coefficients and the degree-200 D (a 461-digit
-    discriminant) are curves whose bad primes no longer need factoring, which
-    took minutes on them."""
+    The cubic with 38-digit coefficients and the degree-10 D with them (a
+    379-digit discriminant) are curves whose bad primes no longer need
+    factoring, which took minutes on them."""
     big = "10000000000000000000000000000000000007*x+10000000000000000000000000000000000009"
     runs = [
         ["trace", "--f", "x^3+" + big, "--N", "50"],
         ["lpoly", "--f", "x^5-x+1", "--N", "30"],
-        ["nagao", "--f", "T^3+T", "--D", "x^200+x+1", "--N", "100", "--grid", "100"],
+        ["nagao", "--f", "T^3+T", "--D", "x^10+" + big, "--N", "100", "--grid", "100"],
         ["moments", "--f", "x^3+x+1", "--N", "100"],
         ["st-classify", "--f", "x^5-x+1", "--N", "100"],
         ["peterson", "--f", QUINTIC, "--sigma", "1/x"],
         ["factor-check", "--f", QUINTIC, "--D", "auto-peterson", "--sigma", "1/x", "--N", "100"],
     ]
-    code = "\n".join([
-        "import sys",
+    proc = fresh_python(
         "sys.modules['sympy'] = None  # any import of sympy now fails",
         "from nagaolab.cli import main",
         f"for argv in {runs!r}:",
         "    assert main(argv) == 0, argv",
-    ])
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def fresh_python(*lines: str) -> subprocess.CompletedProcess:
+    """Run the lines, after ``import sys``, in a fresh interpreter on the
+    package source; stdout and stderr are captured as bytes."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    code = "\n".join(["import sys", *lines])
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+
+
+def test_cli_import_loads_no_numpy():
+    proc = fresh_python("import nagaolab.cli", "assert 'numpy' not in sys.modules, 'numpy imported'")
     assert proc.returncode == 0, proc.stderr
+
+
+WARM_RUNS = [
+    ["trace", "--f", "x^5-x+1", "--N", "300"],
+    ["moments", "--f", "x^3+x+1", "--N", "300"],
+    ["st-classify", "--f", "x^5-x+1", "--N", "2000", "--threads", "2"],  # cold: numpy loads in the workers
+    ["nagao", "--f", "T^3+T", "--D", "x^4+3", "--N", "300", "--grid", "100,300"],
+    ["factor-check", "--f", QUINTIC, "--D", "auto-peterson", "--sigma", "1/x", "--N", "300"],
+]
+
+
+@pytest.mark.parametrize("argv", WARM_RUNS, ids=[a[0] for a in WARM_RUNS])
+def test_warm_run_needs_no_numpy(argv, tmp_path):
+    """numpy loads only to compute a trace: with numpy blocked, a run whose
+    every a_p is in the cache its cold run filled exits 0 with the cold
+    run's stdout bytes."""
+    argv = argv + ["--cache-dir", str(tmp_path / "cache")]
+    cold = fresh_python("from nagaolab.cli import main", f"sys.exit(main({argv!r}))")
+    assert cold.returncode == 0, cold.stderr
+    warm = fresh_python(
+        "sys.modules['numpy'] = None  # any import of numpy now fails",
+        "from nagaolab.cli import main",
+        f"sys.exit(main({argv!r}))",
+    )
+    assert warm.returncode == 0, warm.stderr
+    assert warm.stdout == cold.stdout and cold.stdout
 
 
 COMMON = ["--f", "--threads", "--cache-dir", "--output", "--format"]

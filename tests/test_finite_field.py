@@ -52,6 +52,17 @@ def test_primes_in_segment_boundaries():
     assert primes_in(lo, hi) == [n for n in range(lo, hi) if is_prime(n)]
 
 
+@given(st.integers(0, 5000), st.integers(0, 5000))
+def test_primes_in_equals_membership_tests(lo, hi):
+    # empty and inverted ranges included: hi <= lo yields []
+    assert primes_in(lo, hi) == [n for n in range(lo, hi) if is_prime(n)]
+
+
+def test_prime_counts_to_1e6_and_1e7():
+    assert len(primes_in(0, 10**6)) == 78498
+    assert len(primes_in(0, 10**7)) == 664579
+
+
 def test_is_prime_small():
     small = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(50):

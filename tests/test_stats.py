@@ -1,9 +1,13 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+import nagaolab.stats as stats_mod
 from nagaolab.curves import TraceRecord
+from nagaolab.finite_field import primes_in
 from nagaolab.stats import (
     GENUS1_GROUPS,
     HALF_UNIFORM_DIRAC,
@@ -114,6 +118,49 @@ def test_empirical_moments_permutation_invariant():
     rep2 = empirical_moments(shuffled)
     assert rep1.second_moment == rep2.second_moment  # exact, rational accumulation
     assert rep1.fourth_moment == rep2.fourth_moment
+
+
+def fraction_moments(traces):
+    """The oracle: exact Fraction sums, one final rounding."""
+    n = len(traces)
+    m2 = sum((Fraction(t.a * t.a, t.p) for t in traces), Fraction(0))
+    m4 = sum((Fraction(t.a**4, t.p * t.p) for t in traces), Fraction(0))
+    return float(m2 / n).hex(), float(m4 / n).hex()
+
+
+def moments_hex(traces):
+    rep = empirical_moments(traces)
+    return rep.second_moment.hex(), rep.fourth_moment.hex()
+
+
+PRIMES = primes_in(3, 20000)
+
+
+@st.composite
+def hasse_traces(draw):
+    """Traces of a genus-1 or genus-2 curve, |a| <= 2 g sqrt(p), at distinct primes."""
+    genus = draw(st.sampled_from([1, 2]))
+    ps = draw(st.lists(st.sampled_from(PRIMES), min_size=1, max_size=200, unique=True))
+    bounds = [math.isqrt(4 * genus * genus * p) for p in ps]
+    return [TraceRecord(p, draw(st.integers(-b, b)), genus) for p, b in zip(ps, bounds)]
+
+
+@given(hasse_traces())
+def test_empirical_moments_equal_fraction_oracle(traces):
+    assert moments_hex(traces) == fraction_moments(traces)
+
+
+def test_empirical_moments_fallback_equals_fraction_oracle(monkeypatch):
+    """With 2 fraction bits the fixed-point interval is a quarter wide, too wide
+    to decide the rounding, so the exact Fraction sum gives the result."""
+    monkeypatch.setattr(stats_mod, "_K", 2)
+    rng = random.Random(11)
+    for size in (1, 2, 7, 300):
+        traces = [TraceRecord(p, rng.randint(-40, 40), 2) for p in rng.sample(PRIMES[100:], size)]
+        n = len(traces)
+        s = sum((t.a * t.a << 2) // t.p for t in traces)
+        assert float(Fraction(s, n << 2)) != float(Fraction(s + n, n << 2))  # the fallback runs
+        assert moments_hex(traces) == fraction_moments(traces)
 
 
 # -- KS distance -------------------------------------------------------------

@@ -16,6 +16,7 @@ from nagaolab.curves import (
 from nagaolab.finite_field import primes_in, residue_table
 from nagaolab.polynomials import IntPolynomial, PolynomialError, parse_polynomial
 from nagaolab.twist import (
+    MAX_D_DEGREE,
     MobiusTransform,
     PetersonError,
     average_trace,
@@ -229,6 +230,19 @@ def test_verify_factorization_above_cap_raises():
     f = parse_polynomial("x^3+x")
     with pytest.raises(CapExceededError):
         verify_factorization(f, f, 1, n_max=10**7 + 1)
+
+
+def test_D_degree_cap_before_discriminant(monkeypatch):
+    """A D above the degree cap raises before its discriminant is computed."""
+    f = parse_polynomial("x^3+x")
+    peterson = peterson_D(parse_polynomial("x^5+2*x^4+3*x^3+3*x^2+2*x+1"), MobiusTransform(0, 1, 1, 0))
+    assert peterson.D.degree == MAX_D_DEGREE == 10
+    D = parse_polynomial("x^11+x+1")
+    monkeypatch.setattr(IntPolynomial, "discriminant", lambda self: pytest.fail("discriminant computed"))
+    with pytest.raises(CapExceededError, match="degree 11"):
+        twist_surface(f, D)
+    with pytest.raises(CapExceededError, match="degree 11"):
+        verify_factorization(D, f, 2, 100)
 
 
 def test_verify_mixed_reduces_to_plain():
