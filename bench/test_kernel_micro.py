@@ -1,5 +1,5 @@
 """Micro-benchmarks of the trace kernel's layers at one prime, p = 40009, of
-the prime sieve and of the trace moments.
+the scalar quadratic character, of the prime sieve and of the trace moments.
 
 Outside the tier-1 ``testpaths``; run them from the repository root with
 
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from nagaolab.curves import TraceRecord
-from nagaolab.finite_field import poly_eval_all_mod, primes_in, residue_table
+from nagaolab.finite_field import legendre, poly_eval_all_mod, primes_in, residue_table
 from nagaolab.polynomials import parse_polynomial
 from nagaolab.stats import empirical_moments
 
@@ -46,6 +46,11 @@ def test_eval_peterson_D_even(benchmark, table):
 def test_chi_gather(benchmark, table):
     vals = poly_eval_all_mod(QUINTIC.coeffs, P)
     benchmark(lambda: int(table.chi[vals].sum(dtype=np.int64)))
+
+
+def test_legendre(benchmark):
+    # the scalar chi_p of the even path and of the point at infinity
+    benchmark(legendre, 31337, P)
 
 
 def test_primes_in(benchmark):

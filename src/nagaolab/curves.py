@@ -21,13 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .cache import TraceCache
-from .finite_field import (
-    ResidueTable,
-    poly_eval_all_mod,
-    poly_eval_mod,
-    primes_in,
-    residue_table,
-)
+from .finite_field import ResidueTable, legendre, poly_eval_all_mod, primes_in, residue_table
 from .polynomials import IntPolynomial, PolynomialError
 
 DEFAULT_LPOLY_CAP = 10**4
@@ -109,7 +103,7 @@ def char_sum(g: IntPolynomial, p: int, table: ResidueTable) -> int:
     if any(g.coeffs[1::2]):
         return int(table.chi[poly_eval_all_mod(g.coeffs, p)].sum(dtype="int64"))
     vals = poly_eval_all_mod(g.coeffs[::2], p, table.squares)
-    return table.chi_of(g(0)) + 2 * int(table.chi[vals].sum(dtype="int64"))
+    return legendre(g(0), p) + 2 * int(table.chi[vals].sum(dtype="int64"))
 
 
 def hyperelliptic_trace(f: IntPolynomial, p: int, table: ResidueTable | None = None) -> int:
@@ -120,7 +114,7 @@ def hyperelliptic_trace(f: IntPolynomial, p: int, table: ResidueTable | None = N
     genus 0 (degree 1 or 2) the trace is 0.
     """
     tab = table if table is not None and table.p == p else residue_table(p)
-    corr = tab.chi_of(f.lead) if f.degree % 2 == 0 else 0
+    corr = legendre(f.lead, p) if f.degree % 2 == 0 else 0
     return -char_sum(f, p, tab) - corr
 
 
@@ -197,7 +191,7 @@ def _count_fp2(f: IntPolynomial, p: int) -> int:
     import numpy as np
 
     tab = residue_table(p)
-    n = next(a for a in range(2, p) if tab.chi_of(a) == -1)
+    n = next(a for a in range(2, p) if legendre(a, p) == -1)
     # z = z0 + z1 u is a nonzero square in F_{p^2}  iff  chi_p(Norm z) = 1,
     # Norm(z) = z0^2 - n z1^2.
     total = 0
@@ -251,7 +245,7 @@ def trace_oracle_exhaustive(c: CurveSpec, p: int) -> TraceRecord:
     sq = [0] * p
     for y in range(p):
         sq[y * y % p] += 1
-    affine = sum(sq[poly_eval_mod(c.f.coeffs, x, p)] for x in range(p))
+    affine = sum(sq[c.f(x) % p] for x in range(p))
     if c.f.degree % 2 == 1:
         infinity = 1
     else:

@@ -2,7 +2,9 @@
 character.
 
 Everything here works with plain Python integers (exact) plus numpy tables on
-the performance path.  Nothing is factored: a curve's bad primes are a
+the performance path.  ``legendre`` is the one scalar character; a
+``ResidueTable`` serves only vector gathers, chi_p at a whole array of
+residues at once.  Nothing is factored: a curve's bad primes are a
 divisibility test (``curves.BadPrimes``).
 All primes handled downstream are odd; ``primes_in`` itself still reports 2
 when it lies in the requested range and callers filter.
@@ -33,7 +35,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class TableTooLargeError(ValueError):
-    """Raised when a residue table would exceed TABLE_CAP."""
+    """Raised when a residue table or the sieve would pass TABLE_CAP."""
 
 
 def is_prime(n: int) -> bool:
@@ -65,10 +67,11 @@ def primes_in(lo: int, hi: int) -> list[int]:
     """All primes in the half-open range [lo, hi), ascending, for hi - 1 <= TABLE_CAP.
 
     Sieve of Eratosthenes over the odd numbers below hi, one byte each:
-    ``odd[i]`` marks 2i + 1.  An empty or inverted range yields [].
+    ``odd[i]`` marks 2i + 1.  An empty or inverted range yields [];
+    hi - 1 > TABLE_CAP raises TableTooLargeError before any allocation.
     """
     if hi - 1 > TABLE_CAP:
-        raise ValueError(f"primes up to {hi - 1} exceed the sieve cap {TABLE_CAP}")
+        raise TableTooLargeError(f"primes up to {hi - 1} exceed the sieve cap {TABLE_CAP}")
     lo = max(lo, 2)
     if lo >= hi:
         return []
@@ -86,31 +89,18 @@ def primes_in(lo: int, hi: int) -> list[int]:
 
 
 def legendre(a: int, p: int) -> int:
-    """Quadratic character chi_p(a) in {-1, 0, +1}, with chi_p(0) = 0.
+    """Quadratic character chi_p(a) in {-1, 0, +1} for an odd prime p, with chi_p(0) = 0.
 
-    Binary Jacobi-symbol algorithm; for prime odd p the Jacobi symbol is the
-    Legendre symbol.  Euler's criterion serves as the independent test oracle.
+    Euler's criterion: a^((p-1)/2) is 1, p - 1 or 0 mod p.
     """
-    a %= p
-    if a == 0:
-        return 0
-    n = p
-    t = 1
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                t = -t
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            t = -t
-        a %= n
-    return t if n == 1 else 0
+    r = pow(a, (p - 1) // 2, p)
+    return r - p if r > 1 else r
 
 
 @dataclass(frozen=True)
 class ResidueTable:
-    """Precomputed chi_p values for all residues mod p.
+    """Precomputed chi_p values for all residues mod p, for vector gathers
+    ``chi[values]``; a single residue goes through ``legendre``.
 
     ``chi`` is an int8 array of length p with chi[0] = 0 (the distinguished
     zero mark), +1 on nonzero squares, -1 on non-squares.  ``squares`` is the
@@ -121,9 +111,6 @@ class ResidueTable:
     p: int
     chi: np.ndarray = field(repr=False)
     squares: np.ndarray = field(repr=False)
-
-    def chi_of(self, a: int) -> int:
-        return int(self.chi[a % self.p])
 
 
 def residue_table(p: int) -> ResidueTable:
@@ -142,15 +129,6 @@ def residue_table(p: int) -> ResidueTable:
     chi[squares] = 1
     chi[0] = 0
     return ResidueTable(p, chi, squares)
-
-
-def poly_eval_mod(coeffs, x: int, p: int) -> int:
-    """Horner evaluation of a polynomial (constant term first) at x mod p."""
-    v = 0
-    x %= p
-    for c in reversed(coeffs):
-        v = (v * x + c) % p
-    return v
 
 
 def poly_eval_all_mod(coeffs, p: int, x: np.ndarray | None = None) -> np.ndarray:

@@ -30,7 +30,7 @@ from .curves import (
     hyperelliptic_trace,
     sweep_traces,
 )
-from .finite_field import legendre, poly_eval_mod, residue_table
+from .finite_field import legendre, residue_table
 from .polynomials import IntPolynomial, PolynomialError
 
 
@@ -73,12 +73,8 @@ def average_trace(s: TwistSurfaceSpec, p: int) -> Fraction:
     if p in s.bad_primes:
         raise BadPrimeError(p)
     tab = residue_table(p)
-    a_f = hyperelliptic_trace(s.f, p, tab)
-    total = 0
-    for t in range(p):
-        chi = tab.chi_of(poly_eval_mod(s.D.coeffs, t, p))
-        total += chi * a_f
-    return Fraction(total, p)
+    chi_sum = int(tab.chi[[s.D(t) % p for t in range(p)]].sum(dtype="int64"))
+    return Fraction(chi_sum * hyperelliptic_trace(s.f, p, tab), p)
 
 
 @dataclass(frozen=True)
@@ -225,9 +221,8 @@ def peterson_D(f: IntPolynomial, sigma: MobiusTransform) -> PetersonResult:
         raise PetersonError("sigma has a pole at infinity")
     if not permutes_roots(sigma, f):
         raise PetersonError("sigma does not permute the roots of f")
-    c0 = f(Fraction(sigma.a, sigma.c))  # sigma(inf) = a/c
-    if c0 == 0:
-        raise PetersonError("f(sigma(infinity)) = 0")
+    # sigma(inf) = a/c, and c0 != 0: permutes_roots checked N[n] = c^n f(a/c) != 0.
+    c0 = f(Fraction(sigma.a, sigma.c))
     e = Fraction(-sigma.d, sigma.c)  # sigma^{-1}(inf) = -d/c
     inner = [e, 0, 1 / c0]  # T^2 / c0 + e
     D = [Fraction(f.lead)]

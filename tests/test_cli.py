@@ -522,14 +522,41 @@ def test_cache_fills_hole_below_max(tmp_path, monkeypatch):
     assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
 
 
-def test_cache_corruption_quarantined(tmp_path):
+def _garble(path, how):
+    """Damage a cache file of x^3+x in one of the ways TraceCache rejects."""
+    head, fp, *records = path.read_text().splitlines()
+    if how == "bad header":
+        lines = ["NOT A CACHE"]
+    elif how == "fingerprint mismatch":  # another curve's fingerprint
+        lines = [head, fingerprint(parse_polynomial("x^3+x+1")), *records]
+    elif how == "out of order":
+        lines = [head, fp, records[1], records[0], *records[2:]]
+    else:  # a duplicated p
+        lines = [head, fp, records[0], *records]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "how, reason",
+    [
+        ("bad header", "bad header"),
+        ("fingerprint mismatch", "fingerprint mismatch"),
+        ("out of order", "records not strictly ascending in p"),
+        ("duplicated p", "records not strictly ascending in p"),
+    ],
+    ids=["bad-header", "fingerprint", "out-of-order", "duplicated-p"],
+)
+def test_cache_corruption_quarantined(how, reason, tmp_path, capsys):
     cache = tmp_path / "cache"
     run(cfg("trace", f="x^3+x", N=100, cache_dir=str(cache), output=str(tmp_path / "o.csv")))
     path = cache_path(cache, parse_polynomial("x^3+x"))
-    path.write_text("NOT A CACHE\n")
+    _garble(path, how)
+    capsys.readouterr()
     rc = run(cfg("trace", f="x^3+x", N=100, cache_dir=str(cache), output=str(tmp_path / "o2.csv")))
     assert rc == EXIT_CACHE
-    assert path.with_suffix(".txt.corrupt").exists()
+    assert path.with_suffix(".txt.corrupt").exists() and not path.exists()
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and line.endswith(": " + reason), line
 
 
 @pytest.mark.parametrize("cut", ["397,2", "-"], ids=["parses", "unparsable"])

@@ -251,6 +251,32 @@ def test_sweep_serial_is_lazy(monkeypatch):
     assert len(calls) == 128  # one block
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_weil_violation_raises_before_caching_its_block(tmp_path, monkeypatch, threads):
+    monkeypatch.setattr(curves_mod, "_BLOCK", 4)
+    f = parse_polynomial("x^3+x+1")
+    primes = good_primes(curve_from_poly(f).bad_primes, 100)
+    bad_p = primes[5]  # in the second block
+    real = curves_mod.hyperelliptic_trace
+
+    def past_weil(g, p, table=None):  # genus 1: a^2 <= 4p
+        return math.isqrt(4 * p) + 1 if p == bad_p else real(g, p, table)
+
+    monkeypatch.setattr(curves_mod, "hyperelliptic_trace", past_weil)
+    with pytest.raises(AssertionError, match=f"Weil bound violated at p={bad_p}:"):
+        list(sweep_traces([f], primes, threads, [TraceCache(tmp_path, f)]))
+    assert sorted(TraceCache(tmp_path, f).records) == primes[:4]  # the first block only
+
+
+def test_genus2_b_bound_violation_raises(monkeypatch):
+    f, p = parse_polynomial("x^5-x+1"), 7
+    a = hyperelliptic_trace(f, p)
+    # b = (a^2 - (p^2 + 1 - #C(F_p^2))) / 2 = 6p + 1: an even numerator, past |b| <= 6p
+    monkeypatch.setattr(curves_mod, "_count_fp2", lambda g, q: q * q + 1 - a * a + 2 * (6 * q + 1))
+    with pytest.raises(AssertionError, match=f"violated at p={p}: b={6 * p + 1}"):
+        genus2_b(f, p, a)
+
+
 def test_l_polynomial_known():
     c = curve("x^5-x")
     assert genus2_b(c.f, 3, hyperelliptic_trace(c.f, 3)) == -2  # a = 0, #C(F_3)=4, #C(F_9)=6

@@ -10,10 +10,10 @@ from nagaolab.finite_field import (
     is_prime,
     legendre,
     poly_eval_all_mod,
-    poly_eval_mod,
     primes_in,
     residue_table,
 )
+from nagaolab.polynomials import IntPolynomial
 
 
 def test_primes_in_first_primes():
@@ -89,13 +89,17 @@ def test_legendre_known_values():
 
 
 def test_legendre_euler_criterion_random():
+    # oracle without pow: a nonzero residue is a square iff it is k^2 mod p for
+    # some k <= (p-1)/2, as (p-k)^2 = k^2
     rng = random.Random(7)
     primes = [p for p in primes_in(3, 10000)]
+    squares = {}
     for _ in range(10**4):
         p = rng.choice(primes)
+        if p not in squares:
+            squares[p] = {k * k % p for k in range(1, p // 2 + 1)}
         a = rng.randrange(-(10**9), 10**9)
-        euler = pow(a % p, (p - 1) // 2, p)
-        expected = 0 if a % p == 0 else (1 if euler == 1 else -1)
+        expected = 0 if a % p == 0 else (1 if a % p in squares[p] else -1)
         assert legendre(a, p) == expected
 
 
@@ -113,10 +117,10 @@ def test_legendre_multiplicative(a, b, p):
 
 def test_residue_table_small():
     t5 = residue_table(5)
-    assert {a for a in range(1, 5) if t5.chi_of(a) == 1} == {1, 4}
+    assert {a for a in range(1, 5) if t5.chi[a] == 1} == {1, 4}
     t3 = residue_table(3)
-    assert {a for a in range(1, 3) if t3.chi_of(a) == 1} == {1}
-    assert t5.chi_of(0) == 0
+    assert {a for a in range(1, 3) if t3.chi[a] == 1} == {1}
+    assert t5.chi[0] == 0
 
 
 def test_residue_table_popcount_balance():
@@ -131,21 +135,14 @@ def test_residue_table_matches_legendre_exhaustive():
     for p in primes_in(3, 3000):
         tab = residue_table(p)
         for a in range(p):
-            assert tab.chi_of(a) == legendre(a, p)
+            assert tab.chi[a] == legendre(a, p)
 
 
 def test_residue_table_cap():
     with pytest.raises(TableTooLargeError):
         residue_table(2**31 + 11)  # raises before it allocates
-    with pytest.raises(ValueError):
+    with pytest.raises(TableTooLargeError):
         primes_in(3, TABLE_CAP + 2)  # raises before it allocates
-
-
-def test_poly_eval_mod():
-    f = (0, 1, 0, 1)  # x^3 + x
-    assert poly_eval_mod(f, 2, 5) == 0
-    assert poly_eval_mod(f, 1, 5) == 2
-    assert poly_eval_mod((0, -1, 0, 0, 0, 1), 2, 3) == 0  # x^5 - x at 2 mod 3
 
 
 # On either side of p^4 = 2^63 (55108.5) and p^3 = 2^63 (2097152), and the
@@ -161,7 +158,7 @@ def test_poly_eval_all_mod_exact_at_reduction_thresholds(p):
         worst = (-1,) * (deg + 1)  # every coefficient p - 1 mod p: the largest bound
         rand = tuple(rng.randint(-(10**9), 10**9) for _ in range(deg)) + (rng.choice([1, -1, 10**9 - 7]),)
         for f in (worst, rand):
-            want = [poly_eval_mod(f, v, p) for v in xs]
+            want = [IntPolynomial(f)(v) % p for v in xs]
             assert poly_eval_all_mod(f, p, x).tolist() == want, (deg, f)
             if p < 2**17:
                 assert poly_eval_all_mod(f, p)[x].tolist() == want, (deg, f)
