@@ -1,5 +1,7 @@
 """Micro-benchmarks of the trace kernel's layers at one prime, p = 40009, of
-the scalar quadratic character, of the prime sieve and of the trace moments.
+the whole character sum there and at p = 9999991 (where the arrays leave the
+cache), of the scalar quadratic character, of the prime sieve and of the
+trace moments.
 
 Outside the tier-1 ``testpaths``; run them from the repository root with
 
@@ -12,14 +14,17 @@ import random
 import numpy as np
 import pytest
 
-from nagaolab.curves import TraceRecord
+from nagaolab.curves import TraceRecord, char_sum
 from nagaolab.finite_field import legendre, poly_eval_all_mod, primes_in, residue_table
 from nagaolab.polynomials import parse_polynomial
 from nagaolab.stats import empirical_moments
 
 P = 40009
+BIG_P = 9999991
 QUINTIC = parse_polynomial("x^5+2*x^4+3*x^3+3*x^2+2*x+1")
 PETERSON_D = parse_polynomial("x^10+2*x^8+3*x^6+3*x^4+2*x^2+1")  # D(x) = h(x^2)
+SAMPLE_QUINTIC = parse_polynomial("x^5-x+1")  # odd and even terms
+SEXTIC = parse_polynomial("x^6+1")
 
 
 @pytest.fixture(scope="module")
@@ -32,11 +37,11 @@ def test_residue_table(benchmark):
 
 
 def test_eval_quintic(benchmark):
-    benchmark(poly_eval_all_mod, QUINTIC.coeffs, P)
+    benchmark(poly_eval_all_mod, QUINTIC.coeffs, P, np.arange(P, dtype=np.int64))
 
 
 def test_eval_peterson_D_full(benchmark):
-    benchmark(poly_eval_all_mod, PETERSON_D.coeffs, P)
+    benchmark(poly_eval_all_mod, PETERSON_D.coeffs, P, np.arange(P, dtype=np.int64))
 
 
 def test_eval_peterson_D_even(benchmark, table):
@@ -44,8 +49,27 @@ def test_eval_peterson_D_even(benchmark, table):
 
 
 def test_chi_gather(benchmark, table):
-    vals = poly_eval_all_mod(QUINTIC.coeffs, P)
+    vals = poly_eval_all_mod(QUINTIC.coeffs, P, np.arange(P, dtype=np.int64))
     benchmark(lambda: int(table.chi[vals].sum(dtype=np.int64)))
+
+
+@pytest.fixture(scope="module")
+def big_table():
+    return residue_table(BIG_P)
+
+
+def test_residue_table_big(benchmark):
+    benchmark(residue_table, BIG_P)
+
+
+@pytest.mark.parametrize("g", [SAMPLE_QUINTIC, PETERSON_D], ids=["x^5-x+1", "peterson-D"])
+def test_char_sum(benchmark, table, g):
+    benchmark(char_sum, g, P, table)
+
+
+@pytest.mark.parametrize("g", [SAMPLE_QUINTIC, SEXTIC, PETERSON_D], ids=["x^5-x+1", "x^6+1", "peterson-D"])
+def test_char_sum_big(benchmark, big_table, g):
+    benchmark(char_sum, g, BIG_P, big_table)
 
 
 def test_legendre(benchmark):

@@ -55,6 +55,9 @@ EXIT_BAD_CURVE = 2
 EXIT_CAP = 3
 EXIT_CACHE = 4
 
+# The largest --threads: a sweep's worker processes start all at once.
+MAX_THREADS = 64
+
 
 class ConfigError(Exception):
     pass
@@ -342,6 +345,8 @@ def run(cfg: ExperimentConfig) -> int:
         handler, _ = _COMMANDS[cfg.command]
         if cfg.threads < 1:
             raise ConfigError("thread count must be >= 1")
+        if cfg.threads > MAX_THREADS:
+            raise ConfigError(f"thread count must be <= {MAX_THREADS}")
         if not cfg.f:
             raise ConfigError("--f is required")
         _check_paths(cfg)

@@ -16,12 +16,12 @@ exhaustive counting oracle in the test suite.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 from .cache import TraceCache
-from .finite_field import ResidueTable, legendre, poly_eval_all_mod, primes_in, residue_table
+from .finite_field import CHUNK, ResidueTable, legendre, poly_eval_all_mod, primes_in, residue_table
 from .polynomials import IntPolynomial, PolynomialError
 
 DEFAULT_LPOLY_CAP = 10**4
@@ -96,14 +96,30 @@ def curve_from_poly(f: IntPolynomial) -> CurveSpec:
 def char_sum(g: IntPolynomial, p: int, table: ResidueTable) -> int:
     """sum_x chi_p(g(x)) over x = 0..p-1, with ``table`` the residue table of p.
 
-    When g has no odd-degree term, g(x) = h(x^2) = g(-x), and the sum is
-    chi_p(h(0)) + 2 sum_k chi_p(h(k^2)) over k = 1..(p-1)/2: h has half the
-    degree of g and is evaluated at the (p-1)/2 entries of ``table.squares``.
+    Split g(x) = e(x^2) + x o(x^2).  For k = 1..(p-1)/2 and s = k^2, let
+    E = e(s) and O = k o(s), reduced mod p; then g(k) = E + O and
+    g(-k) = E - O, and the sum is chi(g(0)) + sum_k (chi[E + O - p] + chi[E - O]).
+    Both indices lie in [-p, p), where ``table.chi`` reads chi of the residue.
+    e and o have half the degree of g and are evaluated at the (p-1)/2
+    entries of ``table.squares``, CHUNK at a time.  When o = 0 the sum is
+    chi(g(0)) + 2 sum_k chi[E].
     """
-    if any(g.coeffs[1::2]):
-        return int(table.chi[poly_eval_all_mod(g.coeffs, p)].sum(dtype="int64"))
-    vals = poly_eval_all_mod(g.coeffs[::2], p, table.squares)
-    return legendre(g(0), p) + 2 * int(table.chi[vals].sum(dtype="int64"))
+    even, odd = g.coeffs[::2], g.coeffs[1::2]
+    total = 0
+    for i in range(0, len(table.squares), CHUNK):
+        s = table.squares[i : i + CHUNK]
+        e = poly_eval_all_mod(even, p, s)
+        if any(odd):
+            o = poly_eval_all_mod(odd, p, s)
+            o *= table.roots[i : i + CHUNK]
+            o -= o // p * p
+            total += int(table.chi[e - o].sum(dtype="int64"))
+            e += o
+            e -= p
+            total += int(table.chi[e].sum(dtype="int64"))
+        else:
+            total += 2 * int(table.chi[e].sum(dtype="int64"))
+    return legendre(g(0), p) + total
 
 
 def hyperelliptic_trace(f: IntPolynomial, p: int, table: ResidueTable | None = None) -> int:
@@ -129,6 +145,47 @@ def good_primes(bad: BadPrimes, n_max: int) -> list[int]:
     return [p for p in primes_in(3, n_max + 1) if p not in bad]
 
 
+def _fill(
+    distinct: Sequence[IntPolynomial], block_primes: Sequence[int], block_rows: list[list]
+) -> list[list]:
+    """Fill the misses (None) of each row in place and return the rows: row i
+    holds a_p(g) for p = block_primes[i] and g in ``distinct``.
+
+    A prime with a miss gets one residue table, shared by every polynomial
+    that missed, and every computed a_p is checked against the Weil bound
+    a^2 <= 4 g^2 p with g = (deg - 1) // 2.
+    """
+    for p, row in zip(block_primes, block_rows):
+        if None not in row:
+            continue
+        tab = residue_table(p)
+        for k, g in enumerate(distinct):
+            if row[k] is None:
+                a = hyperelliptic_trace(g, p, tab)
+                genus = (g.degree - 1) // 2
+                if a * a > 4 * genus * genus * p:
+                    raise AssertionError(
+                        f"Weil bound violated at p={p}: a={a}, genus {genus} (counting bug)"
+                    )
+                row[k] = a
+    return block_rows
+
+
+def _process_pool(workers: int):
+    """A pool of ``workers`` forked processes.
+
+    Fork, not spawn: a forked worker starts with the parent's modules and
+    needs no import of its own.  The CLI forks before it has loaded numpy,
+    so with no thread of its own.  The pool modules are imported here, not at
+    module load, so a run on one thread or with every a_p cached never loads
+    them.
+    """
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+
 def sweep_traces(
     polys: Sequence[IntPolynomial],
     primes: Sequence[int],
@@ -139,14 +196,13 @@ def sweep_traces(
 
     The one trace sweep behind every command.  Identical polynomials are
     computed once.  A value held by the cache of its polynomial (caches are
-    matched through ``TraceCache.poly``) is read, not computed.  A prime with
-    a miss gets one residue table, shared by every polynomial that missed, and
-    every computed a_p is checked against the Weil bound a^2 <= 4 g^2 p with
-    g = (deg - 1) // 2.  The primes run in blocks of _BLOCK consecutive ones,
-    on a pool of ``threads`` workers when threads > 1 and some prime misses;
-    this generator takes the blocks in order, appends each to the caches and
-    then yields it, so the output does not depend on the thread count.  With
-    one thread a block is computed only when the consumer reaches it.
+    matched through ``TraceCache.poly``) is read, not computed; ``_fill``
+    computes the rest.  The primes run in blocks of _BLOCK consecutive ones.
+    When threads > 1 and some prime misses, the blocks go to a pool of
+    min(threads, blocks with a miss) forked worker processes; this generator
+    takes the blocks in order, appends each to the caches and then yields it,
+    so the output does not depend on the thread count.  With one thread the
+    blocks run in this process, each only when the consumer reaches it.
     """
     distinct = list(dict.fromkeys(polys))
     slot = [distinct.index(g) for g in polys]
@@ -154,28 +210,16 @@ def sweep_traces(
     stores = [by_poly.get(g) for g in distinct]
     values = [[None if c is None else c.get(p) for c in stores] for p in primes]
     blocks = [range(k, min(k + _BLOCK, len(primes))) for k in range(0, len(primes), _BLOCK)]
-
-    def work(block: range) -> range:  # fills the misses of its rows in place
-        for i in block:
-            row, p = values[i], primes[i]
-            if None not in row:
-                continue
-            tab = residue_table(p)
-            for k, g in enumerate(distinct):
-                if row[k] is None:
-                    a = hyperelliptic_trace(g, p, tab)
-                    genus = (g.degree - 1) // 2
-                    if a * a > 4 * genus * genus * p:
-                        raise AssertionError(
-                            f"Weil bound violated at p={p}: a={a}, genus {genus} (counting bug)"
-                        )
-                    row[k] = a
-        return block
-
-    misses = any(None in row for row in values)
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 and misses else None
+    missing = sum(any(None in values[i] for i in block) for block in blocks)
+    pool = _process_pool(min(threads, missing)) if threads > 1 and missing else None
+    args = (
+        repeat(distinct),
+        [primes[b.start : b.stop] for b in blocks],
+        [values[b.start : b.stop] for b in blocks],
+    )
     try:
-        for block in pool.map(work, blocks) if pool else map(work, blocks):
+        for block, rows in zip(blocks, pool.map(_fill, *args) if pool else map(_fill, *args)):
+            values[block.start : block.stop] = rows
             for k, c in enumerate(stores):
                 if c is not None:
                     c.append([(primes[i], values[i][k]) for i in block])

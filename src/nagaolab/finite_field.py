@@ -17,8 +17,9 @@ pure Python, so a run whose traces all come from the cache never loads it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, dropwhile
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -29,6 +30,12 @@ if TYPE_CHECKING:
 TABLE_CAP = 1 << 31
 
 _INT64_MAX = (1 << 63) - 1
+
+# Entries per pass of the array kernels over the (p-1)/2 squares.  An int64
+# array of one pass takes 64 KiB: it stays in cache however large p is, and
+# below the 128 KiB at which glibc's malloc maps fresh pages for a block, so
+# the temporaries of a pass reuse heap memory instead of page-faulting.
+CHUNK = 1 << 13
 
 # Witness set deterministic for every n < 2**64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -103,13 +110,15 @@ class ResidueTable:
     ``chi[values]``; a single residue goes through ``legendre``.
 
     ``chi`` is an int8 array of length p with chi[0] = 0 (the distinguished
-    zero mark), +1 on nonzero squares, -1 on non-squares.  ``squares`` is the
-    int64 array k^2 mod p for k = 1..(p-1)/2, each nonzero square once.
+    zero mark), +1 on nonzero squares, -1 on non-squares; an index in [-p, 0)
+    reads chi of its residue.  ``roots`` is the int64 array k = 1..(p-1)/2
+    and ``squares`` the int64 array k^2 mod p, each nonzero square once.
     Immutable and shareable across threads.
     """
 
     p: int
     chi: np.ndarray = field(repr=False)
+    roots: np.ndarray = field(repr=False)
     squares: np.ndarray = field(repr=False)
 
 
@@ -117,42 +126,48 @@ def residue_table(p: int) -> ResidueTable:
     """Build the chi_p lookup table for an odd prime p <= TABLE_CAP.
 
     k^2 = (p - k)^2, so the squares of 1..(p-1)/2 already hit every nonzero
-    square.
+    square.  They are reduced CHUNK at a time, so each pass stays in cache.
     """
     if p > TABLE_CAP:
         raise TableTooLargeError(f"table for p={p} too large (cap {TABLE_CAP})")
     import numpy as np
 
-    k = np.arange(1, p // 2 + 1, dtype=np.int64)
-    squares = k * k % p
+    roots = np.arange(1, p // 2 + 1, dtype=np.int64)
+    squares = roots * roots
+    for i in range(0, len(squares), CHUNK):
+        v = squares[i : i + CHUNK]
+        v -= v // p * p
     chi = np.full(p, -1, dtype=np.int8)
     chi[squares] = 1
     chi[0] = 0
-    return ResidueTable(p, chi, squares)
+    return ResidueTable(p, chi, roots, squares)
 
 
-def poly_eval_all_mod(coeffs, p: int, x: np.ndarray | None = None) -> np.ndarray:
+def poly_eval_all_mod(coeffs, p: int, x: np.ndarray) -> np.ndarray:
     """Vectorized Horner: f at every entry of x mod p, as an int64 array.
 
-    ``x`` holds residues in [0, p) and defaults to 0, ..., p-1; p^2 must fit
-    in int64.  The coefficients are reduced once.  The running values are
-    reduced only when a bound on them says the next v*x + c could pass
-    2^63 - 1, and once at the end: for p < 55108 a quintic takes 2
-    reductions instead of 6.
+    ``x`` holds residues in [0, p); p^2 must fit in int64.  The coefficients
+    are reduced once, and those of the top degrees that vanish mod p are
+    skipped.  The running values are reduced only when a bound on them says
+    the next v*x + c could pass 2^63 - 1, and at the end if the bound passes
+    p - 1: for p < 55108 a quintic takes 2 reductions instead of 6.  A
+    reduction of the nonnegative values is v - (v // p) * p: numpy divides
+    an array by a scalar about twice as fast as it takes the remainder.
     """
     import numpy as np
 
-    if x is None:
-        x = np.arange(p, dtype=np.int64)
-    top, *rest = [c % p for c in reversed(coeffs)] or [0]  # [0]: the zero polynomial
+    reduced = [c % p for c in reversed(coeffs)]
+    top, *rest = list(dropwhile(operator.not_, reduced)) or [0]  # [0]: zero mod p
     v = np.full(len(x), top, dtype=np.int64)
     bound = top  # every entry of v lies in [0, bound]
     for c in rest:
         if bound * (p - 1) + c > _INT64_MAX:
-            v %= p
+            v -= v // p * p
             bound = p - 1
         v *= x
-        v += c
+        if c:
+            v += c
         bound = bound * (p - 1) + c
-    v %= p
+    if bound >= p:
+        v -= v // p * p
     return v

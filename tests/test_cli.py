@@ -16,6 +16,7 @@ from nagaolab.cli import (
     EXIT_CAP,
     EXIT_CONFIG,
     EXIT_OK,
+    MAX_THREADS,
     ExperimentConfig,
     main,
     parse_mobius,
@@ -187,6 +188,7 @@ EXIT_CASES = [
     (["trace", "--f", "x^3+x", "--N", "50"], EXIT_CACHE),
     (["lpoly", "--f", "x^5-x", "--N", "20"], EXIT_OK),
     (["lpoly", "--f", "x^5-x", "--threads", "0"], EXIT_CONFIG),
+    (["trace", "--f", "x^3+x", "--N", "5000", "--threads", str(MAX_THREADS + 1)], EXIT_CONFIG),
     (["lpoly", "--f", "x^3+x"], EXIT_BAD_CURVE),
     (["lpoly", "--f", "x^5-x", "--N", BIG_N], EXIT_CAP),
     (["lpoly", "--f", "x^5-x", "--N", "20000"], EXIT_CAP),
@@ -232,10 +234,15 @@ EXIT_CASES = [
 )
 def test_exit_codes(argv, code, tmp_path, capsys, monkeypatch):
     """Each command's documented exit codes; a failure prints one stderr line
-    and computes no trace."""
+    and computes no trace, and no case builds a worker pool."""
     computed = []
     real = curves_mod.hyperelliptic_trace
     monkeypatch.setattr(curves_mod, "hyperelliptic_trace", lambda *a: computed.append(a) or real(*a))
+
+    def no_pool(workers):
+        raise AssertionError(f"a pool of {workers} workers was built")
+
+    monkeypatch.setattr(curves_mod, "_process_pool", no_pool)
     cache = tmp_path / "cache"
     if code == EXIT_CACHE:
         cache.mkdir()
@@ -287,10 +294,32 @@ def test_cli_import_loads_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_pool_modules_load_only_for_a_pool(tmp_path):
+    """The process-pool modules stay out of start-up and out of a cold run on
+    one thread.  A cold run on two threads loads them (the probe can see
+    them), and its own process, which forks the workers, never loads numpy."""
+    argv = ["st-classify", "--f", "x^5-x+1", "--N", "2000", "--output", str(tmp_path / "out.csv")]
+    pool = "'concurrent.futures.process'"
+    one = fresh_python(
+        "from nagaolab.cli import main",
+        f"assert {pool} not in sys.modules, 'loaded by import nagaolab.cli'",
+        f"assert main({argv!r}) == 0",
+        f"assert {pool} not in sys.modules, 'loaded by a one-thread run'",
+    )
+    assert one.returncode == 0, one.stderr
+    two = fresh_python(
+        "from nagaolab.cli import main",
+        f"assert main({argv + ['--threads', '2']!r}) == 0",
+        f"assert {pool} in sys.modules, 'a two-thread run built no pool'",
+        "assert 'numpy' not in sys.modules, 'numpy loaded outside the workers'",
+    )
+    assert two.returncode == 0, two.stderr
+
+
 WARM_RUNS = [
     ["trace", "--f", "x^5-x+1", "--N", "300"],
     ["moments", "--f", "x^3+x+1", "--N", "300"],
-    ["st-classify", "--f", "x^5-x+1", "--N", "2000", "--threads", "2"],  # cold: numpy loads in the workers
+    ["st-classify", "--f", "x^5-x+1", "--N", "2000", "--threads", "2"],  # cold: the traces run in workers
     ["nagao", "--f", "T^3+T", "--D", "x^4+3", "--N", "300", "--grid", "100,300"],
     ["factor-check", "--f", QUINTIC, "--D", "auto-peterson", "--sigma", "1/x", "--N", "300"],
 ]

@@ -1,5 +1,8 @@
+import itertools
 import math
+import multiprocessing
 import operator
+import os
 import random
 import tempfile
 from functools import reduce
@@ -16,6 +19,7 @@ from nagaolab.curves import (
     CurveError,
     CurveSpec,
     TraceRecord,
+    char_sum,
     curve_from_poly,
     genus2_b,
     good_primes,
@@ -25,7 +29,7 @@ from nagaolab.curves import (
     sweep_traces,
     trace_oracle_exhaustive,
 )
-from nagaolab.finite_field import legendre, primes_in
+from nagaolab.finite_field import legendre, primes_in, residue_table
 from nagaolab.polynomials import IntPolynomial, parse_polynomial
 
 
@@ -140,6 +144,49 @@ def test_cm_vanishing_mod4_regression():
         assert (a == 0) == (p % 4 == 3)
 
 
+# -- the character sum -------------------------------------------------------
+
+SMALL_PRIMES = primes_in(3, 2000)
+PARITY = ("even terms only", "odd terms only", "mixed", "g(0) = 0", "lead = 0 mod p")
+
+
+def _chi_sum_oracle(g: IntPolynomial, p: int) -> int:
+    """sum_x chi_p(g(x)) by exact evaluation and the scalar character: no table."""
+    return sum(legendre(g(x) % p, p) for x in range(p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.sampled_from([3, 5]), st.sampled_from(SMALL_PRIMES)),
+    st.integers(1, 10),
+    st.sampled_from(PARITY),
+    st.data(),
+)
+def test_char_sum_matches_scalar_oracle(p, degree, parity, data):
+    coeffs = data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=degree + 1, max_size=degree + 1))
+    coeffs[degree] = coeffs[degree] or 1
+    if parity == "even terms only":
+        coeffs = [c if i % 2 == 0 else 0 for i, c in enumerate(coeffs)]
+    elif parity == "odd terms only":
+        coeffs = [c if i % 2 == 1 else 0 for i, c in enumerate(coeffs)]
+    elif parity == "g(0) = 0":
+        coeffs[0] = 0
+    elif parity == "lead = 0 mod p":
+        coeffs[degree] = p * data.draw(st.integers(1, 10**4))
+    g = IntPolynomial(tuple(coeffs))
+    assert char_sum(g, p, residue_table(p)) == _chi_sum_oracle(g, p)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_char_sum_every_small_polynomial(p):
+    """Every g of degree <= 4 with coefficients in [0, p): where E + O - p and
+    E - O reach -p."""
+    tab = residue_table(p)
+    for coeffs in itertools.product(range(p), repeat=5):
+        g = IntPolynomial(coeffs)
+        assert char_sum(g, p, tab) == _chi_sum_oracle(g, p), coeffs
+
+
 # -- the sweep engine --------------------------------------------------------
 
 PETERSON_D = parse_polynomial("x^10+2*x^8+3*x^6+3*x^4+2*x^2+1")
@@ -210,28 +257,36 @@ def test_sweep_partly_warm(tmp_path, monkeypatch, warm, threads):
         TraceCache(tmp_path / "warm", g).append([(want[i][0], want[i][1][k]) for i in held[k]])
     misses = sorted((k, p) for k in range(2) for i, p in enumerate(primes) if i not in held[k])
 
-    calls = []
+    # Each call appends a line to a file, which forked workers reach too.
+    log = tmp_path / "calls.log"
     real = curves_mod.hyperelliptic_trace
 
     def counted(f, p, table=None):
-        calls.append((polys.index(f), p))
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()},{polys.index(f)},{p}\n")
         return real(f, p, table)
+
+    def calls():
+        lines = log.read_text().splitlines() if log.exists() else []
+        return [tuple(map(int, line.split(","))) for line in lines]
 
     monkeypatch.setattr(curves_mod, "hyperelliptic_trace", counted)
     warm_caches = [TraceCache(tmp_path / "warm", g) for g in polys]
     assert list(sweep_traces(polys, primes, threads, warm_caches)) == want
-    assert sorted(calls) == misses
+    assert sorted((k, p) for _, k, p in calls()) == misses
+    in_process = {pid for pid, _, _ in calls()} == {os.getpid()}
+    assert in_process == (threads == 1)  # with 2 threads every trace ran in a worker
     for c_cold, c_warm in zip(cold, warm_caches):
         assert c_warm.path.read_bytes() == c_cold.path.read_bytes()
 
     def no_pool(*args, **kwargs):
-        raise AssertionError("a fully warm sweep started a thread pool")
+        raise AssertionError("a fully warm sweep started a worker pool")
 
-    monkeypatch.setattr(curves_mod, "ThreadPoolExecutor", no_pool)
-    calls.clear()
+    monkeypatch.setattr(curves_mod, "_process_pool", no_pool)
+    log.unlink()
     full = [TraceCache(tmp_path / "warm", g) for g in polys]
     assert list(sweep_traces(polys, primes, 2, full)) == want
-    assert calls == []
+    assert calls() == []
 
 
 def test_sweep_serial_is_lazy(monkeypatch):
@@ -266,6 +321,54 @@ def test_sweep_weil_violation_raises_before_caching_its_block(tmp_path, monkeypa
     with pytest.raises(AssertionError, match=f"Weil bound violated at p={bad_p}:"):
         list(sweep_traces([f], primes, threads, [TraceCache(tmp_path, f)]))
     assert sorted(TraceCache(tmp_path, f).records) == primes[:4]  # the first block only
+
+
+def _counted_pools(monkeypatch) -> list[int]:
+    """Record the worker count of every pool a sweep builds."""
+    sizes = []
+    real = curves_mod._process_pool
+
+    def recorded(workers):
+        sizes.append(workers)
+        return real(workers)
+
+    monkeypatch.setattr(curves_mod, "_process_pool", recorded)
+    return sizes
+
+
+def test_pool_size_is_the_blocks_with_a_miss(tmp_path, monkeypatch):
+    monkeypatch.setattr(curves_mod, "_BLOCK", 4)
+    f = parse_polynomial("x^3+x+1")
+    primes = good_primes(curve_from_poly(f).bad_primes, 200)
+    want = list(sweep_traces([f], primes))
+    held = [(p, a) for i, (p, (a,)) in enumerate(want) if i not in (1, 9, 10, 30)]  # misses in blocks 0, 2, 7
+    TraceCache(tmp_path, f).append(held)
+    sizes = _counted_pools(monkeypatch)
+    assert list(sweep_traces([f], primes, 8, [TraceCache(tmp_path, f)])) == want
+    assert sizes == [3]
+
+
+@pytest.mark.parametrize("end", ["finished", "closed after one block", "Weil violation"])
+def test_no_worker_outlives_a_sweep(end, monkeypatch):
+    monkeypatch.setattr(curves_mod, "_BLOCK", 4)
+    f = parse_polynomial("x^3+x+1")
+    primes = good_primes(curve_from_poly(f).bad_primes, 300)
+    sizes = _counted_pools(monkeypatch)
+    sweep = sweep_traces([f], primes, 2)
+    if end == "finished":
+        assert len(list(sweep)) == len(primes)
+    elif end == "closed after one block":
+        assert next(sweep)[0] == primes[0]
+        sweep.close()
+    else:
+        real = curves_mod.hyperelliptic_trace
+        monkeypatch.setattr(
+            curves_mod, "hyperelliptic_trace", lambda g, p, t=None: 10**6 if p == primes[9] else real(g, p, t)
+        )
+        with pytest.raises(AssertionError, match=f"Weil bound violated at p={primes[9]}:"):
+            list(sweep)
+    assert sizes == [2]
+    assert multiprocessing.active_children() == []
 
 
 def test_genus2_b_bound_violation_raises(monkeypatch):

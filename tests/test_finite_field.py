@@ -157,8 +157,9 @@ def test_poly_eval_all_mod_exact_at_reduction_thresholds(p):
     for deg in range(3, 11):
         worst = (-1,) * (deg + 1)  # every coefficient p - 1 mod p: the largest bound
         rand = tuple(rng.randint(-(10**9), 10**9) for _ in range(deg)) + (rng.choice([1, -1, 10**9 - 7]),)
-        for f in (worst, rand):
+        vanishing_top = rand[:-2] + (p, -2 * p)  # the top two coefficients are 0 mod p
+        for f in (worst, rand, vanishing_top):
             want = [IntPolynomial(f)(v) % p for v in xs]
             assert poly_eval_all_mod(f, p, x).tolist() == want, (deg, f)
             if p < 2**17:
-                assert poly_eval_all_mod(f, p)[x].tolist() == want, (deg, f)
+                assert poly_eval_all_mod(f, p, np.arange(p, dtype=np.int64))[x].tolist() == want, (deg, f)
