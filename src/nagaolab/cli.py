@@ -1,14 +1,15 @@
 """Command-line front end: parsing, sweep orchestration, caching, CSV/JSON reports.
 
 Exit codes: 0 success, 1 parse/config or I/O error, 2 bad curve (non-squarefree
-or bad degree), 3 cap exceeded, 4 cache corruption.  Progress goes to stderr;
+or bad degree), 3 cap exceeded, 4 cache corruption, 5 a worker process died,
+130 interrupted (Ctrl-C).  Each failure prints one ``error:`` line; the blocks
+of traces a failed run completed stay in the cache.  Progress goes to stderr;
 report data only to the output file (or stdout with ``--output -``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass, field
@@ -22,6 +23,7 @@ from .curves import (
     CurveError,
     CurveSpec,
     TraceRecord,
+    WorkerDiedError,
     curve_from_poly,
     genus2_b,
     good_primes,
@@ -54,6 +56,8 @@ EXIT_CONFIG = 1
 EXIT_BAD_CURVE = 2
 EXIT_CAP = 3
 EXIT_CACHE = 4
+EXIT_WORKER = 5
+EXIT_INTERRUPTED = 130
 
 # The largest --threads: a sweep's worker processes start all at once.
 MAX_THREADS = 64
@@ -124,6 +128,8 @@ def _write(report: Report, cfg: ExperimentConfig) -> None:
     ``.skipped`` sidecar of the bad primes p <= N with reasons (p=2 | lead | disc)."""
     cols = report.columns
     if cfg.fmt == "json":
+        import json
+
         text = json.dumps([{k: row.get(k) for k in cols} for row in report.rows], indent=2) + "\n"
     else:
         lines = [",".join(cols)] + [",".join(_fmt(row.get(k)) for k in cols) for row in report.rows]
@@ -306,6 +312,7 @@ _COMMANDS = {
 # base class PolynomialError (which ParseError also derives from).
 _EXIT_CODES = {
     CacheCorruptError: EXIT_CACHE,
+    WorkerDiedError: EXIT_WORKER,
     CapExceededError: EXIT_CAP,
     CurveError: EXIT_BAD_CURVE,
     PolynomialError: EXIT_CONFIG,
@@ -396,10 +403,12 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
-        cfg = ExperimentConfig(**vars(args))
-    except tuple(_EXIT_CODES) as e:
+        return run(ExperimentConfig(**vars(args)))
+    except tuple(_EXIT_CODES) as e:  # a parse error; run handles its own
         return _exit_code(e)
-    return run(cfg)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -44,6 +44,12 @@ class CapExceededError(ValueError):
     pass
 
 
+class WorkerDiedError(RuntimeError):
+    def __init__(self, p: int):
+        super().__init__(f"a worker process died; the sweep stopped at the block from p = {p}")
+        self.p = p
+
+
 @dataclass(frozen=True)
 class BadPrimes:
     """The primes dividing ``modulus``: ``p in bad`` is ``modulus % p == 0`` for
@@ -146,29 +152,30 @@ def good_primes(bad: BadPrimes, n_max: int) -> list[int]:
 
 
 def _fill(
-    distinct: Sequence[IntPolynomial], block_primes: Sequence[int], block_rows: list[list]
+    distinct: Sequence[IntPolynomial], block_primes: Sequence[int], block_cols: list[list]
 ) -> list[list]:
-    """Fill the misses (None) of each row in place and return the rows: row i
-    holds a_p(g) for p = block_primes[i] and g in ``distinct``.
+    """Fill the misses (None) of each column in place and return the columns:
+    column k holds a_p(distinct[k]) for p in ``block_primes``.
 
     A prime with a miss gets one residue table, shared by every polynomial
     that missed, and every computed a_p is checked against the Weil bound
     a^2 <= 4 g^2 p with g = (deg - 1) // 2.
     """
-    for p, row in zip(block_primes, block_rows):
-        if None not in row:
+    for i, p in enumerate(block_primes):
+        missed = [k for k, col in enumerate(block_cols) if col[i] is None]
+        if not missed:
             continue
         tab = residue_table(p)
-        for k, g in enumerate(distinct):
-            if row[k] is None:
-                a = hyperelliptic_trace(g, p, tab)
-                genus = (g.degree - 1) // 2
-                if a * a > 4 * genus * genus * p:
-                    raise AssertionError(
-                        f"Weil bound violated at p={p}: a={a}, genus {genus} (counting bug)"
-                    )
-                row[k] = a
-    return block_rows
+        for k in missed:
+            g = distinct[k]
+            a = hyperelliptic_trace(g, p, tab)
+            genus = (g.degree - 1) // 2
+            if a * a > 4 * genus * genus * p:
+                raise AssertionError(
+                    f"Weil bound violated at p={p}: a={a}, genus {genus} (counting bug)"
+                )
+            block_cols[k][i] = a
+    return block_cols
 
 
 def _process_pool(workers: int):
@@ -176,14 +183,22 @@ def _process_pool(workers: int):
 
     Fork, not spawn: a forked worker starts with the parent's modules and
     needs no import of its own.  The CLI forks before it has loaded numpy,
-    so with no thread of its own.  The pool modules are imported here, not at
-    module load, so a run on one thread or with every a_p cached never loads
-    them.
+    so with no thread of its own.  A Ctrl-C reaches the whole process group:
+    the workers take SIGINT's default action and end at once, without a
+    traceback, and the CLI alone reports it.  The pool modules are imported
+    here, not at module load, so a run on one thread or with every a_p
+    cached never loads them.
     """
     import multiprocessing
+    import signal
     from concurrent.futures.process import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    return ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=signal.signal,
+        initargs=(signal.SIGINT, signal.SIG_DFL),
+    )
 
 
 def sweep_traces(
@@ -195,36 +210,49 @@ def sweep_traces(
     """Yield (p, (a_p(g) for g in polys)) for the given good primes, ascending.
 
     The one trace sweep behind every command.  Identical polynomials are
-    computed once.  A value held by the cache of its polynomial (caches are
-    matched through ``TraceCache.poly``) is read, not computed; ``_fill``
-    computes the rest.  The primes run in blocks of _BLOCK consecutive ones.
-    When threads > 1 and some prime misses, the blocks go to a pool of
-    min(threads, blocks with a miss) forked worker processes; this generator
-    takes the blocks in order, appends each to the caches and then yields it,
-    so the output does not depend on the thread count.  With one thread the
-    blocks run in this process, each only when the consumer reaches it.
+    computed once.  The cache of each polynomial (caches are matched through
+    ``TraceCache.poly``) is read by column, one ``TraceCache.get`` per prime.
+    The primes run in blocks of _BLOCK consecutive ones.  A block whose
+    values are all cached is yielded straight from its columns: nothing is
+    computed or appended for it.  ``_fill`` computes the misses of the other
+    blocks.  When threads > 1, those blocks go to a pool of min(threads,
+    blocks with a miss) forked worker processes; this generator takes the
+    blocks in order, appends each filled one to the caches and then yields
+    it, so the output does not depend on the thread count.  With one thread
+    a block is filled in this process, only when the consumer reaches it.
+
+    A worker that dies raises WorkerDiedError naming the first prime of the
+    block that was lost; the blocks before it are already in the caches.
     """
     distinct = list(dict.fromkeys(polys))
     slot = [distinct.index(g) for g in polys]
     by_poly = {c.poly: c for c in caches or ()}
     stores = [by_poly.get(g) for g in distinct]
-    values = [[None if c is None else c.get(p) for c in stores] for p in primes]
-    blocks = [range(k, min(k + _BLOCK, len(primes))) for k in range(0, len(primes), _BLOCK)]
-    missing = sum(any(None in values[i] for i in block) for block in blocks)
-    pool = _process_pool(min(threads, missing)) if threads > 1 and missing else None
-    args = (
+    cols = [[None] * len(primes) if c is None else list(map(c.get, primes)) for c in stores]
+    blocks = [slice(k, k + _BLOCK) for k in range(0, len(primes), _BLOCK)]
+    block_cols = [[col[b] for col in cols] for b in blocks]
+    missed = [any(None in col for col in bc) for bc in block_cols]
+    todo = (
         repeat(distinct),
-        [primes[b.start : b.stop] for b in blocks],
-        [values[b.start : b.stop] for b in blocks],
+        [primes[b] for b, miss in zip(blocks, missed) if miss],
+        [bc for bc, miss in zip(block_cols, missed) if miss],
     )
+    pool, died = None, ()  # died: what the pool raises when a worker dies
+    if threads > 1 and any(missed):
+        pool = _process_pool(min(threads, sum(missed)))
+        from concurrent.futures.process import BrokenProcessPool as died
     try:
-        for block, rows in zip(blocks, pool.map(_fill, *args) if pool else map(_fill, *args)):
-            values[block.start : block.stop] = rows
-            for k, c in enumerate(stores):
-                if c is not None:
-                    c.append([(primes[i], values[i][k]) for i in block])
-            for i in block:
-                yield primes[i], tuple(values[i][k] for k in slot)
+        filled = pool.map(_fill, *todo) if pool else map(_fill, *todo)
+        for b, bc, miss in zip(blocks, block_cols, missed):
+            if miss:
+                try:
+                    bc = next(filled)
+                except died:
+                    raise WorkerDiedError(primes[b.start]) from None
+                for c, col in zip(stores, bc):
+                    if c is not None:
+                        c.append(list(zip(primes[b], col)))
+            yield from zip(primes[b], zip(*(bc[k] for k in slot)))
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)

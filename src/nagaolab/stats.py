@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from typing import Sequence
 
@@ -178,9 +177,11 @@ def _certified_mean(terms: list[tuple[int, int]]) -> float:
     n = len(terms)
     s = sum((num << _K) // den for num, den in terms)
     scale = n << _K
-    mean = float(Fraction(s, scale))
-    if mean == float(Fraction(s + n, scale)):
+    mean = s / scale  # int true division rounds correctly
+    if mean == (s + n) / scale:
         return mean
+    from fractions import Fraction
+
     return float(sum((Fraction(num, den) for num, den in terms), Fraction(0)) / n)
 
 

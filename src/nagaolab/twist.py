@@ -16,8 +16,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .cache import TraceCache
 from .curves import (
@@ -33,6 +32,8 @@ from .curves import (
 from .finite_field import legendre, residue_table
 from .polynomials import IntPolynomial, PolynomialError
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # The largest degree of a twisting polynomial D, checked before its
 # discriminant, whose cost grows fast with the degree: 10 is the degree of the
@@ -70,6 +71,8 @@ def average_trace(s: TwistSurfaceSpec, p: int) -> Fraction:
     The test oracle for ``nagao_series``, which derives the same value from
     a_p(f) and a_p(D).
     """
+    from fractions import Fraction
+
     if p in s.bad_primes:
         raise BadPrimeError(p)
     tab = residue_table(p)
@@ -83,21 +86,14 @@ class NagaoSeries:
     s1: tuple[float, ...]
     s2: tuple[float, ...]
     n_primes: tuple[int, ...]
-    records: tuple[tuple[int, Fraction], ...]  # (p, A_p) ascending in p
+    scaled: tuple[tuple[int, int], ...]  # (p, p * A_p) ascending in p
 
+    @property
+    def records(self) -> tuple[tuple[int, Fraction], ...]:
+        """(p, A_p) ascending in p, as exact rationals built on demand."""
+        from fractions import Fraction
 
-class _Kahan:
-    """Compensated accumulator; order-sensitive, so feed it primes ascending."""
-
-    def __init__(self):
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x: float):
-        y = x - self.c
-        t = self.s + y
-        self.c = (t - self.s) - y
-        self.s = t
+        return tuple((p, Fraction(pa, p)) for p, pa in self.scaled)
 
 
 def geometric_grid(n_max: int, points: int = 20) -> list[int]:
@@ -128,32 +124,39 @@ def nagao_series(
     if not grid or grid[0] < 2 or grid[-1] > n_max:
         raise ValueError("a grid needs at least one cutoff, and every cutoff in [2, N]")
     even_D = s.D.degree % 2 == 0
-    records: list[tuple[int, Fraction]] = []
-    sum_w = _Kahan()  # sum of -A_p log p
-    sum_u = _Kahan()  # sum of -A_p
-    count = 0
-    s1: list[float] = []
-    s2: list[float] = []
-    n_primes: list[int] = []
-
-    def close_cutoffs(below: float) -> None:  # report every open cutoff < below
-        while len(s1) < len(grid) and grid[len(s1)] < below:
-            s1.append(sum_w.s / grid[len(s1)])
-            s2.append(sum_u.s / count if count else 0.0)
-            n_primes.append(count)
+    lead_D = s.D.lead
+    log = math.log
+    scaled: list[tuple[int, int]] = []
+    # Kahan-compensated sums of -A_p log p (w) and of -A_p (u), fed ascending in p.
+    sum_w = comp_w = sum_u = comp_u = 0.0
+    closed: list[tuple[float, float, int]] = []  # (sum_w, sum_u, primes summed) at each cutoff
+    cuts = [*grid, math.inf]
 
     sweep = sweep_traces([s.f, s.D], good_primes(s.bad_primes, n_max), threads, caches)
     for p, (a_f, a_D) in sweep:
-        close_cutoffs(p)
-        cs = -a_D - (legendre(s.D.lead, p) if even_D else 0)
-        a_avg = Fraction(a_f * cs, p)
-        records.append((p, a_avg))
-        v = -float(a_avg)
-        sum_w.add(v * math.log(p))
-        sum_u.add(v)
-        count += 1
-    close_cutoffs(math.inf)
-    return NagaoSeries(tuple(grid), tuple(s1), tuple(s2), tuple(n_primes), tuple(records))
+        while cuts[len(closed)] < p:
+            closed.append((sum_w, sum_u, len(scaled)))
+        # n = a_f (a_D + [deg D even] chi_p(lead D)) = -p A_p, and n / p is
+        # the correctly rounded -A_p.
+        n = a_f * (a_D + legendre(lead_D, p)) if even_D else a_f * a_D
+        scaled.append((p, -n))
+        v = n / p
+        y = v * log(p) - comp_w
+        t = sum_w + y
+        comp_w = (t - sum_w) - y
+        sum_w = t
+        y = v - comp_u
+        t = sum_u + y
+        comp_u = (t - sum_u) - y
+        sum_u = t
+    closed += [(sum_w, sum_u, len(scaled))] * (len(grid) - len(closed))
+    return NagaoSeries(
+        tuple(grid),
+        tuple(w / cut for (w, _, _), cut in zip(closed, grid)),
+        tuple(u / k if k else 0.0 for _, u, k in closed),
+        tuple(k for _, _, k in closed),
+        tuple(scaled),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +218,8 @@ def peterson_D(f: IntPolynomial, sigma: MobiusTransform) -> PetersonResult:
     The rational D is returned cleared to an integral model scaled by the
     square of ``multiplier`` (a square twist, so all chi-sums are unchanged).
     """
+    from fractions import Fraction
+
     if f.is_zero or f.degree not in (3, 5):
         raise PetersonError("f must have degree 3 or 5")
     if sigma.c == 0:

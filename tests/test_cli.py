@@ -1,7 +1,11 @@
 import json
+import multiprocessing
 import os
+import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,14 +19,16 @@ from nagaolab.cli import (
     EXIT_CACHE,
     EXIT_CAP,
     EXIT_CONFIG,
+    EXIT_INTERRUPTED,
     EXIT_OK,
+    EXIT_WORKER,
     MAX_THREADS,
     ExperimentConfig,
     main,
     parse_mobius,
     run,
 )
-from nagaolab.curves import hyperelliptic_trace
+from nagaolab.curves import curve_from_poly, good_primes, hyperelliptic_trace
 from nagaolab.polynomials import ParseError, PolynomialError, parse_polynomial
 from nagaolab.stats import load_st_table
 
@@ -287,11 +293,6 @@ def fresh_python(*lines: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = "\n".join(["import sys", *lines])
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
-
-
-def test_cli_import_loads_no_numpy():
-    proc = fresh_python("import nagaolab.cli", "assert 'numpy' not in sys.modules, 'numpy imported'")
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_pool_modules_load_only_for_a_pool(tmp_path):
@@ -658,3 +659,128 @@ def test_warm_self_twist_builds_no_residue_table(tmp_path, monkeypatch):
     assert run(cfg("nagao", output=str(tmp_path / "warm.csv"), **base)) == EXIT_OK
     assert tables == []
     assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
+
+
+LAYER_MODULES = ["finite_field", "polynomials", "curves", "twist", "stats", "cache", "cli"]
+# Every name nagaolab/__init__.py exports.
+PACKAGE_EXPORTS = [
+    "BadPrimeError", "BadPrimes", "CurveSpec", "TraceRecord", "char_sum", "curve_from_poly",
+    "hyperelliptic_trace", "normalized_angle", "sweep_traces", "trace_oracle_exhaustive",
+    "is_prime", "legendre", "primes_in", "residue_table",
+    "IntPolynomial", "ParseError", "parse_polynomial", "poly_to_str",
+    "MomentReport", "STGroupRecord", "STMeasure1D", "empirical_moments", "haar_second_moment",
+    "haar_second_moment_usp4", "ks_distance", "load_st_table", "moment_class", "st_measure",
+    "MobiusTransform", "NagaoSeries", "PetersonError", "TwistSurfaceSpec", "average_trace",
+    "nagao_series", "peterson_D", "twist_surface", "verify_factorization",
+]
+
+
+def test_cli_import_loads_every_layer_and_no_numpy_json_or_fractions():
+    """``import nagaolab.cli`` loads the seven layer modules, none lazily, and
+    none of numpy, json or fractions, which load only where they are used."""
+    proc = fresh_python(
+        "import nagaolab.cli",
+        f"missing = [m for m in {LAYER_MODULES!r} if 'nagaolab.' + m not in sys.modules]",
+        "assert not missing, f'layers not loaded: {missing}'",
+        "loaded = [m for m in ('numpy', 'json', 'fractions') if m in sys.modules]",
+        "assert not loaded, f'loaded at start-up: {loaded}'",
+        f"from nagaolab import {', '.join(PACKAGE_EXPORTS)}",
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def _sweep_argv(tmp_path, cache, out, threads):
+    return [
+        "trace", "--f", "x^3+x+1", "--N", "300", "--threads", str(threads),
+        "--cache-dir", str(tmp_path / cache), "--output", str(tmp_path / out),
+    ]
+
+
+def test_dead_worker_exits_5_and_keeps_the_complete_blocks(tmp_path, capsys, monkeypatch):
+    """A worker that dies ends the run with one error line and exit 5; the
+    cache keeps only complete blocks below the lost one, and a rerun gives
+    the report and cache bytes of an uninterrupted run."""
+    monkeypatch.setattr(curves_mod, "_BLOCK", 4)
+    f = parse_polynomial("x^3+x+1")
+    primes = good_primes(curve_from_poly(f).bad_primes, 300)
+    die_at = primes[9]  # in the third block
+    parent = os.getpid()
+    real = curves_mod.hyperelliptic_trace
+
+    def dying(g, p, table=None):  # forked workers inherit the patch
+        if p == die_at and os.getpid() != parent:
+            os._exit(1)
+        return real(g, p, table)
+
+    monkeypatch.setattr(curves_mod, "hyperelliptic_trace", dying)
+    assert main(_sweep_argv(tmp_path, "cache", "out.csv", 2)) == EXIT_WORKER
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: a worker process died"), err
+    # Every block still in flight when the worker died is lost, so the named
+    # block is the first of them: the died one or one before it.
+    lost = primes.index(int(re.search(r"p = (\d+)", err).group(1)))
+    assert lost % 4 == 0 and lost <= primes.index(die_at)
+    assert sorted(TraceCache(tmp_path / "cache", f).records) == primes[:lost]
+    assert multiprocessing.active_children() == []
+
+    monkeypatch.setattr(curves_mod, "hyperelliptic_trace", real)
+    assert main(_sweep_argv(tmp_path, "cache", "out.csv", 2)) == EXIT_OK
+    assert main(_sweep_argv(tmp_path, "cold", "cold.csv", 1)) == EXIT_OK
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+    assert cache_path(tmp_path / "cache", f).read_bytes() == cache_path(tmp_path / "cold", f).read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_interrupt_exits_130_and_keeps_the_complete_blocks(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(curves_mod, "_BLOCK", 4)
+    f = parse_polynomial("x^3+x+1")
+    primes = good_primes(curve_from_poly(f).bad_primes, 300)
+    real = curves_mod.hyperelliptic_trace
+
+    def interrupted(g, p, table=None):
+        if p == primes[9]:
+            raise KeyboardInterrupt
+        return real(g, p, table)
+
+    monkeypatch.setattr(curves_mod, "hyperelliptic_trace", interrupted)
+    assert main(_sweep_argv(tmp_path, "cache", "out.csv", 1)) == EXIT_INTERRUPTED
+    assert capsys.readouterr().err == "error: interrupted\n"
+    assert sorted(TraceCache(tmp_path / "cache", f).records) == primes[:8]
+
+
+def test_ctrl_c_on_two_threads_prints_one_line_and_leaves_no_process(tmp_path):
+    """SIGINT to the process group of a run on two worker processes, one of
+    them idle and one deep in a block: the CLI prints one error line and
+    exits 130, and no process of the group is left."""
+    cache = tmp_path / "cache"
+    # Two blocks of 128 primes; every prime of the second one takes a minute.
+    script = "\n".join([
+        "import sys, time",
+        "import nagaolab.curves as curves",
+        "from nagaolab.cli import main",
+        "real = curves.hyperelliptic_trace",
+        "curves.hyperelliptic_trace = lambda g, p, t=None: time.sleep(60) if p > 800 else real(g, p, t)",
+        f"sys.exit(main({['trace', '--f', 'x^3+x+1', '--N', '1000', '--threads', '2', '--cache-dir', str(cache)]!r}))",
+    ])
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        start_new_session=True,  # its own process group, shared by its workers
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while not any(cache.glob("trace_*.txt")):  # the first block is in; one worker idles
+            assert proc.poll() is None and time.monotonic() < deadline, "no block was cached"
+            time.sleep(0.01)
+        time.sleep(0.2)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert (proc.returncode, err) == (EXIT_INTERRUPTED, b"error: interrupted\n")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)  # the group is empty: no worker outlived the CLI

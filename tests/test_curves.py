@@ -407,3 +407,53 @@ def test_normalized_angle():
         normalized_angle(TraceRecord(5, 5, 1))
     with pytest.raises(CurveError):
         normalized_angle(TraceRecord(5, 2, 2))
+
+
+def _two_curves(n_max):
+    polys = [parse_polynomial("x^3+x+1"), parse_polynomial("x^5-x+1")]
+    return polys, good_primes(reduce(operator.or_, map(hyperelliptic_bad_primes, polys)), n_max)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fully_warm_sweep_only_reads_its_cache(tmp_path, monkeypatch, threads):
+    """Every a_p cached: no block is filled, no residue table is built, no
+    pool is started, nothing is appended, and the cache files keep their
+    bytes and mtimes."""
+    monkeypatch.setattr(curves_mod, "_BLOCK", 4)
+    polys, primes = _two_curves(150)
+    want = list(sweep_traces(polys, primes, 1, [TraceCache(tmp_path, g) for g in polys]))
+    files = sorted(tmp_path.iterdir())
+    before = [(f.read_bytes(), f.stat().st_mtime_ns) for f in files]
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"a fully warm sweep called {name}")
+
+        return call
+
+    for name in ("_fill", "residue_table", "_process_pool"):
+        monkeypatch.setattr(curves_mod, name, forbidden(name))
+    monkeypatch.setattr(TraceCache, "append", forbidden("TraceCache.append"))
+    caches = [TraceCache(tmp_path, g) for g in polys]
+    assert list(sweep_traces(polys, primes, threads, caches)) == want
+    assert [(f.read_bytes(), f.stat().st_mtime_ns) for f in files] == before
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data(), st.sampled_from([1, 2]))
+def test_partly_warm_sweep_matches_the_uncached_one(data, threads):
+    """Any subset of the a_p of each curve cached: the rows and the final
+    cache bytes are those of a sweep that starts with no cache."""
+    polys, primes = _two_curves(150)
+    held = [data.draw(st.sets(st.sampled_from(primes)), label=f"cached primes of {g}") for g in polys]
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(curves_mod, "_BLOCK", 4)
+        want = list(sweep_traces(polys, primes))
+        cold = [TraceCache(os.path.join(tmp, "cold"), g) for g in polys]
+        assert list(sweep_traces(polys, primes, 1, cold)) == want
+        for k, g in enumerate(polys):
+            TraceCache(os.path.join(tmp, "warm"), g).append([(p, a[k]) for p, a in want if p in held[k]])
+        warm = [TraceCache(os.path.join(tmp, "warm"), g) for g in polys]
+        assert list(sweep_traces(polys, primes, threads, warm)) == want
+        assert [c.path.read_bytes() for c in warm] == [c.path.read_bytes() for c in cold]
+        assert multiprocessing.active_children() == []
