@@ -1,7 +1,8 @@
 """Micro-benchmarks of the trace kernel's layers at one prime, p = 40009, of
 the whole character sum there and at p = 9999991 (where the arrays leave the
-cache), of the scalar quadratic character, of the prime sieve and of the
-trace moments.
+cache), of the traces of a quintic f and its Peterson D = f(T^2) on one
+table, apart and with D read from f's chunk loop, of the scalar quadratic
+character, of the prime sieve and of the trace moments.
 
 Outside the tier-1 ``testpaths``; run them from the repository root with
 
@@ -14,7 +15,8 @@ import random
 import numpy as np
 import pytest
 
-from nagaolab.curves import TraceRecord, char_sum
+from nagaolab import finite_field
+from nagaolab.curves import TraceRecord, _PairedTable, char_sum, hyperelliptic_trace
 from nagaolab.finite_field import legendre, poly_eval_all_mod, primes_in, residue_table
 from nagaolab.polynomials import parse_polynomial
 from nagaolab.stats import empirical_moments
@@ -72,13 +74,27 @@ def test_char_sum_big(benchmark, big_table, g):
     benchmark(char_sum, g, BIG_P, big_table)
 
 
+@pytest.mark.parametrize("paired", [False, True], ids=["apart", "D-from-f"])
+def test_trace_peterson_pair(benchmark, table, paired):
+    # a_p(f) and a_p(D) at one prime sharing one residue table, as _fill runs them
+    def both():
+        tab = table
+        if paired:
+            tab = _PairedTable(P, table.chi, table.roots, table.squares, {QUINTIC: PETERSON_D})
+        return hyperelliptic_trace(QUINTIC, P, tab), hyperelliptic_trace(PETERSON_D, P, tab)
+
+    a_f, a_D = benchmark(both)
+    assert a_D == 2 * a_f
+
+
 def test_legendre(benchmark):
     # the scalar chi_p of the even path and of the point at infinity
     benchmark(legendre, 31337, P)
 
 
 def test_primes_in(benchmark):
-    benchmark(primes_in, 0, 10**6)
+    # the sieve itself: primes_in memoises it for the last bound
+    benchmark(finite_field._primes_below.__wrapped__, 10**6)
 
 
 def test_empirical_moments(benchmark):

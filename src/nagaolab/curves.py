@@ -16,7 +16,7 @@ exhaustive counting oracle in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
@@ -110,8 +110,21 @@ def char_sum(g: IntPolynomial, p: int, table: ResidueTable) -> int:
     entries of ``table.squares``, CHUNK at a time.  When o = 0 the sum is
     chi(g(0)) + 2 sum_k chi[E].
     """
+    return _chunk_sums(g, p, table, False)[0]
+
+
+def _chunk_sums(g: IntPolynomial, p: int, table: ResidueTable, twisted: bool) -> tuple[int, int]:
+    """The chunk loop of ``char_sum``: (S, T) with S = sum_x chi_p(g(x)) and,
+    when ``twisted``, T = sum_{u != 0} chi_p(u) chi_p(g(u)), else T = 0.
+
+    S + T = sum_t chi_p(g(t^2)), since t^2 = u has 1 + chi_p(u) roots t.
+    chi(k) for k = 1..(p-1)/2 is the slice chi[1 : (p+1)/2] and
+    chi(-k) = chi(-1) chi(k), so T = sum_k chi(k) (chi[E + O - p] + chi(-1) chi[E - O]),
+    and (1 + chi(-1)) sum_k chi(k) chi[E] when o = 0.
+    """
     even, odd = g.coeffs[::2], g.coeffs[1::2]
-    total = 0
+    minus = p % 4 == 3  # chi(-1) = -1
+    total = twist = 0
     for i in range(0, len(table.squares), CHUNK):
         s = table.squares[i : i + CHUNK]
         e = poly_eval_all_mod(even, p, s)
@@ -119,13 +132,35 @@ def char_sum(g: IntPolynomial, p: int, table: ResidueTable) -> int:
             o = poly_eval_all_mod(odd, p, s)
             o *= table.roots[i : i + CHUNK]
             o -= o // p * p
-            total += int(table.chi[e - o].sum(dtype="int64"))
+            neg = table.chi[e - o]
+            total += int(neg.sum(dtype="int64"))
             e += o
             e -= p
-            total += int(table.chi[e].sum(dtype="int64"))
+            pos = table.chi[e]
+            total += int(pos.sum(dtype="int64"))
+            if twisted:
+                w = pos - neg if minus else pos + neg
+                twist += int((table.chi[i + 1 : i + 1 + len(s)] * w).sum(dtype="int64"))
         else:
-            total += 2 * int(table.chi[e].sum(dtype="int64"))
-    return legendre(g(0), p) + total
+            v = table.chi[e]
+            total += 2 * int(v.sum(dtype="int64"))
+            if twisted and not minus:
+                twist += 2 * int((table.chi[i + 1 : i + 1 + len(s)] * v).sum(dtype="int64"))
+    return legendre(g(0), p) + total, twist
+
+
+@dataclass(frozen=True)
+class _PairedTable(ResidueTable):
+    """The residue table of one prime in ``_fill`` where an even g = h(x^2)
+    and its half h are both computed, h first.
+
+    ``halves`` maps each such h to its g.  Computing h stores
+    sum_t chi_p(g(t)) = S + T of h's chunk loop in ``sums`` under g, and g
+    reads it there instead of evaluating itself.
+    """
+
+    halves: dict = field(repr=False)
+    sums: dict = field(default_factory=dict, repr=False)
 
 
 def hyperelliptic_trace(f: IntPolynomial, p: int, table: ResidueTable | None = None) -> int:
@@ -133,10 +168,18 @@ def hyperelliptic_trace(f: IntPolynomial, p: int, table: ResidueTable | None = N
 
     a = -sum_x chi_p(f(x)) minus the point-at-infinity correction chi_p(lead f)
     for even degree.  Valid for any degree >= 1, genus (deg - 1) // 2; in
-    genus 0 (degree 1 or 2) the trace is 0.
+    genus 0 (degree 1 or 2) the trace is 0.  On a ``_PairedTable`` a half h
+    also leaves the sum of its g there, and g reads it.
     """
     tab = table if table is not None and table.p == p else residue_table(p)
     corr = legendre(f.lead, p) if f.degree % 2 == 0 else 0
+    if isinstance(tab, _PairedTable):
+        if (s := tab.sums.get(f)) is not None:
+            return -s - corr
+        if (g := tab.halves.get(f)) is not None:
+            s, t = _chunk_sums(f, p, tab, True)
+            tab.sums[g] = s + t
+            return -s - corr
     return -char_sum(f, p, tab) - corr
 
 
@@ -151,6 +194,19 @@ def good_primes(bad: BadPrimes, n_max: int) -> list[int]:
     return [p for p in primes_in(3, n_max + 1) if p not in bad]
 
 
+def _halves(distinct: Sequence[IntPolynomial]) -> dict[int, int]:
+    """{k: j} for each g = distinct[k] with no odd term whose half
+    h = distinct[j] is in the sweep too, g(x) = h(x^2).  In a chain h(x),
+    h(x^2), h(x^4) the last computes on its own: its half is served itself."""
+    index = {g: j for j, g in enumerate(distinct)}
+    halves = {
+        k: index[h]
+        for k, g in enumerate(distinct)
+        if not any(g.coeffs[1::2]) and (h := IntPolynomial(g.coeffs[::2])) in index
+    }
+    return {k: j for k, j in halves.items() if j not in halves}
+
+
 def _fill(
     distinct: Sequence[IntPolynomial], block_primes: Sequence[int], block_cols: list[list]
 ) -> list[list]:
@@ -159,13 +215,20 @@ def _fill(
 
     A prime with a miss gets one residue table, shared by every polynomial
     that missed, and every computed a_p is checked against the Weil bound
-    a^2 <= 4 g^2 p with g = (deg - 1) // 2.
+    a^2 <= 4 g^2 p with g = (deg - 1) // 2.  Where an even g = h(x^2) and its
+    half h both missed, h goes first and g takes its sum from h's chunk loop
+    (``_PairedTable``).
     """
+    halves = _halves(distinct)
+    order = sorted(range(len(distinct)), key=halves.__contains__)  # each half before its g
     for i, p in enumerate(block_primes):
-        missed = [k for k, col in enumerate(block_cols) if col[i] is None]
+        missed = [k for k in order if block_cols[k][i] is None]
         if not missed:
             continue
         tab = residue_table(p)
+        pairs = {distinct[j]: distinct[k] for k, j in halves.items() if k in missed and j in missed}
+        if pairs:
+            tab = _PairedTable(p, tab.chi, tab.roots, tab.squares, pairs)
         for k in missed:
             g = distinct[k]
             a = hyperelliptic_trace(g, p, tab)
@@ -210,8 +273,14 @@ def sweep_traces(
     """Yield (p, (a_p(g) for g in polys)) for the given good primes, ascending.
 
     The one trace sweep behind every command.  Identical polynomials are
-    computed once.  The cache of each polynomial (caches are matched through
-    ``TraceCache.poly``) is read by column, one ``TraceCache.get`` per prime.
+    computed once.  A polynomial g with no odd-degree term whose half h,
+    g(x) = h(x^2), is swept too (the Peterson D of ``factor-check`` and
+    ``nagao`` when D's half is f) is not evaluated where both miss: h's
+    chunk loop also returns T = sum_{u != 0} chi_p(u) chi_p(h(u)), and
+    sum_t chi_p(g(t)) = sum_u chi_p(h(u)) + T.  Where only g misses, it is
+    evaluated on its own, as is every g whose half is not swept.  The cache
+    of each polynomial (caches are matched through ``TraceCache.poly``) is
+    read by column, one ``TraceCache.get`` per prime.
     The primes run in blocks of _BLOCK consecutive ones.  A block whose
     values are all cached is yielded straight from its columns: nothing is
     computed or appended for it.  ``_fill`` computes the misses of the other

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import compress, dropwhile
 from typing import TYPE_CHECKING
 
@@ -73,8 +75,7 @@ def is_prime(n: int) -> bool:
 def primes_in(lo: int, hi: int) -> list[int]:
     """All primes in the half-open range [lo, hi), ascending, for hi - 1 <= TABLE_CAP.
 
-    Sieve of Eratosthenes over the odd numbers below hi, one byte each:
-    ``odd[i]`` marks 2i + 1.  An empty or inverted range yields [];
+    A slice of ``_primes_below(hi)``.  An empty or inverted range yields [];
     hi - 1 > TABLE_CAP raises TableTooLargeError before any allocation.
     """
     if hi - 1 > TABLE_CAP:
@@ -82,6 +83,18 @@ def primes_in(lo: int, hi: int) -> list[int]:
     lo = max(lo, 2)
     if lo >= hi:
         return []
+    primes = _primes_below(hi)
+    return list(primes[bisect_left(primes, lo) :])
+
+
+@lru_cache(maxsize=1)
+def _primes_below(hi: int) -> tuple[int, ...]:
+    """All primes below hi >= 3, ascending.
+
+    Sieve of Eratosthenes over the odd numbers below hi, one byte each:
+    ``odd[i]`` marks 2i + 1.  Memoised for the last hi, so the sweep of a
+    run and its ``.skipped`` sidecar share one sieve.
+    """
     n = hi // 2  # the odd numbers 1, 3, ..., below hi
     odd = bytearray([1]) * n
     odd[0] = 0  # 1 is not prime
@@ -90,9 +103,7 @@ def primes_in(lo: int, hi: int) -> list[int]:
             p = 2 * i + 1
             start = p * p // 2
             odd[start::p] = bytes(len(range(start, n, p)))
-    first = lo // 2  # the index of the least odd number >= lo
-    primes = list(compress(range(2 * first + 1, hi, 2), odd[first:]))
-    return [2, *primes] if lo == 2 else primes
+    return (2, *compress(range(1, hi, 2), odd))
 
 
 def legendre(a: int, p: int) -> int:

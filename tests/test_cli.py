@@ -12,6 +12,7 @@ import pytest
 
 import nagaolab.cli as cli_mod
 import nagaolab.curves as curves_mod
+import nagaolab.finite_field as ff_mod
 import nagaolab.twist as twist_mod
 from nagaolab.cache import HEADER, TraceCache, cache_path, fingerprint
 from nagaolab.cli import (
@@ -69,6 +70,16 @@ def test_trace_command_csv(tmp_path):
     assert lines[2] == "5,2"
     skipped = (tmp_path / "t.csv.skipped").read_text().splitlines()
     assert skipped == ["2,p=2"]
+
+
+def test_trace_to_a_file_sieves_once(tmp_path):
+    """The sweep's good primes and the ``.skipped`` sidecar share one sieve."""
+    ff_mod._primes_below.cache_clear()
+    out = tmp_path / "t.csv"
+    assert run(cfg("trace", f="x^3+x+1", N=3001, output=str(out))) == EXIT_OK
+    info = ff_mod._primes_below.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert (tmp_path / "t.csv.skipped").read_text().splitlines() == ["2,p=2", "31,disc"]  # disc = -31
 
 
 def test_lpoly_command(tmp_path):

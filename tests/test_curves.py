@@ -10,7 +10,7 @@ from functools import reduce
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nagaolab.curves as curves_mod
@@ -187,6 +187,33 @@ def test_char_sum_every_small_polynomial(p):
         assert char_sum(g, p, tab) == _chi_sum_oracle(g, p), coeffs
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.sampled_from([3, 5, 16411, 16417]), st.sampled_from(SMALL_PRIMES)),
+    st.integers(1, 6),
+    st.sampled_from(PARITY),
+    st.data(),
+)
+def test_twisted_chunk_sums_match_scalar_oracle(p, degree, parity, data):
+    """The twisted sum T = sum_{u != 0} chi(u) chi(h(u)) of h's chunk loop,
+    at p = 1 and 3 mod 4 and past one CHUNK of roots (p = 16411, 16417)."""
+    coeffs = data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=degree + 1, max_size=degree + 1))
+    coeffs[degree] = coeffs[degree] or 1
+    if parity == "even terms only":
+        coeffs = [c if i % 2 == 0 else 0 for i, c in enumerate(coeffs)]
+    elif parity == "odd terms only":
+        coeffs = [c if i % 2 == 1 else 0 for i, c in enumerate(coeffs)]
+    elif parity == "g(0) = 0":
+        coeffs[0] = 0
+    elif parity == "lead = 0 mod p":
+        coeffs[degree] = p * data.draw(st.integers(1, 10**4))
+    h = IntPolynomial(tuple(coeffs))
+    s, t = curves_mod._chunk_sums(h, p, residue_table(p), True)
+    assert s == _chi_sum_oracle(h, p)
+    assert t == sum(legendre(u, p) * legendre(h(u) % p, p) for u in range(1, p))
+    assert s + t == _chi_sum_oracle(IntPolynomial(tuple(c for a in h.coeffs for c in (a, 0))), p)
+
+
 # -- the sweep engine --------------------------------------------------------
 
 PETERSON_D = parse_polynomial("x^10+2*x^8+3*x^6+3*x^4+2*x^2+1")
@@ -321,6 +348,104 @@ def test_sweep_weil_violation_raises_before_caching_its_block(tmp_path, monkeypa
     with pytest.raises(AssertionError, match=f"Weil bound violated at p={bad_p}:"):
         list(sweep_traces([f], primes, threads, [TraceCache(tmp_path, f)]))
     assert sorted(TraceCache(tmp_path, f).records) == primes[:4]  # the first block only
+
+
+def _squared(h: IntPolynomial) -> IntPolynomial:
+    """D(T) = h(T^2)."""
+    return IntPolynomial(tuple(c for a in h.coeffs for c in (a, 0)))
+
+
+@st.composite
+def halves(draw):
+    """A squarefree h of degree 2..5 with D(T) = h(T^2) squarefree; about half
+    the draws have no odd term (and so even degree)."""
+    even_only = draw(st.booleans())
+    degree = draw(st.sampled_from([2, 4] if even_only else [2, 3, 4, 5]))
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=degree, max_size=degree))
+    if even_only:
+        coeffs = [c if i % 2 == 0 else 0 for i, c in enumerate(coeffs)]
+    h = IntPolynomial((*coeffs, draw(st.sampled_from([1, -1, 2, 3]))))
+    assume(h.is_squarefree() and _squared(h).is_squarefree())
+    return h
+
+
+@settings(max_examples=12, deadline=None)
+@given(halves(), st.sampled_from([1, 2]), st.sampled_from(["none", "D", "h"]))
+def test_even_polynomial_from_its_half_matches_oracle(h, threads, held):
+    """D = h(T^2) swept with its half h, in either order, or each alone: the
+    same values, equal to the exhaustive count; with no cache, with D's values
+    cached at every other prime, or with h's."""
+    D = _squared(h)
+    primes = good_primes(hyperelliptic_bad_primes(h) | hyperelliptic_bad_primes(D), 300)
+    want = {p: (_oracle(D, p), _oracle(h, p)) for p in primes}
+    with tempfile.TemporaryDirectory() as cache_dir:
+        caches = []
+        if held != "none":
+            g = D if held == "D" else h
+            caches = [TraceCache(cache_dir, g)]
+            caches[0].append([(p, want[p][held == "h"]) for p in primes[::2]])
+        for polys in ([D, h], [h, D], [D], [h]):
+            got = list(sweep_traces(polys, primes, threads, caches))
+            assert got == [(p, tuple(want[p][g is h] for g in polys)) for p in primes], polys
+
+
+def test_chain_of_halves_matches_oracle():
+    """k, h = k(x^2) and g = h(x^2) in one sweep: h reads its sum from k, and g,
+    whose half h is served itself, computes on its own."""
+    k = parse_polynomial("x^3+x+1")
+    h, g = _squared(k), _squared(_squared(k))
+    primes = good_primes(reduce(operator.or_, map(hyperelliptic_bad_primes, (k, h, g))), 200)
+    want = [(p, tuple(_oracle(c, p) for c in (g, h, k))) for p in primes]
+    assert list(sweep_traces([g, h, k], primes)) == want
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_even_polynomial_swept_with_its_half_evaluates_no_squares_path(tmp_path, monkeypatch, threads):
+    """The Peterson D of a quintic f with f(0) = 1 and sigma = 1/x is f(T^2).
+    Swept with f, D's own squares path (its even coefficients at the squares)
+    is never evaluated, and its values are those of D swept alone."""
+    f, D = parse_polynomial("x^5+2*x^4+3*x^3+3*x^2+2*x+1"), PETERSON_D
+    assert D == _squared(f)
+    primes = good_primes(hyperelliptic_bad_primes(f) | hyperelliptic_bad_primes(D), 2000)
+    # Each evaluation appends its coefficients to a file, which forked workers reach too.
+    log = tmp_path / "evals.log"
+    real = curves_mod.poly_eval_all_mod
+
+    def logged(coeffs, p, x):
+        with open(log, "a") as fh:
+            fh.write(f"{tuple(coeffs)}\n")
+        return real(coeffs, p, x)
+
+    monkeypatch.setattr(curves_mod, "poly_eval_all_mod", logged)
+    paired = list(sweep_traces([D, f], primes, threads))
+    evaluated = set(log.read_text().splitlines())
+    assert str(D.coeffs[::2]) not in evaluated and str(f.coeffs[::2]) in evaluated
+    alone = list(sweep_traces([D], primes, threads))
+    assert str(D.coeffs[::2]) in set(log.read_text().splitlines())  # the probe sees it
+    assert [(p, a_D) for p, (a_D, _) in paired] == [(p, a) for p, (a,) in alone]
+    assert all(a_D == 2 * a_f for _, (a_D, a_f) in paired)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_weil_guard_covers_the_value_derived_from_the_half(tmp_path, monkeypatch, threads):
+    """A wrong twisted sum of f at one prime makes D's derived a_p fail the
+    Weil bound before that block reaches either cache."""
+    monkeypatch.setattr(curves_mod, "_BLOCK", 4)
+    f, D = parse_polynomial("x^5+2*x^4+3*x^3+3*x^2+2*x+1"), PETERSON_D
+    primes = good_primes(hyperelliptic_bad_primes(f) | hyperelliptic_bad_primes(D), 300)
+    bad_p = primes[5]  # in the second block
+    real = curves_mod._chunk_sums
+
+    def corrupted(g, p, table, twisted):
+        s, t = real(g, p, table, twisted)
+        return (s, t + 100 * p) if twisted and p == bad_p else (s, t)
+
+    monkeypatch.setattr(curves_mod, "_chunk_sums", corrupted)
+    caches = [TraceCache(tmp_path, g) for g in (D, f)]
+    with pytest.raises(AssertionError, match=f"Weil bound violated at p={bad_p}: a=-?\\d+, genus 4 "):
+        list(sweep_traces([D, f], primes, threads, caches))
+    for g in (D, f):
+        assert sorted(TraceCache(tmp_path, g).records) == primes[:4]  # the first block only
 
 
 def _counted_pools(monkeypatch) -> list[int]:
