@@ -20,10 +20,7 @@ CacheCorruptError is raised.
 
 from __future__ import annotations
 
-import hashlib
 import os
-import shutil
-import tempfile
 from pathlib import Path
 
 from .polynomials import IntPolynomial
@@ -39,6 +36,8 @@ class CacheCorruptError(Exception):
 
 def fingerprint(f: IntPolynomial) -> str:
     """Degree plus a decimal coefficient hash, stable across runs."""
+    import hashlib
+
     payload = ",".join(str(c) for c in f.coeffs).encode()
     digest = int.from_bytes(hashlib.sha256(payload).digest()[:16], "big")
     return f"{f.degree} {digest}"
@@ -58,8 +57,8 @@ def _quarantine(path: Path) -> None:
 
 
 class TraceCache:
-    """Cached a_p values for one curve.  Single-writer: only the coordinator
-    thread may call append()."""
+    """Cached a_p values for one curve.  Single-writer: only the process that
+    runs the sweep calls append(), never a forked worker."""
 
     def __init__(self, cache_dir: str | os.PathLike, f: IntPolynomial):
         self.path = cache_path(cache_dir, f)
@@ -124,6 +123,9 @@ class TraceCache:
         self._max_p = max(self._max_p, fresh[-1][0])
 
     def _rewrite(self) -> None:
+        import shutil
+        import tempfile
+
         fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", newline="\n") as fh:

@@ -12,8 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple, Sequence
 
 from .cache import CacheCorruptError, TraceCache
 from .curves import (
@@ -67,8 +66,7 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     command: str
     f: str = ""
     D: str = ""
@@ -76,7 +74,7 @@ class ExperimentConfig:
     N: int = 1000
     grid: str = "geometric:20"
     r: int = 2
-    s_curves: list[str] = field(default_factory=list)
+    s_curves: Sequence[str] = ()
     threads: int = 1
     cache_dir: str | None = None
     output: str = "-"
@@ -84,8 +82,7 @@ class ExperimentConfig:
     verify_cache: bool = False
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """A command's result: the report rows, and for the ``.skipped`` sidecar
     the curves of the sweep with their bad primes, or None for no sidecar."""
 

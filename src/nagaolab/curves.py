@@ -16,9 +16,8 @@ exhaustive counting oracle in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cache import TraceCache
 from .finite_field import CHUNK, ResidueTable, legendre, poly_eval_all_mod, primes_in, residue_table
@@ -50,8 +49,7 @@ class WorkerDiedError(RuntimeError):
         self.p = p
 
 
-@dataclass(frozen=True)
-class BadPrimes:
+class BadPrimes(NamedTuple):
     """The primes dividing ``modulus``: ``p in bad`` is ``modulus % p == 0`` for
     a prime p, and ``bad | other`` holds the primes of either."""
 
@@ -64,8 +62,7 @@ class BadPrimes:
         return BadPrimes(self.modulus * other.modulus)
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(NamedTuple):
     """A curve y^2 = f(x) of genus 1 or 2 with its bad primes."""
 
     f: IntPolynomial
@@ -73,8 +70,7 @@ class CurveSpec:
     bad_primes: BadPrimes
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     p: int
     a: int
     genus: int
@@ -149,18 +145,22 @@ def _chunk_sums(g: IntPolynomial, p: int, table: ResidueTable, twisted: bool) ->
     return legendre(g(0), p) + total, twist
 
 
-@dataclass(frozen=True)
-class _PairedTable(ResidueTable):
+class _PairedTable:
     """The residue table of one prime in ``_fill`` where an even g = h(x^2)
-    and its half h are both computed, h first.
+    and its half h are both computed, h first: the fields of a
+    ``ResidueTable``, and ``halves`` and ``sums``.
 
     ``halves`` maps each such h to its g.  Computing h stores
     sum_t chi_p(g(t)) = S + T of h's chunk loop in ``sums`` under g, and g
     reads it there instead of evaluating itself.
     """
 
-    halves: dict = field(repr=False)
-    sums: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("p", "chi", "roots", "squares", "halves", "sums")
+
+    def __init__(self, p: int, chi, roots, squares, halves: dict):
+        self.p, self.chi, self.roots, self.squares = p, chi, roots, squares
+        self.halves = halves
+        self.sums: dict = {}
 
 
 def hyperelliptic_trace(f: IntPolynomial, p: int, table: ResidueTable | None = None) -> int:
@@ -228,7 +228,7 @@ def _fill(
         tab = residue_table(p)
         pairs = {distinct[j]: distinct[k] for k, j in halves.items() if k in missed and j in missed}
         if pairs:
-            tab = _PairedTable(p, tab.chi, tab.roots, tab.squares, pairs)
+            tab = _PairedTable(*tab, pairs)
         for k in missed:
             g = distinct[k]
             a = hyperelliptic_trace(g, p, tab)

@@ -19,10 +19,9 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress, dropwhile
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -115,8 +114,7 @@ def legendre(a: int, p: int) -> int:
     return r - p if r > 1 else r
 
 
-@dataclass(frozen=True)
-class ResidueTable:
+class ResidueTable(NamedTuple):
     """Precomputed chi_p values for all residues mod p, for vector gathers
     ``chi[values]``; a single residue goes through ``legendre``.
 
@@ -124,13 +122,13 @@ class ResidueTable:
     zero mark), +1 on nonzero squares, -1 on non-squares; an index in [-p, 0)
     reads chi of its residue.  ``roots`` is the int64 array k = 1..(p-1)/2
     and ``squares`` the int64 array k^2 mod p, each nonzero square once.
-    Immutable and shareable across threads.
+    Never written after it is built; a forked worker builds its own.
     """
 
     p: int
-    chi: np.ndarray = field(repr=False)
-    roots: np.ndarray = field(repr=False)
-    squares: np.ndarray = field(repr=False)
+    chi: np.ndarray
+    roots: np.ndarray
+    squares: np.ndarray
 
 
 def residue_table(p: int) -> ResidueTable:

@@ -8,7 +8,6 @@ remainder sequence on Python ints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # The largest exponent the parser accepts, checked before the dense coefficient
 # tuple is built: far above every degree a command sweeps (the Peterson D of a
@@ -28,17 +27,42 @@ class ParseError(PolynomialError):
         self.column = column
 
 
-@dataclass(frozen=True)
 class IntPolynomial:
-    """Univariate polynomial with exact integer coefficients, constant term first."""
+    """Univariate polynomial with exact integer coefficients, constant term first.
 
+    Immutable: equal to, and hashed like, another IntPolynomial with the same
+    coefficients, so it keys the sweep engine's dicts; pickled by its
+    coefficients, so the worker processes receive it.
+    """
+
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        c = tuple(int(v) for v in self.coeffs)
+    def __init__(self, coeffs):
+        c = tuple(int(v) for v in coeffs)
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"IntPolynomial is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"IntPolynomial is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not IntPolynomial:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.coeffs,))
+
+    def __reduce__(self):
+        return IntPolynomial, (self.coeffs,)
+
+    def __repr__(self) -> str:
+        return f"IntPolynomial(coeffs={self.coeffs!r})"
 
     @property
     def degree(self) -> int:

@@ -10,9 +10,7 @@ predicted generic rank of the self-twist surface f(T) y^2 = f(x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from importlib import resources
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .curves import TraceRecord
 from .polynomials import IntPolynomial, parse_polynomial
@@ -22,8 +20,7 @@ MOMENT_CLASSES = (1, 2, 4)
 CLASS_TOLERANCE = 0.25
 
 
-@dataclass(frozen=True)
-class STGroupRecord:
+class STGroupRecord(NamedTuple):
     name: str
     endo_algebra: str
     endo_rank: int
@@ -34,6 +31,8 @@ class STGroupRecord:
 def load_st_table() -> tuple[STGroupRecord, ...]:
     """The 34 Sato-Tate group rows for abelian surfaces over Q, from the
     versioned data file shipped with the package."""
+    from importlib import resources
+
     text = resources.files("nagaolab").joinpath("data/st_groups_q.txt").read_text()
     rows = []
     for line in text.splitlines():
@@ -60,8 +59,7 @@ MEASURE_TAGS = (SATO_TATE, UNIFORM, HALF_UNIFORM_DIRAC)
 GENUS1_GROUPS = (("SU(2)", 1), ("N(U(1))", 1), ("U(1)", 2))
 
 
-@dataclass(frozen=True)
-class STMeasure1D:
+class STMeasure1D(NamedTuple):
     """An angle law on [0, pi]: a continuous density plus an optional atom at pi/2."""
 
     tag: str
@@ -130,8 +128,7 @@ def haar_second_moment_usp4() -> float:
 # -- empirical statistics ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(NamedTuple):
     n_primes: int
     second_moment: float
     fourth_moment: float

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .cache import TraceCache
 from .curves import (
@@ -50,8 +50,7 @@ def _check_D_degree(D: IntPolynomial) -> None:
         raise CapExceededError(f"D has degree {D.degree}, above the cap {MAX_D_DEGREE}")
 
 
-@dataclass(frozen=True)
-class TwistSurfaceSpec:
+class TwistSurfaceSpec(NamedTuple):
     """The surface D(T) y^2 = f(x) with the union of both curves' bad primes."""
 
     f: IntPolynomial
@@ -80,8 +79,7 @@ def average_trace(s: TwistSurfaceSpec, p: int) -> Fraction:
     return Fraction(chi_sum * hyperelliptic_trace(s.f, p, tab), p)
 
 
-@dataclass(frozen=True)
-class NagaoSeries:
+class NagaoSeries(NamedTuple):
     n_grid: tuple[int, ...]
     s1: tuple[float, ...]
     s2: tuple[float, ...]
@@ -164,18 +162,15 @@ def nagao_series(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MobiusTransform:
+class MobiusTransform(namedtuple("MobiusTransform", "a b c d")):
     """x -> (a x + b) / (c x + d) with integer entries and ad - bc != 0."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c == 0:
+    def __new__(cls, a: int, b: int, c: int, d: int):
+        if a * d - b * c == 0:
             raise PolynomialError("degenerate Moebius transform (ad - bc = 0)")
+        return super().__new__(cls, a, b, c, d)
 
 
 def _mul(p: list, q: list) -> list:
@@ -204,8 +199,7 @@ def permutes_roots(sigma: MobiusTransform, f: IntPolynomial) -> bool:
     return N[n] != 0 and all(v * f.lead == c * N[n] for v, c in zip(N, f.coeffs))
 
 
-@dataclass(frozen=True)
-class PetersonResult:
+class PetersonResult(NamedTuple):
     D: IntPolynomial  # integral model, equal to multiplier^2 times the rational D(T)
     multiplier: int
 
@@ -241,8 +235,7 @@ def peterson_D(f: IntPolynomial, sigma: MobiusTransform) -> PetersonResult:
     return PetersonResult(d_int, m)
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
+class FactorizationReport(NamedTuple):
     passed: bool
     first_failing_prime: int | None
     primes_checked: int

@@ -297,13 +297,14 @@ def test_commands_run_without_sympy():
     assert proc.returncode == 0, proc.stderr
 
 
-def fresh_python(*lines: str) -> subprocess.CompletedProcess:
-    """Run the lines, after ``import sys``, in a fresh interpreter on the
-    package source; stdout and stderr are captured as bytes."""
+def fresh_python(*lines: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    """Run the lines, after ``import sys``, in a fresh interpreter started
+    with the interpreter ``flags`` on the package source; stdout and stderr
+    are captured as bytes."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = "\n".join(["import sys", *lines])
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, timeout=60)
 
 
 def test_pool_modules_load_only_for_a_pool(tmp_path):
@@ -389,6 +390,23 @@ def test_command_accepts_only_its_flags(command, flag, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: unrecognized arguments: " + flag), err
     assert computed == []
+
+
+def test_config_builds_from_the_parser():
+    """``main`` builds its config as ExperimentConfig(**vars(args)): every flag
+    lands in its field, and a flag left out keeps the field's default."""
+    argv = [
+        "factor-check", "--f", "x^3+x", "--D", "auto-peterson", "--sigma", "1/x", "--N", "500",
+        "--r", "3", "--s-curves", "x^3+1,x^3+2", "--threads", "2", "--cache-dir", "c",
+        "--output", "o.csv", "--format", "json", "--verify-cache",
+    ]
+    full = ExperimentConfig(**vars(cli_mod.build_parser().parse_args(argv)))
+    assert full == ExperimentConfig(
+        "factor-check", "x^3+x", "auto-peterson", "1/x", 500, "geometric:20", 3,
+        ["x^3+1", "x^3+2"], 2, "c", "o.csv", "json", True,
+    )
+    bare = ExperimentConfig(**vars(cli_mod.build_parser().parse_args(["nagao"])))
+    assert bare == ExperimentConfig("nagao") and bare.s_curves == () and bare.cache_dir is None
 
 
 @pytest.mark.parametrize("where", ["missing-output-dir", "output-is-dir", "cache-dir-is-file"])
@@ -563,10 +581,16 @@ def test_cache_fills_hole_below_max(tmp_path, monkeypatch):
     assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
 
 
+# A record line TraceCache cannot read, in place of the first record.
+MALFORMED = {"no comma": "3", "three fields": "3,0,0", "non-integer p": "3.0,0"}
+
+
 def _garble(path, how):
     """Damage a cache file of x^3+x in one of the ways TraceCache rejects."""
     head, fp, *records = path.read_text().splitlines()
-    if how == "bad header":
+    if how in MALFORMED:
+        lines = [head, fp, MALFORMED[how], *records[1:]]
+    elif how == "bad header":
         lines = ["NOT A CACHE"]
     elif how == "fingerprint mismatch":  # another curve's fingerprint
         lines = [head, fingerprint(parse_polynomial("x^3+x+1")), *records]
@@ -584,8 +608,9 @@ def _garble(path, how):
         ("fingerprint mismatch", "fingerprint mismatch"),
         ("out of order", "records not strictly ascending in p"),
         ("duplicated p", "records not strictly ascending in p"),
+        *((how, f"malformed record {line!r}") for how, line in MALFORMED.items()),
     ],
-    ids=["bad-header", "fingerprint", "out-of-order", "duplicated-p"],
+    ids=["bad-header", "fingerprint", "out-of-order", "duplicated-p", *(h.replace(" ", "-") for h in MALFORMED)],
 )
 def test_cache_corruption_quarantined(how, reason, tmp_path, capsys):
     cache = tmp_path / "cache"
@@ -686,18 +711,30 @@ PACKAGE_EXPORTS = [
 ]
 
 
+# Modules that load only where they are used, never at start-up: the records
+# are NamedTuples and slots classes, not dataclasses (which import inspect).
+LAZY_MODULES = [
+    "dataclasses", "inspect", "hashlib", "tempfile", "shutil", "importlib.resources",
+    "numpy", "json", "fractions",
+]
+
+
 def test_cli_import_loads_every_layer_and_no_numpy_json_or_fractions():
     """``import nagaolab.cli`` loads the seven layer modules, none lazily, and
-    none of numpy, json or fractions, which load only where they are used."""
-    proc = fresh_python(
-        "import nagaolab.cli",
-        f"missing = [m for m in {LAYER_MODULES!r} if 'nagaolab.' + m not in sys.modules]",
-        "assert not missing, f'layers not loaded: {missing}'",
-        "loaded = [m for m in ('numpy', 'json', 'fractions') if m in sys.modules]",
-        "assert not loaded, f'loaded at start-up: {loaded}'",
-        f"from nagaolab import {', '.join(PACKAGE_EXPORTS)}",
-    )
-    assert proc.returncode == 0, proc.stderr
+    adds none of LAZY_MODULES, with and without the site hooks: under -S
+    none of them is preloaded, so the import itself is checked."""
+    for flags in [(), ("-S",)]:
+        proc = fresh_python(
+            "before = set(sys.modules)",
+            "import nagaolab.cli",
+            f"missing = [m for m in {LAYER_MODULES!r} if 'nagaolab.' + m not in sys.modules]",
+            "assert not missing, f'layers not loaded: {missing}'",
+            f"added = [m for m in {LAZY_MODULES!r} if m in set(sys.modules) - before]",
+            "assert not added, f'loaded at start-up: {added}'",
+            f"from nagaolab import {', '.join(PACKAGE_EXPORTS)}",
+            flags=flags,
+        )
+        assert proc.returncode == 0, (flags, proc.stderr)
 
 
 def _sweep_argv(tmp_path, cache, out, threads):

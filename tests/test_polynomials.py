@@ -68,6 +68,20 @@ def test_trailing_zeros_trimmed():
     assert IntPolynomial((1, 2, 0, 0)).coeffs == (1, 2)
 
 
+def test_int_polynomial_is_an_immutable_value():
+    """Equal and hashed by its trimmed coefficients, so it can key a dict;
+    never equal to its coefficient tuple; its coefficients cannot be set."""
+    f, g = IntPolynomial([1, 2, 0]), IntPolynomial((1, 2))
+    assert f.coeffs == (1, 2) and f is not g
+    assert f == g and hash(f) == hash(g) and {f: 1}[g] == 1
+    assert f != IntPolynomial((2, 1)) and f != (1, 2) and (1, 2) != f
+    with pytest.raises(AttributeError):
+        f.coeffs = (3,)
+    with pytest.raises(AttributeError):
+        del f.coeffs
+    assert f.coeffs == (1, 2)
+
+
 def test_evaluate_exact():
     f = parse_polynomial("x^3 - x")
     assert f(3) == 24

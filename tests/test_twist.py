@@ -1,3 +1,4 @@
+import pickle
 import re
 from fractions import Fraction
 
@@ -121,6 +122,17 @@ def test_geometric_grid():
 def test_mobius_basics():
     with pytest.raises(PolynomialError):
         MobiusTransform(2, 2, 1, 1)  # determinant 0
+
+
+def test_records_survive_a_pickle_round_trip():
+    """The fork pool pickles what it sends to a worker: each record comes back
+    equal, with its own type and hash."""
+    f = parse_polynomial("x^3+x+1")
+    s = twist_surface(f, parse_polynomial("T^3+T"))
+    for rec in [f, s.bad_primes, MobiusTransform(1, 1, -3, 1), s]:
+        back = pickle.loads(pickle.dumps(rec))
+        assert back == rec and type(back) is type(rec) and hash(back) == hash(rec)
+    assert all((p in s.bad_primes) == (p in pickle.loads(pickle.dumps(s.bad_primes))) for p in range(2, 100))
 
 
 def test_permutes_roots():
