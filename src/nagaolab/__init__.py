@@ -17,7 +17,7 @@ from .curves import (
     sweep_traces,
     trace_oracle_exhaustive,
 )
-from .finite_field import is_prime, legendre, primes_in, residue_table
+from .finite_field import legendre, primes_in, residue_table
 from .polynomials import IntPolynomial, ParseError, parse_polynomial, poly_to_str
 from .stats import (
     MomentReport,

@@ -21,9 +21,12 @@ CacheCorruptError is raised.
 from __future__ import annotations
 
 import os
-from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .polynomials import IntPolynomial
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 HEADER = "NAGAOLAB-CACHE v1"
 
@@ -44,6 +47,8 @@ def fingerprint(f: IntPolynomial) -> str:
 
 
 def cache_path(cache_dir: str | os.PathLike, f: IntPolynomial) -> Path:
+    from pathlib import Path  # here, not at start-up: a run without a cache never loads it
+
     deg, digest = fingerprint(f).split()
     return Path(cache_dir) / f"trace_{deg}_{digest}.txt"
 

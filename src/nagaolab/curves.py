@@ -145,22 +145,9 @@ def _chunk_sums(g: IntPolynomial, p: int, table: ResidueTable, twisted: bool) ->
     return legendre(g(0), p) + total, twist
 
 
-class _PairedTable:
-    """The residue table of one prime in ``_fill`` where an even g = h(x^2)
-    and its half h are both computed, h first: the fields of a
-    ``ResidueTable``, and ``halves`` and ``sums``.
-
-    ``halves`` maps each such h to its g.  Computing h stores
-    sum_t chi_p(g(t)) = S + T of h's chunk loop in ``sums`` under g, and g
-    reads it there instead of evaluating itself.
-    """
-
-    __slots__ = ("p", "chi", "roots", "squares", "halves", "sums")
-
-    def __init__(self, p: int, chi, roots, squares, halves: dict):
-        self.p, self.chi, self.roots, self.squares = p, chi, roots, squares
-        self.halves = halves
-        self.sums: dict = {}
+def _infinity(f: IntPolynomial, p: int) -> int:
+    """The point-at-infinity term of the trace: chi_p(lead f) for even degree, else 0."""
+    return legendre(f.lead, p) if f.degree % 2 == 0 else 0
 
 
 def hyperelliptic_trace(f: IntPolynomial, p: int, table: ResidueTable | None = None) -> int:
@@ -168,19 +155,18 @@ def hyperelliptic_trace(f: IntPolynomial, p: int, table: ResidueTable | None = N
 
     a = -sum_x chi_p(f(x)) minus the point-at-infinity correction chi_p(lead f)
     for even degree.  Valid for any degree >= 1, genus (deg - 1) // 2; in
-    genus 0 (degree 1 or 2) the trace is 0.  On a ``_PairedTable`` a half h
-    also leaves the sum of its g there, and g reads it.
+    genus 0 (degree 1 or 2) the trace is 0.
     """
     tab = table if table is not None and table.p == p else residue_table(p)
-    corr = legendre(f.lead, p) if f.degree % 2 == 0 else 0
-    if isinstance(tab, _PairedTable):
-        if (s := tab.sums.get(f)) is not None:
-            return -s - corr
-        if (g := tab.halves.get(f)) is not None:
-            s, t = _chunk_sums(f, p, tab, True)
-            tab.sums[g] = s + t
-            return -s - corr
-    return -char_sum(f, p, tab) - corr
+    return -char_sum(f, p, tab) - _infinity(f, p)
+
+
+def paired_traces(h: IntPolynomial, g: IntPolynomial, p: int, table: ResidueTable) -> tuple[int, int]:
+    """(a_p(h), a_p(g)) for g(x) = h(x^2) at a good p of both, from one pass
+    of h's chunk loop: sum_t chi_p(g(t)) = S + T of ``_chunk_sums``, so g is
+    not evaluated itself."""
+    s, t = _chunk_sums(h, p, table, True)
+    return -s - _infinity(h, p), -(s + t) - _infinity(g, p)
 
 
 def good_primes(bad: BadPrimes, n_max: int) -> list[int]:
@@ -216,22 +202,26 @@ def _fill(
     A prime with a miss gets one residue table, shared by every polynomial
     that missed, and every computed a_p is checked against the Weil bound
     a^2 <= 4 g^2 p with g = (deg - 1) // 2.  Where an even g = h(x^2) and its
-    half h both missed, h goes first and g takes its sum from h's chunk loop
-    (``_PairedTable``).
+    half h both missed, h goes first: ``paired_traces`` returns both values
+    from h's chunk loop, and g's is held until g's turn.
     """
     halves = _halves(distinct)
     order = sorted(range(len(distinct)), key=halves.__contains__)  # each half before its g
+    g_of = {j: k for k, j in halves.items()}
     for i, p in enumerate(block_primes):
         missed = [k for k in order if block_cols[k][i] is None]
         if not missed:
             continue
         tab = residue_table(p)
-        pairs = {distinct[j]: distinct[k] for k, j in halves.items() if k in missed and j in missed}
-        if pairs:
-            tab = _PairedTable(*tab, pairs)
+        held = {}
         for k in missed:
             g = distinct[k]
-            a = hyperelliptic_trace(g, p, tab)
+            if k in held:
+                a = held.pop(k)
+            elif (m := g_of.get(k)) is not None and m in missed:
+                a, held[m] = paired_traces(g, distinct[m], p, tab)
+            else:
+                a = hyperelliptic_trace(g, p, tab)
             genus = (g.degree - 1) // 2
             if a * a > 4 * genus * genus * p:
                 raise AssertionError(

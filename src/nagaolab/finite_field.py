@@ -1,5 +1,4 @@
-"""Modular arithmetic substrate: primality, prime ranges, and the quadratic
-character.
+"""Modular arithmetic substrate: prime ranges and the quadratic character.
 
 Everything here works with plain Python integers (exact) plus numpy tables on
 the performance path.  ``legendre`` is the one scalar character; a
@@ -38,37 +37,9 @@ _INT64_MAX = (1 << 63) - 1
 # the temporaries of a pass reuse heap memory instead of page-faulting.
 CHUNK = 1 << 13
 
-# Witness set deterministic for every n < 2**64.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 class TableTooLargeError(ValueError):
     """Raised when a residue table or the sieve would pass TABLE_CAP."""
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 2**64."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def primes_in(lo: int, hi: int) -> list[int]:

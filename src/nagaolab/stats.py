@@ -79,9 +79,6 @@ class STMeasure1D(NamedTuple):
             return theta / math.pi
         return theta / (2.0 * math.pi) + (self.atom_mass if theta >= math.pi / 2 else 0.0)
 
-    def total_mass(self) -> float:
-        return adaptive_simpson(self.density, 0.0, math.pi, 1e-10) + self.atom_mass
-
 
 def st_measure(tag: str) -> STMeasure1D:
     if tag == HALF_UNIFORM_DIRAC:

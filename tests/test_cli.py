@@ -702,7 +702,7 @@ LAYER_MODULES = ["finite_field", "polynomials", "curves", "twist", "stats", "cac
 PACKAGE_EXPORTS = [
     "BadPrimeError", "BadPrimes", "CurveSpec", "TraceRecord", "char_sum", "curve_from_poly",
     "hyperelliptic_trace", "normalized_angle", "sweep_traces", "trace_oracle_exhaustive",
-    "is_prime", "legendre", "primes_in", "residue_table",
+    "legendre", "primes_in", "residue_table",
     "IntPolynomial", "ParseError", "parse_polynomial", "poly_to_str",
     "MomentReport", "STGroupRecord", "STMeasure1D", "empirical_moments", "haar_second_moment",
     "haar_second_moment_usp4", "ks_distance", "load_st_table", "moment_class", "st_measure",
@@ -712,10 +712,11 @@ PACKAGE_EXPORTS = [
 
 
 # Modules that load only where they are used, never at start-up: the records
-# are NamedTuples and slots classes, not dataclasses (which import inspect).
+# are NamedTuples and slots classes, not dataclasses (which import inspect),
+# and pathlib is imported by the cache when it opens a file.
 LAZY_MODULES = [
     "dataclasses", "inspect", "hashlib", "tempfile", "shutil", "importlib.resources",
-    "numpy", "json", "fractions",
+    "numpy", "json", "fractions", "pathlib",
 ]
 
 
@@ -735,6 +736,22 @@ def test_cli_import_loads_every_layer_and_no_numpy_json_or_fractions():
             flags=flags,
         )
         assert proc.returncode == 0, (flags, proc.stderr)
+
+
+def test_pathlib_loads_only_with_a_cache(tmp_path):
+    """Under -S (no site hook preloads it) a run that opens no cache never
+    loads pathlib; naming a cache file does, so the probe sees it."""
+    proc = fresh_python(
+        "from nagaolab.cli import main",
+        f"assert main(['peterson', '--f', {QUINTIC!r}, '--sigma', '1/x']) == 0",
+        "assert 'pathlib' not in sys.modules, 'loaded by a run without a cache'",
+        "from nagaolab.cache import cache_path",
+        "from nagaolab.polynomials import parse_polynomial",
+        f"cache_path({str(tmp_path)!r}, parse_polynomial('x^3+x'))",
+        "assert 'pathlib' in sys.modules",
+        flags=("-S",),
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def _sweep_argv(tmp_path, cache, out, threads):

@@ -3,11 +3,11 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from sympy import isprime
 
 from nagaolab.finite_field import (
     TABLE_CAP,
     TableTooLargeError,
-    is_prime,
     legendre,
     poly_eval_all_mod,
     primes_in,
@@ -49,31 +49,18 @@ def test_prime_count_to_1e5_against_plain_sieve():
 def test_primes_in_segment_boundaries():
     # a range around 2^20 agrees with membership tests
     lo, hi = (1 << 20) - 50, (1 << 20) + 50
-    assert primes_in(lo, hi) == [n for n in range(lo, hi) if is_prime(n)]
+    assert primes_in(lo, hi) == [n for n in range(lo, hi) if isprime(n)]
 
 
 @given(st.integers(0, 5000), st.integers(0, 5000))
 def test_primes_in_equals_membership_tests(lo, hi):
     # empty and inverted ranges included: hi <= lo yields []
-    assert primes_in(lo, hi) == [n for n in range(lo, hi) if is_prime(n)]
+    assert primes_in(lo, hi) == [n for n in range(lo, hi) if isprime(n)]
 
 
 def test_prime_counts_to_1e6_and_1e7():
     assert len(primes_in(0, 10**6)) == 78498
     assert len(primes_in(0, 10**7)) == 664579
-
-
-def test_is_prime_small():
-    small = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
-    for n in range(50):
-        assert is_prime(n) == (n in small)
-
-
-def test_is_prime_carmichael_and_large():
-    assert not is_prime(561)
-    assert not is_prime(3215031751)
-    assert is_prime(2**61 - 1)
-    assert not is_prime(2**62 - 1)
 
 
 def test_legendre_zero_convention():
@@ -150,7 +137,7 @@ def test_residue_table_cap():
 # changes how many Horner steps run without a reduction.
 @pytest.mark.parametrize("p", [55103, 55109, 2097143, 2097169, 2**31 - 1])
 def test_poly_eval_all_mod_exact_at_reduction_thresholds(p):
-    assert is_prime(p)
+    assert isprime(p)
     rng = random.Random(p)
     xs = [p - 1, p - 2, 1, 0] + [rng.randrange(p) for _ in range(996)]
     x = np.array(xs, dtype=np.int64)
