@@ -1,8 +1,9 @@
 """Micro-benchmarks of the trace kernel's layers at one prime, p = 40009, of
 the whole character sum there and at p = 9999991 (where the arrays leave the
 cache), of the traces of a quintic f and its Peterson D = f(T^2) on one
-table, apart and with D read from f's chunk loop, of the scalar quadratic
-character, of the prime sieve and of the trace moments.
+table, apart (two ``hyperelliptic_trace`` calls) and in one ``traces_at``
+call (D read from f's chunk loop), of the scalar quadratic character, of
+the prime sieve and of the trace moments.
 
 Outside the tier-1 ``testpaths``; run them from the repository root with
 
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from nagaolab import finite_field
-from nagaolab.curves import TraceRecord, char_sum, hyperelliptic_trace, paired_traces
+from nagaolab.curves import TraceRecord, char_sum, hyperelliptic_trace, traces_at
 from nagaolab.finite_field import legendre, poly_eval_all_mod, primes_in, residue_table
 from nagaolab.polynomials import parse_polynomial
 from nagaolab.stats import empirical_moments
@@ -77,12 +78,12 @@ def test_char_sum_big(benchmark, big_table, g):
 @pytest.mark.parametrize("paired", [False, True], ids=["apart", "D-from-f"])
 def test_trace_peterson_pair(benchmark, table, paired):
     # a_p(f) and a_p(D) at one prime sharing one residue table: two traces, or
-    # both from f's chunk loop, as _fill runs them
+    # both from f's chunk loop in one traces_at call, as _fill runs them
     def apart():
         return hyperelliptic_trace(QUINTIC, P, table), hyperelliptic_trace(PETERSON_D, P, table)
 
     def from_f():
-        return paired_traces(QUINTIC, PETERSON_D, P, table)
+        return traces_at([QUINTIC, PETERSON_D], P, table)
 
     a_f, a_D = benchmark(from_f if paired else apart)
     assert a_D == 2 * a_f

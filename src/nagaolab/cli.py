@@ -17,6 +17,7 @@ from typing import Iterator, NamedTuple, Sequence
 from .cache import CacheCorruptError, TraceCache
 from .curves import (
     DEFAULT_LPOLY_CAP,
+    N_HARD_CAP,
     BadPrimes,
     CapExceededError,
     CurveError,
@@ -26,6 +27,7 @@ from .curves import (
     curve_from_poly,
     genus2_b,
     good_primes,
+    hyperelliptic_bad_primes,
     normalized_angle,
     sweep_traces,
 )
@@ -153,8 +155,15 @@ def _write(report: Report, cfg: ExperimentConfig) -> None:
 
 
 def run_verify_cache(cache: TraceCache, threads: int = 1) -> None:
-    """Recompute every cached record; quarantine and fail on any disagreement."""
-    for p, (a,) in sweep_traces([cache.poly], sorted(cache.records), threads):
+    """Recompute every cached record; quarantine and fail on any disagreement,
+    and before any recomputation on a p that is not a good prime of the curve
+    up to N_HARD_CAP."""
+    primes = sorted(cache.records)
+    good = set(good_primes(hyperelliptic_bad_primes(cache.poly), min(max(primes, default=0), N_HARD_CAP)))
+    for p in primes:
+        if p not in good:
+            cache._fail(f"cached p={p} is not a good prime p <= {N_HARD_CAP} of this curve")
+    for p, (a,) in sweep_traces([cache.poly], primes, threads):
         if a != cache.records[p]:
             cache._fail(f"cached a_p disagrees with recomputation at p={p}")
 

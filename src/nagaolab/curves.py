@@ -145,11 +145,6 @@ def _chunk_sums(g: IntPolynomial, p: int, table: ResidueTable, twisted: bool) ->
     return legendre(g(0), p) + total, twist
 
 
-def _infinity(f: IntPolynomial, p: int) -> int:
-    """The point-at-infinity term of the trace: chi_p(lead f) for even degree, else 0."""
-    return legendre(f.lead, p) if f.degree % 2 == 0 else 0
-
-
 def hyperelliptic_trace(f: IntPolynomial, p: int, table: ResidueTable | None = None) -> int:
     """Trace of Frobenius of the smooth projective model of y^2 = f(x) at a good p.
 
@@ -158,15 +153,31 @@ def hyperelliptic_trace(f: IntPolynomial, p: int, table: ResidueTable | None = N
     genus 0 (degree 1 or 2) the trace is 0.
     """
     tab = table if table is not None and table.p == p else residue_table(p)
-    return -char_sum(f, p, tab) - _infinity(f, p)
+    return traces_at([f], p, tab)[0]
 
 
-def paired_traces(h: IntPolynomial, g: IntPolynomial, p: int, table: ResidueTable) -> tuple[int, int]:
-    """(a_p(h), a_p(g)) for g(x) = h(x^2) at a good p of both, from one pass
-    of h's chunk loop: sum_t chi_p(g(t)) = S + T of ``_chunk_sums``, so g is
-    not evaluated itself."""
-    s, t = _chunk_sums(h, p, table, True)
-    return -s - _infinity(h, p), -(s + t) - _infinity(g, p)
+def traces_at(polys: Sequence[IntPolynomial], p: int, table: ResidueTable) -> list[int]:
+    """[a_p(g) for g in polys], each as ``hyperelliptic_trace`` defines it, at
+    one p with ``table`` its residue table.  No Weil check here: at a bad p,
+    where ``hyperelliptic_trace`` is called too, |a| can pass 2 g sqrt(p).
+
+    Each base polynomial runs its chunk loop once.  An even g(x) = h(x^2)
+    whose half h is in ``polys`` too is not a base: sum_t chi_p(g(t)) = S + T
+    from h's twisted loop (``_chunk_sums``), and only such an h computes T.
+    In a chain h(x), h(x^2), h(x^4) the last is a base, since its half is
+    not one.
+    """
+    # Keyed by coefficient tuples, which hash and compare in C: this runs at
+    # every prime, and IntPolynomial keys nearly doubled its cost for [D, f].
+    coeffs = [g.coeffs for g in polys]
+    halves = {c: c[::2] for c in coeffs if not any(c[1::2]) and c[::2] in coeffs}
+    halves = {c: h for c, h in halves.items() if h not in halves}
+    loops = {}  # base -> (S, T) of its chunk loop
+    for g, c in zip(polys, coeffs):
+        if c not in halves and c not in loops:
+            loops[c] = _chunk_sums(g, p, table, c in halves.values())
+    sums = [sum(loops[halves[c]]) if c in halves else loops[c][0] for c in coeffs]
+    return [-s - (legendre(g.lead, p) if g.degree % 2 == 0 else 0) for g, s in zip(polys, sums)]
 
 
 def good_primes(bad: BadPrimes, n_max: int) -> list[int]:
@@ -180,49 +191,26 @@ def good_primes(bad: BadPrimes, n_max: int) -> list[int]:
     return [p for p in primes_in(3, n_max + 1) if p not in bad]
 
 
-def _halves(distinct: Sequence[IntPolynomial]) -> dict[int, int]:
-    """{k: j} for each g = distinct[k] with no odd term whose half
-    h = distinct[j] is in the sweep too, g(x) = h(x^2).  In a chain h(x),
-    h(x^2), h(x^4) the last computes on its own: its half is served itself."""
-    index = {g: j for j, g in enumerate(distinct)}
-    halves = {
-        k: index[h]
-        for k, g in enumerate(distinct)
-        if not any(g.coeffs[1::2]) and (h := IntPolynomial(g.coeffs[::2])) in index
-    }
-    return {k: j for k, j in halves.items() if j not in halves}
-
-
 def _fill(
     distinct: Sequence[IntPolynomial], block_primes: Sequence[int], block_cols: list[list]
 ) -> list[list]:
     """Fill the misses (None) of each column in place and return the columns:
     column k holds a_p(distinct[k]) for p in ``block_primes``.
 
-    A prime with a miss gets one residue table, shared by every polynomial
-    that missed, and every computed a_p is checked against the Weil bound
-    a^2 <= 4 g^2 p with g = (deg - 1) // 2.  Where an even g = h(x^2) and its
-    half h both missed, h goes first: ``paired_traces`` returns both values
-    from h's chunk loop, and g's is held until g's turn.
+    At a prime with a miss, one ``traces_at`` call on one residue table
+    computes every polynomial that missed, and each value is checked against
+    the Weil bound a^2 <= 4 g^2 p with g = (deg - 1) // 2.
     """
-    halves = _halves(distinct)
-    order = sorted(range(len(distinct)), key=halves.__contains__)  # each half before its g
-    g_of = {j: k for k, j in halves.items()}
     for i, p in enumerate(block_primes):
-        missed = [k for k in order if block_cols[k][i] is None]
+        missed = [k for k, col in enumerate(block_cols) if col[i] is None]
         if not missed:
             continue
+        # tab holds the last table until the next one is built: freed first,
+        # its pages went back to the system and faulted in again at every
+        # prime (152 minor faults per prime against 25 at p ~ 40000).
         tab = residue_table(p)
-        held = {}
-        for k in missed:
-            g = distinct[k]
-            if k in held:
-                a = held.pop(k)
-            elif (m := g_of.get(k)) is not None and m in missed:
-                a, held[m] = paired_traces(g, distinct[m], p, tab)
-            else:
-                a = hyperelliptic_trace(g, p, tab)
-            genus = (g.degree - 1) // 2
+        for k, a in zip(missed, traces_at([distinct[k] for k in missed], p, tab)):
+            genus = (distinct[k].degree - 1) // 2
             if a * a > 4 * genus * genus * p:
                 raise AssertionError(
                     f"Weil bound violated at p={p}: a={a}, genus {genus} (counting bug)"
@@ -267,10 +255,10 @@ def sweep_traces(
     g(x) = h(x^2), is swept too (the Peterson D of ``factor-check`` and
     ``nagao`` when D's half is f) is not evaluated where both miss: h's
     chunk loop also returns T = sum_{u != 0} chi_p(u) chi_p(h(u)), and
-    sum_t chi_p(g(t)) = sum_u chi_p(h(u)) + T.  Where only g misses, it is
-    evaluated on its own, as is every g whose half is not swept.  The cache
-    of each polynomial (caches are matched through ``TraceCache.poly``) is
-    read by column, one ``TraceCache.get`` per prime.
+    sum_t chi_p(g(t)) = sum_u chi_p(h(u)) + T (``traces_at``).  Where only g
+    misses, it is evaluated on its own, as is every g whose half is not
+    swept.  The cache of each polynomial (caches are matched through
+    ``TraceCache.poly``) is read by column, one ``TraceCache.get`` per prime.
     The primes run in blocks of _BLOCK consecutive ones.  A block whose
     values are all cached is yielded straight from its columns: nothing is
     computed or appended for it.  ``_fill`` computes the misses of the other

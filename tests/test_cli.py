@@ -93,7 +93,7 @@ def test_lpoly_command(tmp_path):
 def test_lpoly_cap_checked_before_any_count(monkeypatch):
     calls = []
     monkeypatch.setattr(curves_mod, "_count_fp2", lambda *a: calls.append(a))
-    monkeypatch.setattr(curves_mod, "hyperelliptic_trace", lambda *a: calls.append(a))
+    monkeypatch.setattr(curves_mod, "traces_at", lambda *a: calls.append(a))
     assert run(cfg("lpoly", f="x^5-x+1", N=20000, output="-")) == EXIT_CAP
     assert calls == []
 
@@ -102,7 +102,7 @@ def test_lpoly_warm_rerun_reads_cache(tmp_path, monkeypatch):
     base = dict(f="x^5-x+1", N=300, cache_dir=str(tmp_path / "cache"))
     assert run(cfg("lpoly", output=str(tmp_path / "cold.csv"), **base)) == EXIT_OK
     computed = []
-    monkeypatch.setattr(curves_mod, "hyperelliptic_trace", lambda *a: computed.append(a))
+    monkeypatch.setattr(curves_mod, "traces_at", lambda *a: computed.append(a))
     assert run(cfg("lpoly", output=str(tmp_path / "warm.csv"), **base)) == EXIT_OK
     assert computed == []
     assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
@@ -128,7 +128,7 @@ def test_nagao_csv_columns(tmp_path):
 
 def test_exit_code_parse_error(tmp_path, capsys, monkeypatch):
     computed = []
-    monkeypatch.setattr(curves_mod, "hyperelliptic_trace", lambda *a: computed.append(a))
+    monkeypatch.setattr(curves_mod, "traces_at", lambda *a: computed.append(a))
     assert run(cfg("trace", f="x^^3", N=10, output="-")) == EXIT_CONFIG
     assert run(cfg("nagao", f="", N=10, output="-")) == EXIT_CONFIG
     assert main(["trace", "--badflag"]) == EXIT_CONFIG
@@ -253,8 +253,8 @@ def test_exit_codes(argv, code, tmp_path, capsys, monkeypatch):
     """Each command's documented exit codes; a failure prints one stderr line
     and computes no trace, and no case builds a worker pool."""
     computed = []
-    real = curves_mod.hyperelliptic_trace
-    monkeypatch.setattr(curves_mod, "hyperelliptic_trace", lambda *a: computed.append(a) or real(*a))
+    real = curves_mod.traces_at
+    monkeypatch.setattr(curves_mod, "traces_at", lambda *a: computed.append(a) or real(*a))
 
     def no_pool(workers):
         raise AssertionError(f"a pool of {workers} workers was built")
@@ -379,7 +379,7 @@ def test_command_accepts_only_its_flags(command, flag, capsys, monkeypatch):
     """Each command parses exactly the flags it reads; any other flag exits 1
     with one error line before any trace."""
     computed = []
-    monkeypatch.setattr(curves_mod, "hyperelliptic_trace", lambda *a: computed.append(a))
+    monkeypatch.setattr(curves_mod, "traces_at", lambda *a: computed.append(a))
     argv = [command, flag] + ([] if FLAG_VALUES[flag] is None else [FLAG_VALUES[flag]])
     if flag in ACCEPTED[command]:
         args = vars(cli_mod.build_parser().parse_args(argv))
@@ -412,7 +412,7 @@ def test_config_builds_from_the_parser():
 @pytest.mark.parametrize("where", ["missing-output-dir", "output-is-dir", "cache-dir-is-file"])
 def test_unwritable_path_fails_before_any_trace(where, tmp_path, capsys, monkeypatch):
     computed = []
-    monkeypatch.setattr(curves_mod, "hyperelliptic_trace", lambda *a: computed.append(a))
+    monkeypatch.setattr(curves_mod, "traces_at", lambda *a: computed.append(a))
     out, cache = tmp_path / "out.csv", tmp_path / "cache"
     if where == "missing-output-dir":
         out = tmp_path / "no-such-dir" / "out.csv"
@@ -575,7 +575,7 @@ def test_cache_fills_hole_below_max(tmp_path, monkeypatch):
         cache_path(cache, parse_polynomial(g)).name for g in ("x^3+x", "x^3+5*x+7")
     )
     computed = []
-    monkeypatch.setattr(curves_mod, "hyperelliptic_trace", lambda *a: computed.append(a))
+    monkeypatch.setattr(curves_mod, "traces_at", lambda *a: computed.append(a))
     assert run(cfg("trace", output=str(tmp_path / "t2.csv"), **base)) == EXIT_OK
     assert computed == [] and path.read_bytes() == filled
     assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
@@ -645,25 +645,42 @@ def test_cache_torn_tail_recovered(tmp_path, cut):
     assert path.read_bytes() == full
 
 
-def test_verify_cache_detects_bad_record(tmp_path):
+# (curve, N, how its cache is damaged): a wrong a_p, a record at a bad prime
+# (x^6+2x^4+2x^3+x^2+2x+20 = (x^3+x+1)^2 + 19, so 19 divides the
+# discriminant; its a_p breaks the Weil bound there), and one at p = 1.
+BAD_RECORDS = {
+    "wrong value": ("x^3+x", 100, None),
+    "bad prime": ("x^6+2*x^4+2*x^3+x^2+2*x+20", 60, "19,0"),
+    "p = 1": ("x^3+x", 100, "1,0"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_RECORDS)
+def test_verify_cache_detects_bad_record(case, tmp_path, capsys, monkeypatch):
+    """A record that disagrees with recomputation, or whose p is not a good
+    prime of the curve (found before any recomputation), exits 4 with one
+    error line and quarantines the file."""
+    f, n, extra = BAD_RECORDS[case]
     cache = tmp_path / "cache"
-    run(cfg("trace", f="x^3+x", N=100, cache_dir=str(cache), output=str(tmp_path / "o.csv")))
-    path = cache_path(cache, parse_polynomial("x^3+x"))
-    lines = path.read_text().splitlines()
-    p, a = lines[2].split(",")
-    lines[2] = f"{p},{int(a) + 1}"
-    path.write_text("\n".join(lines) + "\n")
-    rc = run(
-        cfg(
-            "trace",
-            f="x^3+x",
-            N=100,
-            cache_dir=str(cache),
-            output=str(tmp_path / "o2.csv"),
-            verify_cache=True,
-        )
-    )
-    assert rc == EXIT_CACHE
+    base = dict(f=f, N=n, cache_dir=str(cache), output=str(tmp_path / "o.csv"))
+    assert run(cfg("trace", **base)) == EXIT_OK
+    path = cache_path(cache, parse_polynomial(f))
+    head, fp, *records = path.read_text().splitlines()
+    if extra is None:
+        p, a = records[0].split(",")
+        records[0] = f"{p},{int(a) + 1}"
+    else:
+        records = sorted(records + [extra], key=lambda line: int(line.split(",")[0]))
+    path.write_text("\n".join([head, fp, *records]) + "\n")
+    capsys.readouterr()
+    computed = []
+    real = curves_mod.traces_at
+    monkeypatch.setattr(curves_mod, "traces_at", lambda *a: computed.append(a) or real(*a))
+    assert run(cfg("trace", verify_cache=True, **base)) == EXIT_CACHE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: corrupt cache file"), err
+    assert not path.exists() and path.with_suffix(".txt.corrupt").exists()
+    assert (computed == []) == (extra is not None)
 
 
 def test_thread_count_determinism_small(tmp_path):
@@ -770,14 +787,14 @@ def test_dead_worker_exits_5_and_keeps_the_complete_blocks(tmp_path, capsys, mon
     primes = good_primes(curve_from_poly(f).bad_primes, 300)
     die_at = primes[9]  # in the third block
     parent = os.getpid()
-    real = curves_mod.hyperelliptic_trace
+    real = curves_mod.traces_at
 
-    def dying(g, p, table=None):  # forked workers inherit the patch
+    def dying(fs, p, table):  # forked workers inherit the patch
         if p == die_at and os.getpid() != parent:
             os._exit(1)
-        return real(g, p, table)
+        return real(fs, p, table)
 
-    monkeypatch.setattr(curves_mod, "hyperelliptic_trace", dying)
+    monkeypatch.setattr(curves_mod, "traces_at", dying)
     assert main(_sweep_argv(tmp_path, "cache", "out.csv", 2)) == EXIT_WORKER
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: a worker process died"), err
@@ -788,7 +805,7 @@ def test_dead_worker_exits_5_and_keeps_the_complete_blocks(tmp_path, capsys, mon
     assert sorted(TraceCache(tmp_path / "cache", f).records) == primes[:lost]
     assert multiprocessing.active_children() == []
 
-    monkeypatch.setattr(curves_mod, "hyperelliptic_trace", real)
+    monkeypatch.setattr(curves_mod, "traces_at", real)
     assert main(_sweep_argv(tmp_path, "cache", "out.csv", 2)) == EXIT_OK
     assert main(_sweep_argv(tmp_path, "cold", "cold.csv", 1)) == EXIT_OK
     assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
@@ -800,14 +817,14 @@ def test_interrupt_exits_130_and_keeps_the_complete_blocks(tmp_path, capsys, mon
     monkeypatch.setattr(curves_mod, "_BLOCK", 4)
     f = parse_polynomial("x^3+x+1")
     primes = good_primes(curve_from_poly(f).bad_primes, 300)
-    real = curves_mod.hyperelliptic_trace
+    real = curves_mod.traces_at
 
-    def interrupted(g, p, table=None):
+    def interrupted(fs, p, table):
         if p == primes[9]:
             raise KeyboardInterrupt
-        return real(g, p, table)
+        return real(fs, p, table)
 
-    monkeypatch.setattr(curves_mod, "hyperelliptic_trace", interrupted)
+    monkeypatch.setattr(curves_mod, "traces_at", interrupted)
     assert main(_sweep_argv(tmp_path, "cache", "out.csv", 1)) == EXIT_INTERRUPTED
     assert capsys.readouterr().err == "error: interrupted\n"
     assert sorted(TraceCache(tmp_path / "cache", f).records) == primes[:8]
@@ -823,8 +840,8 @@ def test_ctrl_c_on_two_threads_prints_one_line_and_leaves_no_process(tmp_path):
         "import sys, time",
         "import nagaolab.curves as curves",
         "from nagaolab.cli import main",
-        "real = curves.hyperelliptic_trace",
-        "curves.hyperelliptic_trace = lambda g, p, t=None: time.sleep(60) if p > 800 else real(g, p, t)",
+        "real = curves.traces_at",
+        "curves.traces_at = lambda fs, p, t: time.sleep(60) if p > 800 else real(fs, p, t)",
         f"sys.exit(main({['trace', '--f', 'x^3+x+1', '--N', '1000', '--threads', '2', '--cache-dir', str(cache)]!r}))",
     ])
     proc = subprocess.Popen(

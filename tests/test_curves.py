@@ -5,6 +5,7 @@ import operator
 import os
 import random
 import tempfile
+from collections import Counter
 from functools import reduce
 
 import numpy as np
@@ -28,6 +29,7 @@ from nagaolab.curves import (
     normalized_angle,
     sweep_traces,
     trace_oracle_exhaustive,
+    traces_at,
 )
 from nagaolab.finite_field import legendre, primes_in, residue_table
 from nagaolab.polynomials import IntPolynomial, parse_polynomial
@@ -286,18 +288,18 @@ def test_sweep_partly_warm(tmp_path, monkeypatch, warm, threads):
 
     # Each call appends a line to a file, which forked workers reach too.
     log = tmp_path / "calls.log"
-    real = curves_mod.hyperelliptic_trace
+    real = curves_mod.traces_at
 
-    def counted(f, p, table=None):
+    def counted(fs, p, table):
         with open(log, "a") as fh:
-            fh.write(f"{os.getpid()},{polys.index(f)},{p}\n")
-        return real(f, p, table)
+            fh.writelines(f"{os.getpid()},{polys.index(f)},{p}\n" for f in fs)
+        return real(fs, p, table)
 
     def calls():
         lines = log.read_text().splitlines() if log.exists() else []
         return [tuple(map(int, line.split(","))) for line in lines]
 
-    monkeypatch.setattr(curves_mod, "hyperelliptic_trace", counted)
+    monkeypatch.setattr(curves_mod, "traces_at", counted)
     warm_caches = [TraceCache(tmp_path / "warm", g) for g in polys]
     assert list(sweep_traces(polys, primes, threads, warm_caches)) == want
     assert sorted((k, p) for _, k, p in calls()) == misses
@@ -318,19 +320,19 @@ def test_sweep_partly_warm(tmp_path, monkeypatch, warm, threads):
 
 def test_sweep_serial_is_lazy(monkeypatch):
     calls = []
-    real = curves_mod.hyperelliptic_trace
+    real = curves_mod.traces_at
 
-    def counted(f, p, table=None):
-        calls.append(p)
-        return real(f, p, table)
+    def counted(fs, p, table):
+        calls.extend([p] * len(fs))
+        return real(fs, p, table)
 
-    monkeypatch.setattr(curves_mod, "hyperelliptic_trace", counted)
+    monkeypatch.setattr(curves_mod, "traces_at", counted)
     f = parse_polynomial("x^3+x+1")
     primes = good_primes(curve_from_poly(f).bad_primes, 3000)
     assert len(primes) > 2 * 128
     first = next(iter(sweep_traces([f], primes)))
-    assert first == (primes[0], (hyperelliptic_trace(f, primes[0]),))
     assert len(calls) == 128  # one block
+    assert first == (primes[0], (hyperelliptic_trace(f, primes[0]),))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -339,12 +341,12 @@ def test_sweep_weil_violation_raises_before_caching_its_block(tmp_path, monkeypa
     f = parse_polynomial("x^3+x+1")
     primes = good_primes(curve_from_poly(f).bad_primes, 100)
     bad_p = primes[5]  # in the second block
-    real = curves_mod.hyperelliptic_trace
+    real = curves_mod.traces_at
 
-    def past_weil(g, p, table=None):  # genus 1: a^2 <= 4p
-        return math.isqrt(4 * p) + 1 if p == bad_p else real(g, p, table)
+    def past_weil(fs, p, table):  # genus 1: a^2 <= 4p
+        return [math.isqrt(4 * p) + 1] * len(fs) if p == bad_p else real(fs, p, table)
 
-    monkeypatch.setattr(curves_mod, "hyperelliptic_trace", past_weil)
+    monkeypatch.setattr(curves_mod, "traces_at", past_weil)
     with pytest.raises(AssertionError, match=f"Weil bound violated at p={bad_p}:"):
         list(sweep_traces([f], primes, threads, [TraceCache(tmp_path, f)]))
     assert sorted(TraceCache(tmp_path, f).records) == primes[:4]  # the first block only
@@ -397,6 +399,107 @@ def test_chain_of_halves_matches_oracle():
     primes = good_primes(reduce(operator.or_, map(hyperelliptic_bad_primes, (k, h, g))), 200)
     want = [(p, tuple(_oracle(c, p) for c in (g, h, k))) for p in primes]
     assert list(sweep_traces([g, h, k], primes)) == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(halves(), st.data())
+def test_traces_at_matches_oracle_with_one_loop_per_base(h, data):
+    """traces_at on a shuffled subset of {h, h(x^2), h(x^4), a cubic}, one of
+    them possibly twice: every value is the exhaustive count, and each base
+    runs its chunk loop once, twisted exactly when a polynomial reads its
+    sum from it.  An even g reads its half's loop unless the half reads
+    its own from its half."""
+    h2 = _squared(h)
+    h4 = _squared(h2)
+    cubic = parse_polynomial("x^3-x+1")
+    assume(h != cubic)
+    chosen = data.draw(st.lists(st.sampled_from([h, h2, h4, cubic]), min_size=1, max_size=4, unique=True))
+    polys = data.draw(st.permutations(chosen + data.draw(st.lists(st.sampled_from(chosen), max_size=1))))
+    derived = {}  # g -> the half whose loop serves it
+    if h in polys and h2 in polys:
+        derived[h2] = h
+    elif h2 in polys and h4 in polys:
+        derived[h4] = h2
+    want_loops = Counter((b, b in derived.values()) for b in set(polys) if b not in derived)
+    primes = good_primes(reduce(operator.or_, map(hyperelliptic_bad_primes, polys)), 300)
+    real = curves_mod._chunk_sums
+    for p in data.draw(st.lists(st.sampled_from(primes), min_size=1, max_size=3, unique=True)):
+        loops = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(curves_mod, "_chunk_sums", lambda g, q, t, tw: loops.append((g, tw)) or real(g, q, t, tw))
+            got = traces_at(polys, p, residue_table(p))
+        assert got == [_oracle(g, p) for g in polys], (polys, p)
+        assert Counter(loops) == want_loops
+
+
+def _root_count(g: IntPolynomial, p: int) -> int:
+    """r_p = deg gcd(g, x^p - x) over F_p, the number of roots of g in F_p,
+    for a g whose leading coefficient is a unit mod p."""
+
+    def reduce_mod(a, b):  # a mod b, coefficient lists constant first
+        a = [c % p for c in a]
+        inv = pow(b[-1], -1, p)
+        while True:
+            while a and a[-1] == 0:
+                a.pop()
+            if len(a) < len(b):
+                return a
+            q, shift = a[-1] * inv % p, len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - q * c) % p
+
+    def mul_mod(a, b):
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        return reduce_mod(prod, m)
+
+    m = [c % p for c in g.coeffs]
+    power = [1]  # x^p mod g, by square and multiply
+    for bit in bin(p)[2:]:
+        power = mul_mod(power, power)
+        if bit == "1":
+            power = reduce_mod([0, *power], m)
+    power += [0] * (2 - len(power))
+    power[1] -= 1
+    a, b = m, reduce_mod(power, m)
+    while b:
+        a, b = b, reduce_mod(a, b)
+    return len(a) - 1
+
+
+def test_root_count_matches_brute_force():
+    rng = random.Random(7)
+    for _ in range(30):
+        g = _random_squarefree(rng, rng.choice([3, 4, 5, 6, 10]))
+        for p in (3, 5, 7, 11, 101):
+            if g.lead % p:
+                assert _root_count(g, p) == sum(g(x) % p == 0 for x in range(p)), (g, p)
+
+
+def test_even_polynomial_from_its_half_past_the_oracle():
+    """At random good primes in [10^4, 10^6], beyond the exhaustive oracle:
+    a_p(g) for g = h(x^2) read from h's loop equals g's own pass, and every
+    a_p = r_p + [deg odd] (mod 2).  Over each x, y^2 = g(x) has one point at a
+    root and 0 or 2 elsewhere; infinity has 1 point for odd degree and
+    1 + chi_p(lead) for even, and p + 1 is even.  Parity sees a lost
+    chi_p(lead g); the own pass sees a wrong T, which moves a by 2T."""
+    rng = random.Random(16)
+    for h in (parse_polynomial("x^5+2*x^4+3*x^3+3*x^2+2*x+1"), parse_polynomial("x^3+x+1")):
+        g = _squared(h)
+        bad = hyperelliptic_bad_primes(h) | hyperelliptic_bad_primes(g)
+        primes = set()
+        while len(primes) < 9:
+            p = sympy.nextprime(rng.randrange(10**4, 10**6))
+            if p not in bad:
+                primes.add(p)
+        for p in sorted(primes):
+            tab = residue_table(p)
+            a_g, a_h = traces_at([g, h], p, tab)
+            assert a_g == traces_at([g], p, tab)[0], (g, p)
+            for f, a in ((g, a_g), (h, a_h)):
+                assert (a - _root_count(f, p) - f.degree) % 2 == 0, (f, p, a)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -486,9 +589,9 @@ def test_no_worker_outlives_a_sweep(end, monkeypatch):
         assert next(sweep)[0] == primes[0]
         sweep.close()
     else:
-        real = curves_mod.hyperelliptic_trace
+        real = curves_mod.traces_at
         monkeypatch.setattr(
-            curves_mod, "hyperelliptic_trace", lambda g, p, t=None: 10**6 if p == primes[9] else real(g, p, t)
+            curves_mod, "traces_at", lambda fs, p, t: [10**6] * len(fs) if p == primes[9] else real(fs, p, t)
         )
         with pytest.raises(AssertionError, match=f"Weil bound violated at p={primes[9]}:"):
             list(sweep)
