@@ -301,8 +301,8 @@ def cmd_factor_check(cfg: ExperimentConfig, c: CurveSpec) -> Report:
 
 # Each command's handler and the flags it reads; its parser accepts no others.
 # run reads _COMMON for every command, and every sweep reads _SWEEP.
-_COMMON = ("--f", "--threads", "--cache-dir", "--output", "--format")
-_SWEEP = (*_COMMON, "--N", "--verify-cache")
+_COMMON = ("--f", "--output", "--format")
+_SWEEP = (*_COMMON, "--N", "--threads", "--cache-dir", "--verify-cache")
 
 _COMMANDS = {
     "trace": (cmd_trace, _SWEEP),

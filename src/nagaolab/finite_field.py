@@ -6,7 +6,8 @@ the performance path.  ``legendre`` is the one scalar character; a
 residues at once.  Nothing is factored: a curve's bad primes are a
 divisibility test (``curves.BadPrimes``).
 All primes handled downstream are odd; ``primes_in`` itself still reports 2
-when it lies in the requested range and callers filter.
+when it lies in the requested range and callers filter.  One cap, N_HARD_CAP,
+bounds the sieve and the residue tables, and so every sweep.
 
 numpy is imported by the functions that build arrays (``residue_table`` and
 ``poly_eval_all_mod``), not by this module: the sieve and the character are
@@ -25,9 +26,7 @@ from typing import TYPE_CHECKING, NamedTuple
 if TYPE_CHECKING:
     import numpy as np
 
-# Bound on the sieve and on residue tables; at p <= TABLE_CAP, p**2 fits in
-# a signed 64-bit intermediate.
-TABLE_CAP = 1 << 31
+N_HARD_CAP = 10**7
 
 _INT64_MAX = (1 << 63) - 1
 
@@ -38,18 +37,18 @@ _INT64_MAX = (1 << 63) - 1
 CHUNK = 1 << 13
 
 
-class TableTooLargeError(ValueError):
-    """Raised when a residue table or the sieve would pass TABLE_CAP."""
+class CapExceededError(ValueError):
+    """An input passes a hard cap; raised before the work the cap bounds."""
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
-    """All primes in the half-open range [lo, hi), ascending, for hi - 1 <= TABLE_CAP.
+    """All primes in the half-open range [lo, hi), ascending, for hi - 1 <= N_HARD_CAP.
 
     A slice of ``_primes_below(hi)``.  An empty or inverted range yields [];
-    hi - 1 > TABLE_CAP raises TableTooLargeError before any allocation.
+    hi - 1 > N_HARD_CAP raises CapExceededError before any allocation.
     """
-    if hi - 1 > TABLE_CAP:
-        raise TableTooLargeError(f"primes up to {hi - 1} exceed the sieve cap {TABLE_CAP}")
+    if hi - 1 > N_HARD_CAP:
+        raise CapExceededError(f"N = {hi - 1} exceeds the hard cap {N_HARD_CAP}")
     lo = max(lo, 2)
     if lo >= hi:
         return []
@@ -91,36 +90,36 @@ class ResidueTable(NamedTuple):
 
     ``chi`` is an int8 array of length p with chi[0] = 0 (the distinguished
     zero mark), +1 on nonzero squares, -1 on non-squares; an index in [-p, 0)
-    reads chi of its residue.  ``roots`` is the int64 array k = 1..(p-1)/2
-    and ``squares`` the int64 array k^2 mod p, each nonzero square once.
+    reads chi of its residue.  ``squares`` is the int64 array k^2 mod p for
+    k = 1..(p-1)/2, each nonzero square once: p + 8 (p-1)/2 bytes in all.
     Never written after it is built; a forked worker builds its own.
     """
 
     p: int
     chi: np.ndarray
-    roots: np.ndarray
     squares: np.ndarray
 
 
 def residue_table(p: int) -> ResidueTable:
-    """Build the chi_p lookup table for an odd prime p <= TABLE_CAP.
+    """Build the chi_p lookup table for an odd prime p <= N_HARD_CAP.
 
     k^2 = (p - k)^2, so the squares of 1..(p-1)/2 already hit every nonzero
-    square.  They are reduced CHUNK at a time, so each pass stays in cache.
+    square.  One arange is squared and reduced in place, CHUNK at a time, so
+    each pass stays in cache.  A larger p raises CapExceededError first.
     """
-    if p > TABLE_CAP:
-        raise TableTooLargeError(f"table for p={p} too large (cap {TABLE_CAP})")
+    if p > N_HARD_CAP:
+        raise CapExceededError(f"p = {p} exceeds the hard cap {N_HARD_CAP}")
     import numpy as np
 
-    roots = np.arange(1, p // 2 + 1, dtype=np.int64)
-    squares = roots * roots
+    squares = np.arange(1, p // 2 + 1, dtype=np.int64)
     for i in range(0, len(squares), CHUNK):
         v = squares[i : i + CHUNK]
+        v *= v
         v -= v // p * p
     chi = np.full(p, -1, dtype=np.int8)
     chi[squares] = 1
     chi[0] = 0
-    return ResidueTable(p, chi, roots, squares)
+    return ResidueTable(p, chi, squares)
 
 
 def poly_eval_all_mod(coeffs, p: int, x: np.ndarray) -> np.ndarray:

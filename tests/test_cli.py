@@ -192,7 +192,7 @@ BIG_N = str(10**7 + 1)
 LONG_COEF = "1" * 5000
 
 # (argv, documented exit code); a cache-corruption case finds a garbled cache
-# file of its --f curve in --cache-dir.
+# file of its --f curve in --cache-dir, which every command but peterson takes.
 EXIT_CASES = [
     (["trace", "--f", "x^3+x", "--N", "50"], EXIT_OK),
     (["trace", "--f", "x^^3"], EXIT_CONFIG),
@@ -264,7 +264,8 @@ def test_exit_codes(argv, code, tmp_path, capsys, monkeypatch):
     if code == EXIT_CACHE:
         cache.mkdir()
         cache_path(cache, parse_polynomial(argv[argv.index("--f") + 1])).write_text("NOT A CACHE\n")
-    assert main(argv + ["--cache-dir", str(cache), "--output", str(tmp_path / "out.csv")]) == code
+    cache_flag = [] if argv[0] == "peterson" else ["--cache-dir", str(cache)]
+    assert main(argv + cache_flag + ["--output", str(tmp_path / "out.csv")]) == code
     err = capsys.readouterr().err
     if code == EXIT_OK:
         assert err == "" and (tmp_path / "out.csv").exists()
@@ -355,8 +356,8 @@ def test_warm_run_needs_no_numpy(argv, tmp_path):
     assert warm.stdout == cold.stdout and cold.stdout
 
 
-COMMON = ["--f", "--threads", "--cache-dir", "--output", "--format"]
-SWEEP = COMMON + ["--N", "--verify-cache"]
+COMMON = ["--f", "--output", "--format"]
+SWEEP = COMMON + ["--N", "--threads", "--cache-dir", "--verify-cache"]
 ACCEPTED = {
     "trace": SWEEP,
     "lpoly": SWEEP,

@@ -11,7 +11,7 @@ from functools import reduce
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import nagaolab.curves as curves_mod
@@ -37,6 +37,12 @@ from nagaolab.polynomials import IntPolynomial, parse_polynomial
 
 def curve(s):
     return curve_from_poly(parse_polynomial(s))
+
+
+# For the tests whose examples are checked by an exhaustive count at many
+# primes: a broken kernel fails every example, and shrinking one through
+# those counts took minutes.
+NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate]
 
 
 def test_curve_from_poly_genus_and_bad_primes():
@@ -252,7 +258,7 @@ def _oracle(f: IntPolynomial, p: int) -> int:
     return trace_oracle_exhaustive(spec, p).a
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, phases=NO_SHRINK)
 @given(
     st.lists(squarefree_curves, min_size=1, max_size=3),
     even_curves,
@@ -371,7 +377,7 @@ def halves(draw):
     return h
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=12, deadline=None, phases=NO_SHRINK)
 @given(halves(), st.sampled_from([1, 2]), st.sampled_from(["none", "D", "h"]))
 def test_even_polynomial_from_its_half_matches_oracle(h, threads, held):
     """D = h(T^2) swept with its half h, in either order, or each alone: the
@@ -401,7 +407,7 @@ def test_chain_of_halves_matches_oracle():
     assert list(sweep_traces([g, h, k], primes)) == want
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, phases=NO_SHRINK)
 @given(halves(), st.data())
 def test_traces_at_matches_oracle_with_one_loop_per_base(h, data):
     """traces_at on a shuffled subset of {h, h(x^2), h(x^4), a cubic}, one of
@@ -500,6 +506,20 @@ def test_even_polynomial_from_its_half_past_the_oracle():
             assert a_g == traces_at([g], p, tab)[0], (g, p)
             for f, a in ((g, a_g), (h, a_h)):
                 assert (a - _root_count(f, p) - f.degree) % 2 == 0, (f, p, a)
+
+
+@settings(max_examples=10, deadline=None, phases=NO_SHRINK)
+@given(squarefree_curves, st.integers(10**4, 9999991).map(lambda n: sympy.nextprime(n - 1)))
+def test_trace_parity_and_weil_bound_up_to_the_cap(f, p):
+    """At a good prime in [10^4, 9999991], past the exhaustive oracle and up to
+    N_HARD_CAP: a_p = r_p + [deg f odd] (mod 2), as in the test above, and
+    a_p^2 <= 4 g^2 p.  A k off by one in the chunk loop's odd part moves
+    the values at the nonzero x."""
+    assume(p not in hyperelliptic_bad_primes(f))
+    a = traces_at([f], p, residue_table(p))[0]
+    assert (a - _root_count(f, p) - f.degree) % 2 == 0, (f, p, a)
+    genus = (f.degree - 1) // 2
+    assert a * a <= 4 * genus * genus * p, (f, p, a)
 
 
 @pytest.mark.parametrize("threads", [1, 2])

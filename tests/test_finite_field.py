@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 from sympy import isprime
 
 from nagaolab.finite_field import (
-    TABLE_CAP,
-    TableTooLargeError,
+    N_HARD_CAP,
+    CapExceededError,
+    ResidueTable,
     legendre,
     poly_eval_all_mod,
     primes_in,
@@ -111,11 +112,13 @@ def test_residue_table_small():
 
 
 def test_residue_table_popcount_balance():
+    assert ResidueTable._fields == ("p", "chi", "squares")
     for p in primes_in(3, 1000):
         tab = residue_table(p)
         assert int(np.count_nonzero(tab.chi == 1)) == (p - 1) // 2
         assert np.unique(tab.squares).size == tab.squares.size == (p - 1) // 2
         assert (tab.chi[tab.squares] == 1).all()
+        assert tab.chi.nbytes + tab.squares.nbytes == p + 8 * ((p - 1) // 2)
 
 
 def test_residue_table_matches_legendre_exhaustive():
@@ -126,15 +129,15 @@ def test_residue_table_matches_legendre_exhaustive():
 
 
 def test_residue_table_cap():
-    with pytest.raises(TableTooLargeError):
-        residue_table(2**31 + 11)  # raises before it allocates
-    with pytest.raises(TableTooLargeError):
-        primes_in(3, TABLE_CAP + 2)  # raises before it allocates
+    with pytest.raises(CapExceededError):
+        residue_table(N_HARD_CAP + 1)  # raises before it allocates
+    with pytest.raises(CapExceededError):
+        primes_in(3, N_HARD_CAP + 2)  # raises before it allocates
 
 
-# On either side of p^4 = 2^63 (55108.5) and p^3 = 2^63 (2097152), and the
-# residue-table cap 2^31 - 1: where the lazy reduction in poly_eval_all_mod
-# changes how many Horner steps run without a reduction.
+# On either side of p^4 = 2^63 (55108.5) and p^3 = 2^63 (2097152), and at
+# 2^31 - 1, whose square nearly fills an int64: where the lazy reduction in
+# poly_eval_all_mod changes how many Horner steps run without a reduction.
 @pytest.mark.parametrize("p", [55103, 55109, 2097143, 2097169, 2**31 - 1])
 def test_poly_eval_all_mod_exact_at_reduction_thresholds(p):
     assert isprime(p)

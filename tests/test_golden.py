@@ -60,9 +60,11 @@ CASES = {
 
 def _run_case(argv: list[str], threads: int, workdir: Path) -> None:
     cache = workdir / "cache"
+    # peterson sweeps nothing, so it takes neither --threads nor --cache-dir
+    sweep = [] if argv[0] == "peterson" else ["--threads", str(threads), "--cache-dir", str(cache)]
     for fmt in ("csv", "json"):  # cold, then warm
         out = workdir / f"out.{fmt}"
-        args = argv + ["--threads", str(threads), "--cache-dir", str(cache), "--format", fmt]
+        args = argv + sweep + ["--format", fmt]
         assert main(args + ["--output", str(out)]) == EXIT_OK, args
 
 
