@@ -17,9 +17,7 @@ from typing import Iterator, NamedTuple, Sequence
 from .cache import CacheCorruptError, TraceCache
 from .curves import (
     DEFAULT_LPOLY_CAP,
-    N_HARD_CAP,
     BadPrimes,
-    CapExceededError,
     CurveError,
     CurveSpec,
     TraceRecord,
@@ -31,7 +29,7 @@ from .curves import (
     normalized_angle,
     sweep_traces,
 )
-from .finite_field import primes_in
+from .finite_field import N_HARD_CAP, CapExceededError, primes_in
 from .polynomials import IntPolynomial, ParseError, PolynomialError, parse_polynomial, poly_to_str
 from .stats import (
     GENUS1_GROUPS,

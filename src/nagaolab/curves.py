@@ -20,8 +20,7 @@ from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cache import TraceCache
-from .finite_field import CHUNK, ResidueTable, legendre, poly_eval_all_mod, primes_in, residue_table
-from .finite_field import N_HARD_CAP, CapExceededError  # also imported from here by cli and twist
+from .finite_field import CHUNK, CapExceededError, legendre, poly_eval_all_mod, primes_in, residue_table
 from .polynomials import IntPolynomial, PolynomialError
 
 DEFAULT_LPOLY_CAP = 10**4
@@ -91,21 +90,21 @@ def curve_from_poly(f: IntPolynomial) -> CurveSpec:
     return CurveSpec(f, genus, hyperelliptic_bad_primes(f))
 
 
-def char_sum(g: IntPolynomial, p: int, table: ResidueTable) -> int:
-    """sum_x chi_p(g(x)) over x = 0..p-1, with ``table`` the residue table of p.
+def char_sum(g: IntPolynomial, p: int) -> int:
+    """sum_x chi_p(g(x)) over x = 0..p-1, gathered from the residue table of p.
 
     Split g(x) = e(x^2) + x o(x^2).  For k = 1..(p-1)/2 and s = k^2, let
     E = e(s) and O = k o(s), reduced mod p; then g(k) = E + O and
     g(-k) = E - O, and the sum is chi(g(0)) + sum_k (chi[E + O - p] + chi[E - O]).
-    Both indices lie in [-p, p), where ``table.chi`` reads chi of the residue.
-    e and o have half the degree of g and are evaluated at the (p-1)/2
-    entries of ``table.squares``, CHUNK at a time.  When o = 0 the sum is
+    Both indices lie in [-p, p), where the table's ``chi`` reads chi of the
+    residue.  e and o have half the degree of g and are evaluated at the
+    (p-1)/2 entries of its ``squares``, CHUNK at a time.  When o = 0 the sum is
     chi(g(0)) + 2 sum_k chi[E].
     """
-    return _chunk_sums(g, p, table, False)[0]
+    return _chunk_sums(g, p, False)[0]
 
 
-def _chunk_sums(g: IntPolynomial, p: int, table: ResidueTable, twisted: bool) -> tuple[int, int]:
+def _chunk_sums(g: IntPolynomial, p: int, twisted: bool) -> tuple[int, int]:
     """The chunk loop of ``char_sum``: (S, T) with S = sum_x chi_p(g(x)) and,
     when ``twisted``, T = sum_{u != 0} chi_p(u) chi_p(g(u)), else T = 0.
 
@@ -116,48 +115,48 @@ def _chunk_sums(g: IntPolynomial, p: int, table: ResidueTable, twisted: bool) ->
     """
     import numpy as np
 
+    chi, squares = residue_table(p)
     even, odd = g.coeffs[::2], g.coeffs[1::2]
     minus = p % 4 == 3  # chi(-1) = -1
     total = twist = 0
-    for i in range(0, len(table.squares), CHUNK):
-        s = table.squares[i : i + CHUNK]
+    for i in range(0, len(squares), CHUNK):
+        s = squares[i : i + CHUNK]
         e = poly_eval_all_mod(even, p, s)
         if any(odd):
             o = poly_eval_all_mod(odd, p, s)
             o *= np.arange(i + 1, i + 1 + len(s), dtype=np.int64)  # k
             o -= o // p * p
-            neg = table.chi[e - o]
+            neg = chi[e - o]
             total += int(neg.sum(dtype="int64"))
             e += o
             e -= p
-            pos = table.chi[e]
+            pos = chi[e]
             total += int(pos.sum(dtype="int64"))
             if twisted:
                 w = pos - neg if minus else pos + neg
-                twist += int((table.chi[i + 1 : i + 1 + len(s)] * w).sum(dtype="int64"))
+                twist += int((chi[i + 1 : i + 1 + len(s)] * w).sum(dtype="int64"))
         else:
-            v = table.chi[e]
+            v = chi[e]
             total += 2 * int(v.sum(dtype="int64"))
             if twisted and not minus:
-                twist += 2 * int((table.chi[i + 1 : i + 1 + len(s)] * v).sum(dtype="int64"))
+                twist += 2 * int((chi[i + 1 : i + 1 + len(s)] * v).sum(dtype="int64"))
     return legendre(g(0), p) + total, twist
 
 
-def hyperelliptic_trace(f: IntPolynomial, p: int, table: ResidueTable | None = None) -> int:
+def hyperelliptic_trace(f: IntPolynomial, p: int) -> int:
     """Trace of Frobenius of the smooth projective model of y^2 = f(x) at a good p.
 
     a = -sum_x chi_p(f(x)) minus the point-at-infinity correction chi_p(lead f)
     for even degree.  Valid for any degree >= 1, genus (deg - 1) // 2; in
     genus 0 (degree 1 or 2) the trace is 0.
     """
-    tab = table if table is not None and table.p == p else residue_table(p)
-    return traces_at([f], p, tab)[0]
+    return traces_at([f], p)[0]
 
 
-def traces_at(polys: Sequence[IntPolynomial], p: int, table: ResidueTable) -> list[int]:
+def traces_at(polys: Sequence[IntPolynomial], p: int) -> list[int]:
     """[a_p(g) for g in polys], each as ``hyperelliptic_trace`` defines it, at
-    one p with ``table`` its residue table.  No Weil check here: at a bad p,
-    where ``hyperelliptic_trace`` is called too, |a| can pass 2 g sqrt(p).
+    one p.  No Weil check here: at a bad p, where ``hyperelliptic_trace`` is
+    called too, |a| can pass 2 g sqrt(p).
 
     Each base polynomial runs its chunk loop once.  An even g(x) = h(x^2)
     whose half h is in ``polys`` too is not a base: sum_t chi_p(g(t)) = S + T
@@ -173,7 +172,7 @@ def traces_at(polys: Sequence[IntPolynomial], p: int, table: ResidueTable) -> li
     loops = {}  # base -> (S, T) of its chunk loop
     for g, c in zip(polys, coeffs):
         if c not in halves and c not in loops:
-            loops[c] = _chunk_sums(g, p, table, c in halves.values())
+            loops[c] = _chunk_sums(g, p, c in halves.values())
     sums = [sum(loops[halves[c]]) if c in halves else loops[c][0] for c in coeffs]
     return [-s - (legendre(g.lead, p) if g.degree % 2 == 0 else 0) for g, s in zip(polys, sums)]
 
@@ -193,19 +192,13 @@ def _fill(
     """Fill the misses (None) of each column in place and return the columns:
     column k holds a_p(distinct[k]) for p in ``block_primes``.
 
-    At a prime with a miss, one ``traces_at`` call on one residue table
-    computes every polynomial that missed, and each value is checked against
-    the Weil bound a^2 <= 4 g^2 p with g = (deg - 1) // 2.
+    At each prime one ``traces_at`` call computes every polynomial that
+    missed, and each value is checked against the Weil bound
+    a^2 <= 4 g^2 p with g = (deg - 1) // 2.
     """
     for i, p in enumerate(block_primes):
         missed = [k for k, col in enumerate(block_cols) if col[i] is None]
-        if not missed:
-            continue
-        # tab holds the last table until the next one is built: freed first,
-        # its pages went back to the system and faulted in again at every
-        # prime (98 minor faults per prime against 0.6 at p ~ 40000).
-        tab = residue_table(p)
-        for k, a in zip(missed, traces_at([distinct[k] for k in missed], p, tab)):
+        for k, a in zip(missed, traces_at([distinct[k] for k in missed], p)):
             genus = (distinct[k].degree - 1) // 2
             if a * a > 4 * genus * genus * p:
                 raise AssertionError(
@@ -263,6 +256,7 @@ def sweep_traces(
     blocks in order, appends each filled one to the caches and then yields
     it, so the output does not depend on the thread count.  With one thread
     a block is filled in this process, only when the consumer reaches it.
+    Each process keeps its own last residue table (``residue_table``).
 
     A worker that dies raises WorkerDiedError naming the first prime of the
     block that was lost; the blocks before it are already in the caches.
@@ -305,7 +299,7 @@ def _count_fp2(f: IntPolynomial, p: int) -> int:
     """#C(F_{p^2}) for the smooth model of y^2 = f, with F_{p^2} = F_p[u]/(u^2 - n)."""
     import numpy as np
 
-    tab = residue_table(p)
+    chi = residue_table(p).chi
     n = next(a for a in range(2, p) if legendre(a, p) == -1)
     # z = z0 + z1 u is a nonzero square in F_{p^2}  iff  chi_p(Norm z) = 1,
     # Norm(z) = z0^2 - n z1^2.
@@ -317,7 +311,7 @@ def _count_fp2(f: IntPolynomial, p: int) -> int:
         for c in reversed(f.coeffs):
             v0, v1 = (v0 * x0 + n * v1 * x1 + c) % p, (v0 * x1 + v1 * x0) % p
         norm = (v0 * v0 - n * v1 * v1) % p
-        total += p + int(tab.chi[norm].sum(dtype=np.int64))
+        total += p + int(chi[norm].sum(dtype=np.int64))
     if f.degree % 2 == 1:
         total += 1
     else:

@@ -3,13 +3,15 @@
 Everything here works with plain Python integers (exact) plus numpy tables on
 the performance path.  ``legendre`` is the one scalar character; a
 ``ResidueTable`` serves only vector gathers, chi_p at a whole array of
-residues at once.  Nothing is factored: a curve's bad primes are a
+residues at once.  ``residue_table`` alone decides when a table is built and
+how long it lives: it keeps the last one, read-only, for every caller at
+that p.  Nothing is factored: a curve's bad primes are a
 divisibility test (``curves.BadPrimes``).
 All primes handled downstream are odd; ``primes_in`` itself still reports 2
 when it lies in the requested range and callers filter.  One cap, N_HARD_CAP,
 bounds the sieve and the residue tables, and so every sweep.
 
-numpy is imported by the functions that build arrays (``residue_table`` and
+numpy is imported by the functions that build arrays (``_residue_table`` and
 ``poly_eval_all_mod``), not by this module: the sieve and the character are
 pure Python, so a run whose traces all come from the cache never loads it.
 """
@@ -92,23 +94,29 @@ class ResidueTable(NamedTuple):
     zero mark), +1 on nonzero squares, -1 on non-squares; an index in [-p, 0)
     reads chi of its residue.  ``squares`` is the int64 array k^2 mod p for
     k = 1..(p-1)/2, each nonzero square once: p + 8 (p-1)/2 bytes in all.
-    Never written after it is built; a forked worker builds its own.
+    Read-only: every caller at one p gets the same table.
     """
 
-    p: int
     chi: np.ndarray
     squares: np.ndarray
 
 
 def residue_table(p: int) -> ResidueTable:
-    """Build the chi_p lookup table for an odd prime p <= N_HARD_CAP.
+    """The chi_p table of an odd prime p <= N_HARD_CAP; a larger p raises CapExceededError first."""
+    if p > N_HARD_CAP:
+        raise CapExceededError(f"p = {p} exceeds the hard cap {N_HARD_CAP}")
+    return _residue_table(p)
+
+
+@lru_cache(maxsize=1)
+def _residue_table(p: int) -> ResidueTable:
+    """Build the table of ``residue_table``, memoised for the last p.
 
     k^2 = (p - k)^2, so the squares of 1..(p-1)/2 already hit every nonzero
     square.  One arange is squared and reduced in place, CHUNK at a time, so
-    each pass stays in cache.  A larger p raises CapExceededError first.
+    each pass stays in cache.  Calls at one p share the table, which is freed
+    after the next is built: freed first, its pages faulted in at every prime.
     """
-    if p > N_HARD_CAP:
-        raise CapExceededError(f"p = {p} exceeds the hard cap {N_HARD_CAP}")
     import numpy as np
 
     squares = np.arange(1, p // 2 + 1, dtype=np.int64)
@@ -119,7 +127,8 @@ def residue_table(p: int) -> ResidueTable:
     chi = np.full(p, -1, dtype=np.int8)
     chi[squares] = 1
     chi[0] = 0
-    return ResidueTable(p, chi, squares)
+    chi.flags.writeable = squares.flags.writeable = False
+    return ResidueTable(chi, squares)
 
 
 def poly_eval_all_mod(coeffs, p: int, x: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ predicted generic rank of the self-twist surface f(T) y^2 = f(x).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from typing import NamedTuple, Sequence
 
 from .curves import TraceRecord
@@ -59,11 +60,21 @@ MEASURE_TAGS = (SATO_TATE, UNIFORM, HALF_UNIFORM_DIRAC)
 GENUS1_GROUPS = (("SU(2)", 1), ("N(U(1))", 1), ("U(1)", 2))
 
 
-class STMeasure1D(NamedTuple):
-    """An angle law on [0, pi]: a continuous density plus an optional atom at pi/2."""
+class STMeasure1D(namedtuple("STMeasure1D", "tag")):
+    """An angle law on [0, pi], one of MEASURE_TAGS: a continuous density plus,
+    for half-uniform-dirac, an atom of mass 1/2 at pi/2.  Any other tag
+    raises ValueError."""
 
-    tag: str
-    atom_mass: float = 0.0
+    __slots__ = ()
+
+    def __new__(cls, tag: str):
+        if tag not in MEASURE_TAGS:
+            raise ValueError(f"unknown measure tag {tag!r}")
+        return super().__new__(cls, tag)
+
+    @property
+    def atom_mass(self) -> float:
+        return 0.5 if self.tag == HALF_UNIFORM_DIRAC else 0.0
 
     def density(self, theta: float) -> float:
         if self.tag == SATO_TATE:
@@ -81,11 +92,7 @@ class STMeasure1D(NamedTuple):
 
 
 def st_measure(tag: str) -> STMeasure1D:
-    if tag == HALF_UNIFORM_DIRAC:
-        return STMeasure1D(tag, atom_mass=0.5)
-    if tag in (SATO_TATE, UNIFORM):
-        return STMeasure1D(tag)
-    raise ValueError(f"unknown measure tag {tag!r}")
+    return STMeasure1D(tag)
 
 
 def haar_second_moment(measure: STMeasure1D) -> float:

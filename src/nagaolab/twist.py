@@ -22,14 +22,13 @@ from .cache import TraceCache
 from .curves import (
     BadPrimeError,
     BadPrimes,
-    CapExceededError,
     CurveError,
     good_primes,
     hyperelliptic_bad_primes,
     hyperelliptic_trace,
     sweep_traces,
 )
-from .finite_field import legendre, residue_table
+from .finite_field import CapExceededError, legendre
 from .polynomials import IntPolynomial, PolynomialError
 
 if TYPE_CHECKING:
@@ -68,15 +67,14 @@ def average_trace(s: TwistSurfaceSpec, p: int) -> Fraction:
     """A_p as an exact rational with denominator p, summed fiber by fiber.
 
     The test oracle for ``nagao_series``, which derives the same value from
-    a_p(f) and a_p(D).
+    a_p(f) and a_p(D): here each chi_p(D(t)) is a ``legendre`` of its own.
     """
     from fractions import Fraction
 
     if p in s.bad_primes:
         raise BadPrimeError(p)
-    tab = residue_table(p)
-    chi_sum = int(tab.chi[[s.D(t) % p for t in range(p)]].sum(dtype="int64"))
-    return Fraction(chi_sum * hyperelliptic_trace(s.f, p, tab), p)
+    chi_sum = sum(legendre(s.D(t), p) for t in range(p))
+    return Fraction(chi_sum * hyperelliptic_trace(s.f, p), p)
 
 
 class NagaoSeries(NamedTuple):

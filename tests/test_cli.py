@@ -13,7 +13,6 @@ import pytest
 import nagaolab.cli as cli_mod
 import nagaolab.curves as curves_mod
 import nagaolab.finite_field as ff_mod
-import nagaolab.twist as twist_mod
 from nagaolab.cache import HEADER, TraceCache, cache_path, fingerprint
 from nagaolab.cli import (
     EXIT_BAD_CURVE,
@@ -704,8 +703,7 @@ def test_warm_self_twist_builds_no_residue_table(tmp_path, monkeypatch):
         tables.append(p)
         return real(p, *args)
 
-    for mod in (curves_mod, twist_mod):
-        monkeypatch.setattr(mod, "residue_table", counted)
+    monkeypatch.setattr(curves_mod, "residue_table", counted)
     base = dict(f="T^3+T", N=2000, grid="500,2000", cache_dir=str(tmp_path / "cache"))
     assert run(cfg("nagao", output=str(tmp_path / "cold.csv"), **base)) == EXIT_OK
     assert tables  # the cold run computed its traces
@@ -790,10 +788,10 @@ def test_dead_worker_exits_5_and_keeps_the_complete_blocks(tmp_path, capsys, mon
     parent = os.getpid()
     real = curves_mod.traces_at
 
-    def dying(fs, p, table):  # forked workers inherit the patch
+    def dying(fs, p):  # forked workers inherit the patch
         if p == die_at and os.getpid() != parent:
             os._exit(1)
-        return real(fs, p, table)
+        return real(fs, p)
 
     monkeypatch.setattr(curves_mod, "traces_at", dying)
     assert main(_sweep_argv(tmp_path, "cache", "out.csv", 2)) == EXIT_WORKER
@@ -820,10 +818,10 @@ def test_interrupt_exits_130_and_keeps_the_complete_blocks(tmp_path, capsys, mon
     primes = good_primes(curve_from_poly(f).bad_primes, 300)
     real = curves_mod.traces_at
 
-    def interrupted(fs, p, table):
+    def interrupted(fs, p):
         if p == primes[9]:
             raise KeyboardInterrupt
-        return real(fs, p, table)
+        return real(fs, p)
 
     monkeypatch.setattr(curves_mod, "traces_at", interrupted)
     assert main(_sweep_argv(tmp_path, "cache", "out.csv", 1)) == EXIT_INTERRUPTED
@@ -842,7 +840,7 @@ def test_ctrl_c_on_two_threads_prints_one_line_and_leaves_no_process(tmp_path):
         "import nagaolab.curves as curves",
         "from nagaolab.cli import main",
         "real = curves.traces_at",
-        "curves.traces_at = lambda fs, p, t: time.sleep(60) if p > 800 else real(fs, p, t)",
+        "curves.traces_at = lambda fs, p: time.sleep(60) if p > 800 else real(fs, p)",
         f"sys.exit(main({['trace', '--f', 'x^3+x+1', '--N', '1000', '--threads', '2', '--cache-dir', str(cache)]!r}))",
     ])
     proc = subprocess.Popen(

@@ -15,6 +15,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import nagaolab.curves as curves_mod
+import nagaolab.finite_field as ff_mod
 from nagaolab.cache import TraceCache
 from nagaolab.curves import (
     CurveError,
@@ -31,7 +32,7 @@ from nagaolab.curves import (
     trace_oracle_exhaustive,
     traces_at,
 )
-from nagaolab.finite_field import legendre, primes_in, residue_table
+from nagaolab.finite_field import legendre, primes_in
 from nagaolab.polynomials import IntPolynomial, parse_polynomial
 
 
@@ -182,17 +183,16 @@ def test_char_sum_matches_scalar_oracle(p, degree, parity, data):
     elif parity == "lead = 0 mod p":
         coeffs[degree] = p * data.draw(st.integers(1, 10**4))
     g = IntPolynomial(tuple(coeffs))
-    assert char_sum(g, p, residue_table(p)) == _chi_sum_oracle(g, p)
+    assert char_sum(g, p) == _chi_sum_oracle(g, p)
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_char_sum_every_small_polynomial(p):
     """Every g of degree <= 4 with coefficients in [0, p): where E + O - p and
     E - O reach -p."""
-    tab = residue_table(p)
     for coeffs in itertools.product(range(p), repeat=5):
         g = IntPolynomial(coeffs)
-        assert char_sum(g, p, tab) == _chi_sum_oracle(g, p), coeffs
+        assert char_sum(g, p) == _chi_sum_oracle(g, p), coeffs
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,7 +216,7 @@ def test_twisted_chunk_sums_match_scalar_oracle(p, degree, parity, data):
     elif parity == "lead = 0 mod p":
         coeffs[degree] = p * data.draw(st.integers(1, 10**4))
     h = IntPolynomial(tuple(coeffs))
-    s, t = curves_mod._chunk_sums(h, p, residue_table(p), True)
+    s, t = curves_mod._chunk_sums(h, p, True)
     assert s == _chi_sum_oracle(h, p)
     assert t == sum(legendre(u, p) * legendre(h(u) % p, p) for u in range(1, p))
     assert s + t == _chi_sum_oracle(IntPolynomial(tuple(c for a in h.coeffs for c in (a, 0))), p)
@@ -296,10 +296,10 @@ def test_sweep_partly_warm(tmp_path, monkeypatch, warm, threads):
     log = tmp_path / "calls.log"
     real = curves_mod.traces_at
 
-    def counted(fs, p, table):
+    def counted(fs, p):
         with open(log, "a") as fh:
             fh.writelines(f"{os.getpid()},{polys.index(f)},{p}\n" for f in fs)
-        return real(fs, p, table)
+        return real(fs, p)
 
     def calls():
         lines = log.read_text().splitlines() if log.exists() else []
@@ -328,9 +328,9 @@ def test_sweep_serial_is_lazy(monkeypatch):
     calls = []
     real = curves_mod.traces_at
 
-    def counted(fs, p, table):
+    def counted(fs, p):
         calls.extend([p] * len(fs))
-        return real(fs, p, table)
+        return real(fs, p)
 
     monkeypatch.setattr(curves_mod, "traces_at", counted)
     f = parse_polynomial("x^3+x+1")
@@ -349,8 +349,8 @@ def test_sweep_weil_violation_raises_before_caching_its_block(tmp_path, monkeypa
     bad_p = primes[5]  # in the second block
     real = curves_mod.traces_at
 
-    def past_weil(fs, p, table):  # genus 1: a^2 <= 4p
-        return [math.isqrt(4 * p) + 1] * len(fs) if p == bad_p else real(fs, p, table)
+    def past_weil(fs, p):  # genus 1: a^2 <= 4p
+        return [math.isqrt(4 * p) + 1] * len(fs) if p == bad_p else real(fs, p)
 
     monkeypatch.setattr(curves_mod, "traces_at", past_weil)
     with pytest.raises(AssertionError, match=f"Weil bound violated at p={bad_p}:"):
@@ -432,8 +432,8 @@ def test_traces_at_matches_oracle_with_one_loop_per_base(h, data):
     for p in data.draw(st.lists(st.sampled_from(primes), min_size=1, max_size=3, unique=True)):
         loops = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(curves_mod, "_chunk_sums", lambda g, q, t, tw: loops.append((g, tw)) or real(g, q, t, tw))
-            got = traces_at(polys, p, residue_table(p))
+            mp.setattr(curves_mod, "_chunk_sums", lambda g, q, tw: loops.append((g, tw)) or real(g, q, tw))
+            got = traces_at(polys, p)
         assert got == [_oracle(g, p) for g in polys], (polys, p)
         assert Counter(loops) == want_loops
 
@@ -501,9 +501,8 @@ def test_even_polynomial_from_its_half_past_the_oracle():
             if p not in bad:
                 primes.add(p)
         for p in sorted(primes):
-            tab = residue_table(p)
-            a_g, a_h = traces_at([g, h], p, tab)
-            assert a_g == traces_at([g], p, tab)[0], (g, p)
+            a_g, a_h = traces_at([g, h], p)
+            assert a_g == traces_at([g], p)[0], (g, p)
             for f, a in ((g, a_g), (h, a_h)):
                 assert (a - _root_count(f, p) - f.degree) % 2 == 0, (f, p, a)
 
@@ -516,7 +515,7 @@ def test_trace_parity_and_weil_bound_up_to_the_cap(f, p):
     a_p^2 <= 4 g^2 p.  A k off by one in the chunk loop's odd part moves
     the values at the nonzero x."""
     assume(p not in hyperelliptic_bad_primes(f))
-    a = traces_at([f], p, residue_table(p))[0]
+    a = traces_at([f], p)[0]
     assert (a - _root_count(f, p) - f.degree) % 2 == 0, (f, p, a)
     genus = (f.degree - 1) // 2
     assert a * a <= 4 * genus * genus * p, (f, p, a)
@@ -559,8 +558,8 @@ def test_weil_guard_covers_the_value_derived_from_the_half(tmp_path, monkeypatch
     bad_p = primes[5]  # in the second block
     real = curves_mod._chunk_sums
 
-    def corrupted(g, p, table, twisted):
-        s, t = real(g, p, table, twisted)
+    def corrupted(g, p, twisted):
+        s, t = real(g, p, twisted)
         return (s, t + 100 * p) if twisted and p == bad_p else (s, t)
 
     monkeypatch.setattr(curves_mod, "_chunk_sums", corrupted)
@@ -569,6 +568,21 @@ def test_weil_guard_covers_the_value_derived_from_the_half(tmp_path, monkeypatch
         list(sweep_traces([D, f], primes, threads, caches))
     for g in (D, f):
         assert sorted(TraceCache(tmp_path, g).records) == primes[:4]  # the first block only
+
+
+def test_sweep_builds_one_residue_table_per_prime_with_a_miss(tmp_path):
+    """One block of [D, f, x^3+x+1] with D cached at every other prime: where
+    D misses it comes from f's loop, where it is cached f and the cubic run
+    two loops, and either way the chunk loops at p share one table."""
+    f, D, cubic = parse_polynomial("x^5+2*x^4+3*x^3+3*x^2+2*x+1"), PETERSON_D, parse_polynomial("x^3+x+1")
+    polys = [D, f, cubic]
+    primes = good_primes(reduce(operator.or_, map(hyperelliptic_bad_primes, polys)), 700)
+    assert len(primes) <= curves_mod._BLOCK
+    want = list(sweep_traces(polys, primes))
+    TraceCache(tmp_path, D).append([(p, a_D) for p, (a_D, _, _) in want[::2]])
+    ff_mod._residue_table.cache_clear()
+    assert list(sweep_traces(polys, primes, 1, [TraceCache(tmp_path, D)])) == want
+    assert ff_mod._residue_table.cache_info().misses == len(primes)
 
 
 def _counted_pools(monkeypatch) -> list[int]:
@@ -611,7 +625,7 @@ def test_no_worker_outlives_a_sweep(end, monkeypatch):
     else:
         real = curves_mod.traces_at
         monkeypatch.setattr(
-            curves_mod, "traces_at", lambda fs, p, t: [10**6] * len(fs) if p == primes[9] else real(fs, p, t)
+            curves_mod, "traces_at", lambda fs, p: [10**6] * len(fs) if p == primes[9] else real(fs, p)
         )
         with pytest.raises(AssertionError, match=f"Weil bound violated at p={primes[9]}:"):
             list(sweep)

@@ -1,4 +1,6 @@
+import inspect
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -112,7 +114,7 @@ def test_residue_table_small():
 
 
 def test_residue_table_popcount_balance():
-    assert ResidueTable._fields == ("p", "chi", "squares")
+    assert ResidueTable._fields == ("chi", "squares")
     for p in primes_in(3, 1000):
         tab = residue_table(p)
         assert int(np.count_nonzero(tab.chi == 1)) == (p - 1) // 2
@@ -126,6 +128,27 @@ def test_residue_table_matches_legendre_exhaustive():
         tab = residue_table(p)
         for a in range(p):
             assert tab.chi[a] == legendre(a, p)
+
+
+def test_residue_table_is_read_only():
+    """Every caller at one p gets the same table, so none can write to it."""
+    with pytest.raises(ValueError):
+        residue_table(5).chi[1] = 0
+    with pytest.raises(ValueError):
+        residue_table(5).squares[0] = 0
+    assert [residue_table(5).chi[a] for a in range(5)] == [legendre(a, 5) for a in range(5)]
+
+
+def test_residue_table_keeps_only_the_last_table():
+    """One table per p, freed once the next p's is built.  The memo sits on
+    the private builder, so residue_table stays a plain function that a
+    per-call wrapper sees at every call."""
+    assert inspect.isfunction(residue_table)
+    assert residue_table(101) is residue_table(101)
+    old = weakref.ref(residue_table(101).chi)
+    assert old() is not None
+    residue_table(103)
+    assert old() is None
 
 
 def test_residue_table_cap():

@@ -15,6 +15,7 @@ from nagaolab.stats import (
     MEASURE_TAGS,
     SATO_TATE,
     UNIFORM,
+    STMeasure1D,
     empirical_moments,
     haar_second_moment,
     haar_second_moment_usp4,
@@ -61,6 +62,18 @@ def test_measures_total_mass_one():
     for tag in MEASURE_TAGS:
         m = st_measure(tag)
         assert adaptive_simpson(m.density, 0.0, math.pi, 1e-10) + m.atom_mass == pytest.approx(1.0, abs=1e-9)
+
+
+def test_measure_is_its_tag():
+    """The constructor and the factory agree, every law has total mass 1 at
+    pi (the atom included), and an unknown tag is refused by both."""
+    for tag in MEASURE_TAGS:
+        assert STMeasure1D(tag) == st_measure(tag)
+        assert STMeasure1D(tag).cdf(math.pi) == pytest.approx(1.0, abs=1e-12)
+    assert STMeasure1D(HALF_UNIFORM_DIRAC).cdf(math.pi) == 1.0
+    for make in (STMeasure1D, st_measure):
+        with pytest.raises(ValueError, match="unknown measure tag 'bogus'"):
+            make("bogus")
 
 
 def test_measure_cdfs():
