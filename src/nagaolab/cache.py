@@ -12,9 +12,11 @@ records strictly ascending in p.  Records above the cached maximum are
 appended; a record below it is merged in by rewriting the file.  Every record
 ends in a newline, so an unterminated last line is an append cut short by a
 crash: it is dropped, and the file is truncated after the last newline.  A
-file whose header or fingerprint does not match the requesting curve, or
-whose records are out of order or malformed (a byte that is not UTF-8
-included), is quarantined (renamed with a .corrupt suffix) and a
+file that holds only the start of its header is a header write cut short:
+it is removed and counts as absent.  A file whose header or fingerprint does
+not match the requesting curve, or whose records are out of order, malformed
+(a byte that is not UTF-8 included) or outside the Weil bound a^2 <= 4 g^2 p
+(g = (deg f - 1) // 2), is quarantined (renamed with a .corrupt suffix) and a
 CacheCorruptError is raised.
 """
 
@@ -79,6 +81,10 @@ class TraceCache:
 
     def _load(self) -> None:
         data = self.path.read_bytes()
+        header = _header(self.poly).encode()
+        if header.startswith(data) and data != header:  # a header write cut short
+            self.path.unlink(missing_ok=True)
+            return
         end = data.rfind(b"\n") + 1  # past the last complete line
         lines = data[:end].decode(errors="replace").splitlines()
         if not lines or lines[0] != HEADER:
@@ -86,6 +92,7 @@ class TraceCache:
         if len(lines) < 2 or lines[1] != fingerprint(self.poly):
             self._fail("fingerprint mismatch")
         last = 0
+        weil = 4 * ((self.poly.degree - 1) // 2) ** 2  # a^2 <= 4 g^2 p
         for line in lines[2:]:
             try:
                 p_s, a_s = line.split(",")
@@ -94,6 +101,8 @@ class TraceCache:
                 self._fail(f"malformed record {line!r}")
             if p <= last:
                 self._fail("records not strictly ascending in p")
+            if a * a > weil * p:
+                self._fail(f"record {line!r} outside the Weil bound")
             last = p
             self.records[p] = a
         self._max_p = last

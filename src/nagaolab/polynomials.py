@@ -8,11 +8,19 @@ remainder sequence on Python ints.
 from __future__ import annotations
 
 import math
+import re
 
-# The largest exponent the parser accepts, checked before the dense coefficient
-# tuple is built: far above every degree a command sweeps (the Peterson D of a
-# quintic has degree 10).
+# The largest exponent the parser accepts, checked before int() reads the
+# exponent's digits and before the dense coefficient tuple is built: far above
+# every degree a command sweeps (the Peterson D of a quintic has degree 10).
 MAX_EXPONENT = 1000
+
+# One term: [+|-] [digits] [[*] x|T [^ digits]], where '*' follows a coefficient.
+_TERM = re.compile(
+    r"(?P<sign>[+-]?)\s*"
+    r"(?:(?P<coef>[0-9]+)(?:\s*\*(?=\s*[xT]))?\s*)?"
+    r"(?:(?P<var>[xT])(?:\s*\^\s*(?P<exp>[0-9]*))?)?\s*"
+)
 
 
 class PolynomialError(ValueError):
@@ -172,73 +180,30 @@ def parse_polynomial(text: str) -> IntPolynomial:
     Whitespace-insensitive; an exponent is at most MAX_EXPONENT.  Raises
     ParseError with the offending column.
     """
-    pos = 0
-    n = len(text)
     coeffs: dict[int, int] = {}
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def fail(msg):
-        raise ParseError(msg, pos)
-
-    first = True
-    while True:
-        skip_ws()
-        if pos >= n:
-            if first:
-                fail("empty polynomial")
-            break
-        sign = 1
-        if text[pos] in "+-":
-            if text[pos] == "-":
-                sign = -1
-            pos += 1
-            skip_ws()
-        elif not first:
-            fail("expected '+' or '-' between terms")
-        first = False
-        # term: [int][*][var[^int]]  -- at least one of coefficient / variable
-        coef = None
-        if pos < n and text[pos].isdigit():
-            start = pos
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            if pos < n and text[pos] == ".":
-                fail("non-integer coefficient")
-            try:
-                coef = int(text[start:pos])
-            except ValueError:  # more digits than int() converts
-                raise ParseError(f"coefficient of {pos - start} digits is too long", start) from None
-            skip_ws()
-            if pos < n and text[pos] == "*":
-                pos += 1
-                skip_ws()
-        power = 0
-        if pos < n and text[pos] in "xT":
-            pos += 1
-            power = 1
-            skip_ws()
-            if pos < n and text[pos] == "^":
-                pos += 1
-                skip_ws()
-                if pos >= n or not text[pos].isdigit():
-                    fail("expected integer exponent")
-                power = 0
-                while pos < n and text[pos].isdigit():
-                    power = 10 * power + int(text[pos])
-                    if power > MAX_EXPONENT:
-                        fail(f"exponent above {MAX_EXPONENT}")
-                    pos += 1
-                if pos < n and text[pos] == ".":
-                    fail("non-integer exponent")
-        elif coef is None:
-            fail("expected a coefficient or variable")
-        if coef is None:
-            coef = 1
-        coeffs[power] = coeffs.get(power, 0) + sign * coef
-    deg = max(coeffs) if coeffs else 0
-    return IntPolynomial(tuple(coeffs.get(k, 0) for k in range(deg + 1)))
-
+    pos = len(text) - len(text.lstrip())
+    if pos == len(text):
+        raise ParseError("empty polynomial", pos)
+    while pos < len(text):
+        m = _TERM.match(text, pos)  # every part is optional: it always matches
+        sign, coef, var, exp = m.group("sign", "coef", "var", "exp")
+        if coeffs and not sign:
+            raise ParseError("expected '+' or '-' between terms", pos)
+        if coef is None and var is None:
+            raise ParseError("expected a coefficient or variable", m.end())
+        if exp == "":
+            raise ParseError("expected integer exponent", m.start("exp"))
+        if text.startswith(".", m.end()) and m.end() in (m.end("coef"), m.end("exp")):  # "2.5", "x^1.5"
+            raise ParseError("non-integer " + ("exponent" if exp else "coefficient"), m.end())
+        try:
+            c = int(sign + (coef or "1"))
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"coefficient of {len(coef)} digits is too long", m.start("coef")) from None
+        # one significant digit more than MAX_EXPONENT has is enough to exceed it
+        digits = (exp or "").lstrip("0")[: len(str(MAX_EXPONENT)) + 1]
+        power = 0 if var is None else 1 if exp is None else int(digits or 0)
+        if power > MAX_EXPONENT:
+            raise ParseError(f"exponent above {MAX_EXPONENT}", m.start("exp"))
+        coeffs[power] = coeffs.get(power, 0) + c
+        pos = m.end()
+    return IntPolynomial(coeffs.get(k, 0) for k in range(max(coeffs) + 1))

@@ -596,6 +596,8 @@ def _garble(path, how):
         lines = [head, fingerprint(parse_polynomial("x^3+x+1")), *records]
     elif how == "out of order":
         lines = [head, fp, records[1], records[0], *records[2:]]
+    elif how == "Weil bound":  # a_3 = 4 of a genus-1 curve: 4^2 > 4 * 3
+        lines = [head, fp, "3,4", *records[1:]]
     else:  # a duplicated p
         lines = [head, fp, records[0], *records]
     path.write_text("\n".join(lines) + "\n")
@@ -608,9 +610,13 @@ def _garble(path, how):
         ("fingerprint mismatch", "fingerprint mismatch"),
         ("out of order", "records not strictly ascending in p"),
         ("duplicated p", "records not strictly ascending in p"),
+        ("Weil bound", "record '3,4' outside the Weil bound"),
         *((how, f"malformed record {line!r}") for how, line in MALFORMED.items()),
     ],
-    ids=["bad-header", "fingerprint", "out-of-order", "duplicated-p", *(h.replace(" ", "-") for h in MALFORMED)],
+    ids=[
+        "bad-header", "fingerprint", "out-of-order", "duplicated-p", "weil-bound",
+        *(h.replace(" ", "-") for h in MALFORMED),
+    ],
 )
 def test_cache_corruption_quarantined(how, reason, tmp_path, capsys):
     cache = tmp_path / "cache"
@@ -625,9 +631,13 @@ def test_cache_corruption_quarantined(how, reason, tmp_path, capsys):
     assert line.startswith("error: ") and line.endswith(": " + reason), line
 
 
-@pytest.mark.parametrize("cut", ["397,2", "-"], ids=["parses", "unparsable"])
+@pytest.mark.parametrize(
+    "cut", ["397,2", "-", "empty", "fingerprint"], ids=["parses", "unparsable", "empty", "in-fingerprint"]
+)
 def test_cache_torn_tail_recovered(tmp_path, cut):
-    """An append cut short by a crash loses only its unterminated last line."""
+    """An append cut short by a crash loses only its unterminated last line; a
+    header write cut short (an empty file, or one that ends inside the
+    fingerprint line) leaves no cache: it is written again."""
     cache = tmp_path / "cache"
     base = dict(f="x^3+x+1", N=400, cache_dir=str(cache))
     assert run(cfg("trace", output=str(tmp_path / "cold.csv"), **base)) == EXIT_OK
@@ -635,6 +645,10 @@ def test_cache_torn_tail_recovered(tmp_path, cut):
     full = path.read_bytes()
     if cut == "-":  # the last negative record, cut right after its sign
         end = full.rindex(b",-") + 2
+    elif cut == "empty":
+        end = 0
+    elif cut == "fingerprint":  # two bytes into the fingerprint line
+        end = full.index(b"\n") + 3
     else:
         assert full.endswith(b"\n397,25\n")
         end = len(full) - 2

@@ -22,6 +22,8 @@ def test_parse_basic():
     assert parse_polynomial("-x^2").coeffs == (0, 0, -1)
     assert parse_polynomial("5").coeffs == (5,)
     assert parse_polynomial(f"x^{MAX_EXPONENT}").degree == MAX_EXPONENT
+    # leading zeros do not count against the cap, however many (int() alone refuses thousands)
+    assert parse_polynomial("x^0003").coeffs == parse_polynomial("x^" + "0" * 5000 + "3").coeffs == (0, 0, 0, 1)
 
 
 def test_parse_collects_like_terms():
@@ -42,9 +44,46 @@ def test_parse_rejects_long_coefficient_with_its_column():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "x^", "++x", "x**2", "2.5*x", f"x^{MAX_EXPONENT + 1}", "x^" + "9" * 5000):
+    # '*' stands only before the variable; digits are ASCII ('²' and the Arabic-Indic one are not)
+    star_and_digits = ("x^3+2*", "2 *", "x^3+x+1 *", "x^²+1", "x^3+x+\u0661")
+    for bad in ("", "x^", "++x", "x**2", "2.5*x", f"x^{MAX_EXPONENT + 1}", "x^" + "9" * 5000, *star_and_digits):
         with pytest.raises(ParseError):
             parse_polynomial(bad)
+
+
+_ws = st.sampled_from(["", " ", "\t", " \t "])
+
+
+@st.composite
+def _terms(draw):
+    """A well-formed polynomial string in free form and the coefficients it denotes."""
+    text, coeffs = "", {}
+    for i in range(draw(st.integers(1, 6))):
+        sign = draw(st.sampled_from(["+", "-"] + ([""] if i == 0 else [])))
+        coef = draw(st.none() | st.integers(0, 10**6))
+        var = draw(st.none() | st.sampled_from("xT")) if coef is not None else draw(st.sampled_from("xT"))
+        power = 0 if var is None else draw(st.none() | st.integers(0, 12))
+        parts = [sign]
+        if coef is not None:
+            parts.append("0" * draw(st.integers(0, 2)) + str(coef))
+            if var is not None and draw(st.booleans()):
+                parts.append("*")
+        if var is not None:
+            parts.append(var)
+            if power is not None:
+                parts += ["^", "0" * draw(st.integers(0, 2)) + str(power)]
+        text += "".join(draw(_ws) + part for part in parts) + draw(_ws)
+        k = 1 if power is None else power
+        coeffs[k] = coeffs.get(k, 0) + (-1 if sign == "-" else 1) * (1 if coef is None else coef)
+    return text, IntPolynomial(tuple(coeffs.get(k, 0) for k in range(max(coeffs) + 1)))
+
+
+@given(_terms())
+def test_parse_free_form_terms(case):
+    """Any sum of terms c, x, c*x^k and c x^k, with leading zeros, repeated
+    degrees and whitespace anywhere, parses to the sum of its terms."""
+    text, expected = case
+    assert parse_polynomial(text) == expected
 
 
 @given(
