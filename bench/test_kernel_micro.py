@@ -1,13 +1,14 @@
 """Micro-benchmarks of the trace kernel's layers at one prime, p = 40009, of
-the whole character sum there and at p = 9999991 (where the arrays leave the
-cache), of the traces of a quintic f and its Peterson D = f(T^2) on one
+the whole character sum there, either side of the end of the int32 lanes
+(p = 46337 and 46349) and at p = 9999991 (where the arrays leave the cache),
+of the traces of a quintic f and its Peterson D = f(T^2) on one
 table, apart (two ``hyperelliptic_trace`` calls) and in one ``traces_at``
 call (D read from f's chunk loop), of the scalar quadratic character, of
 the prime sieve and of the trace moments.
 
 ``residue_table`` keeps the table of the last p, so the table builds are
 timed on the memo's builder, and each kernel case fetches the table of its
-own p before it is timed: the cases at p = 40009 and p = 9999991 alternate.
+own p before it is timed: the cases at different primes alternate.
 
 Outside the tier-1 ``testpaths``; run them from the repository root with
 
@@ -28,6 +29,7 @@ from nagaolab.stats import empirical_moments
 
 P = 40009
 BIG_P = 9999991
+LANE_PRIMES = [46337, 46349]  # the last prime with int32 lanes, the first with int64
 QUINTIC = parse_polynomial("x^5+2*x^4+3*x^3+3*x^2+2*x+1")
 PETERSON_D = parse_polynomial("x^10+2*x^8+3*x^6+3*x^4+2*x^2+1")  # D(x) = h(x^2)
 SAMPLE_QUINTIC = parse_polynomial("x^5-x+1")  # odd and even terms
@@ -43,8 +45,9 @@ def test_residue_table(benchmark):
     benchmark(finite_field._residue_table.__wrapped__, P)
 
 
-def test_eval_quintic(benchmark):
-    benchmark(poly_eval_all_mod, QUINTIC.coeffs, P, np.arange(P, dtype=np.int64))
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_eval_quintic(benchmark, dtype):
+    benchmark(poly_eval_all_mod, QUINTIC.coeffs, P, np.arange(P, dtype=dtype))
 
 
 def test_eval_peterson_D_full(benchmark):
@@ -64,10 +67,22 @@ def test_residue_table_big(benchmark):
     benchmark(finite_field._residue_table.__wrapped__, BIG_P)
 
 
+@pytest.mark.parametrize("p", LANE_PRIMES)
+def test_residue_table_lanes(benchmark, p):
+    benchmark(finite_field._residue_table.__wrapped__, p)
+
+
 @pytest.mark.parametrize("g", [SAMPLE_QUINTIC, PETERSON_D], ids=["x^5-x+1", "peterson-D"])
 def test_char_sum(benchmark, g):
     residue_table(P)
     benchmark(char_sum, g, P)
+
+
+@pytest.mark.parametrize("p", LANE_PRIMES)
+@pytest.mark.parametrize("g", [SAMPLE_QUINTIC, SEXTIC], ids=["x^5-x+1", "x^6+1"])
+def test_char_sum_lanes(benchmark, g, p):
+    residue_table(p)
+    benchmark(char_sum, g, p)
 
 
 @pytest.mark.parametrize("g", [SAMPLE_QUINTIC, SEXTIC, PETERSON_D], ids=["x^5-x+1", "x^6+1", "peterson-D"])

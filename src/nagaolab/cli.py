@@ -92,25 +92,31 @@ class Report(NamedTuple):
 
 
 def parse_mobius(text: str) -> MobiusTransform:
-    """Parse "(a x + b)/(c x + d)" (shorthands like "1/x" and "-x" accepted)."""
-    s = text.strip()
-    if "/" in s:
-        num_s, _, den_s = s.partition("/")
-    else:
-        num_s, den_s = s, "1"
+    """Parse "(a x + b)/(c x + d)" (shorthands like "1/x" and "-x" accepted).
 
-    def linear(part: str, what: str) -> tuple[int, int]:
+    A syntax error's column counts from the start of ``text``.
+    """
+    if "/" in text:
+        num_s, _, den_s = text.partition("/")
+    else:
+        num_s, den_s = text, "1"
+
+    def linear(part: str, offset: int, what: str) -> tuple[int, int]:
+        offset += len(part) - len(part.lstrip())
         part = part.strip()
         if part.startswith("(") and part.endswith(")"):
-            part = part[1:-1]
-        poly = parse_polynomial(part)
+            part, offset = part[1:-1], offset + 1
+        try:
+            poly = parse_polynomial(part)
+        except ParseError as e:
+            raise ParseError(e.reason, e.column + offset) from None
         if not poly.is_zero and poly.degree > 1:
             raise ParseError(f"{what} of a Moebius transform must be linear")
         c = poly.coeffs + (0, 0)
         return c[1], c[0]
 
-    a, b = linear(num_s, "numerator")
-    c, d = linear(den_s, "denominator")
+    a, b = linear(num_s, 0, "numerator")
+    c, d = linear(den_s, len(num_s) + 1, "denominator")
     return MobiusTransform(a, b, c, d)
 
 

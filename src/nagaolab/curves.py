@@ -112,6 +112,10 @@ def _chunk_sums(g: IntPolynomial, p: int, twisted: bool) -> tuple[int, int]:
     chi(k) for k = 1..(p-1)/2 is the slice chi[1 : (p+1)/2] and
     chi(-k) = chi(-1) chi(k), so T = sum_k chi(k) (chi[E + O - p] + chi(-1) chi[E - O]),
     and (1 + chi(-1)) sum_k chi(k) chi[E] when o = 0.
+
+    Every lane has the dtype of the table's squares, int32 up to
+    INT32_MAX_P and int64 above (``ResidueTable``); the gather indices are
+    widened to intp, and each chunk's int8 values are summed in int32.
     """
     import numpy as np
 
@@ -124,22 +128,23 @@ def _chunk_sums(g: IntPolynomial, p: int, twisted: bool) -> tuple[int, int]:
         e = poly_eval_all_mod(even, p, s)
         if any(odd):
             o = poly_eval_all_mod(odd, p, s)
-            o *= np.arange(i + 1, i + 1 + len(s), dtype=np.int64)  # k
+            o *= np.arange(i + 1, i + 1 + len(s), dtype=s.dtype)  # k
             o -= o // p * p
-            neg = chi[e - o]
-            total += int(neg.sum(dtype="int64"))
+            neg = chi[(e - o).astype(np.intp, copy=False)]
             e += o
             e -= p
-            pos = chi[e]
-            total += int(pos.sum(dtype="int64"))
+            pos = chi[e.astype(np.intp, copy=False)]
+            w = pos + neg
+            total += int(w.sum(dtype=np.int32))
             if twisted:
-                w = pos - neg if minus else pos + neg
-                twist += int((chi[i + 1 : i + 1 + len(s)] * w).sum(dtype="int64"))
+                if minus:
+                    w = pos - neg
+                twist += int((chi[i + 1 : i + 1 + len(s)] * w).sum(dtype=np.int32))
         else:
-            v = chi[e]
-            total += 2 * int(v.sum(dtype="int64"))
+            v = chi[e.astype(np.intp, copy=False)]
+            total += 2 * int(v.sum(dtype=np.int32))
             if twisted and not minus:
-                twist += 2 * int((chi[i + 1 : i + 1 + len(s)] * v).sum(dtype="int64"))
+                twist += 2 * int((chi[i + 1 : i + 1 + len(s)] * v).sum(dtype=np.int32))
     return legendre(g(0), p) + total, twist
 
 

@@ -30,12 +30,15 @@ if TYPE_CHECKING:
 
 N_HARD_CAP = 10**7
 
-_INT64_MAX = (1 << 63) - 1
+# The largest prime with p^2 - 1 < 2^31: up to it the squares of a residue
+# table, and so every lane of the chunk loop, are int32; above it int64.
+INT32_MAX_P = 46337
 
-# Entries per pass of the array kernels over the (p-1)/2 squares.  An int64
-# array of one pass takes 64 KiB: it stays in cache however large p is, and
-# below the 128 KiB at which glibc's malloc maps fresh pages for a block, so
-# the temporaries of a pass reuse heap memory instead of page-faulting.
+# Entries per pass of the array kernels over the (p-1)/2 squares.  One pass
+# takes 32 KiB in int32 and 64 KiB in int64 or intp (the gather indices): it
+# stays in cache however large p is, and below the 128 KiB at which glibc's
+# malloc maps fresh pages for a block, so the temporaries of a pass reuse
+# heap memory instead of page-faulting.
 CHUNK = 1 << 13
 
 
@@ -92,9 +95,11 @@ class ResidueTable(NamedTuple):
 
     ``chi`` is an int8 array of length p with chi[0] = 0 (the distinguished
     zero mark), +1 on nonzero squares, -1 on non-squares; an index in [-p, 0)
-    reads chi of its residue.  ``squares`` is the int64 array k^2 mod p for
-    k = 1..(p-1)/2, each nonzero square once: p + 8 (p-1)/2 bytes in all.
-    Read-only: every caller at one p gets the same table.
+    reads chi of its residue.  ``squares`` is the array k^2 mod p for
+    k = 1..(p-1)/2, each nonzero square once, int32 for p <= INT32_MAX_P and
+    int64 above: p + w (p-1)/2 bytes in all, w = 4 or 8.  Its dtype is the
+    lane width of the chunk loop at p.  Read-only: every caller at one p
+    gets the same table.
     """
 
     chi: np.ndarray
@@ -114,42 +119,51 @@ def _residue_table(p: int) -> ResidueTable:
 
     k^2 = (p - k)^2, so the squares of 1..(p-1)/2 already hit every nonzero
     square.  One arange is squared and reduced in place, CHUNK at a time, so
-    each pass stays in cache.  Calls at one p share the table, which is freed
-    after the next is built: freed first, its pages faulted in at every prime.
+    each pass stays in cache; chi is scattered through an intp view of the
+    squares (a copy when they are int32).  Calls at one p share the table,
+    which is freed after the next is built: freed first, its pages faulted
+    in at every prime.
     """
     import numpy as np
 
-    squares = np.arange(1, p // 2 + 1, dtype=np.int64)
+    squares = np.arange(1, p // 2 + 1, dtype=np.int32 if p <= INT32_MAX_P else np.int64)
     for i in range(0, len(squares), CHUNK):
         v = squares[i : i + CHUNK]
         v *= v
         v -= v // p * p
     chi = np.full(p, -1, dtype=np.int8)
-    chi[squares] = 1
+    chi[squares.astype(np.intp, copy=False)] = 1
     chi[0] = 0
     chi.flags.writeable = squares.flags.writeable = False
     return ResidueTable(chi, squares)
 
 
 def poly_eval_all_mod(coeffs, p: int, x: np.ndarray) -> np.ndarray:
-    """Vectorized Horner: f at every entry of x mod p, as an int64 array.
+    """Vectorized Horner: f at every entry of x mod p, as an array of x's dtype.
 
-    ``x`` holds residues in [0, p); p^2 must fit in int64.  The coefficients
-    are reduced once, and those of the top degrees that vanish mod p are
-    skipped.  The running values are reduced only when a bound on them says
-    the next v*x + c could pass 2^63 - 1, and at the end if the bound passes
-    p - 1: for p < 55108 a quintic takes 2 reductions instead of 6.  A
-    reduction of the nonnegative values is v - (v // p) * p: numpy divides
-    an array by a scalar about twice as fast as it takes the remainder.
+    ``x`` holds residues in [0, p) in a signed integer dtype that holds
+    p (p - 1).  The coefficients are reduced once, and those of the top
+    degrees that vanish mod p are skipped.  The running values are reduced
+    only when a bound on them says the next v*x + c could pass the dtype's
+    maximum, and at the end if the bound passes p - 1: for p < 55108 an
+    int64 quintic takes 2 reductions instead of 6.  A reduction of the
+    nonnegative values is v - (v // p) * p: numpy divides an array by a
+    scalar about twice as fast as it takes the remainder.
     """
     import numpy as np
 
     reduced = [c % p for c in reversed(coeffs)]
     top, *rest = list(dropwhile(operator.not_, reduced)) or [0]  # [0]: zero mod p
-    v = np.full(len(x), top, dtype=np.int64)
-    bound = top  # every entry of v lies in [0, bound]
+    if not rest:
+        return np.full(len(x), top, dtype=x.dtype)
+    limit = int(np.iinfo(x.dtype).max)
+    c, *rest = rest
+    v = x * top
+    if c:
+        v += c
+    bound = top * (p - 1) + c  # every entry of v lies in [0, bound]
     for c in rest:
-        if bound * (p - 1) + c > _INT64_MAX:
+        if bound * (p - 1) + c > limit:
             v -= v // p * p
             bound = p - 1
         v *= x

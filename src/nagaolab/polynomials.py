@@ -28,10 +28,12 @@ class PolynomialError(ValueError):
 
 
 class ParseError(PolynomialError):
-    """Syntax error in a polynomial or Moebius string; carries a column."""
+    """Syntax error in a polynomial or Moebius string; carries a column and
+    the message without it (``reason``)."""
 
     def __init__(self, message: str, column: int = -1):
         super().__init__(message if column < 0 else f"{message} (column {column})")
+        self.reason = message
         self.column = column
 
 

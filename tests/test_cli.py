@@ -59,6 +59,17 @@ def test_parse_mobius_rejects_quadratic():
         parse_mobius("(x^2+1)/x")
 
 
+@pytest.mark.parametrize(
+    "text, column",
+    [("(x+*)/(2x+1)", 3), (" ( x+1 ) / ( 2x+* )", 16), ("(x+1)/(2x+*)", 10), ("x/", 2)],
+)
+def test_parse_mobius_error_column_counts_from_the_option(text, column):
+    with pytest.raises(ParseError) as err:
+        parse_mobius(text)
+    assert err.value.column == column
+    assert text[column : column + 1] in ("*", "")  # the "*", or the end of an empty part
+
+
 def test_trace_command_csv(tmp_path):
     out = tmp_path / "t.csv"
     rc = run(cfg("trace", f="x^3+x", N=20, output=str(out)))

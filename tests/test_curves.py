@@ -32,7 +32,7 @@ from nagaolab.curves import (
     trace_oracle_exhaustive,
     traces_at,
 )
-from nagaolab.finite_field import legendre, primes_in
+from nagaolab.finite_field import legendre, poly_eval_all_mod, primes_in
 from nagaolab.polynomials import IntPolynomial, parse_polynomial
 
 
@@ -220,6 +220,40 @@ def test_twisted_chunk_sums_match_scalar_oracle(p, degree, parity, data):
     assert s == _chi_sum_oracle(h, p)
     assert t == sum(legendre(u, p) * legendre(h(u) % p, p) for u in range(1, p))
     assert s + t == _chi_sum_oracle(IntPolynomial(tuple(c for a in h.coeffs for c in (a, 0))), p)
+
+
+# The primes either side of 2^15 and of the end of the int32 lanes: 46337 is
+# the last prime whose residue table has int32 squares, 46349 the first with
+# int64 ones.
+LANE_PRIMES = [32749, 32771, 46337, 46349]
+
+
+@settings(max_examples=30, deadline=None, phases=NO_SHRINK)
+@given(st.sampled_from(LANE_PRIMES), st.integers(1, 10), st.data())
+def test_chunk_sums_across_the_lane_boundary(p, degree, data):
+    """Coefficients at the top of [0, p), where the Horner values of the int32
+    lanes come closest to 2^31 - 1."""
+    coeff = st.one_of(st.sampled_from([0, 1, -1, p - 1, p - 2]), st.integers(-(10**6), 10**6))
+    coeffs = data.draw(st.lists(coeff, min_size=degree + 1, max_size=degree + 1))
+    coeffs[degree] = coeffs[degree] or 1
+    g = IntPolynomial(tuple(coeffs))
+    chi_g = [legendre(g(x) % p, p) for x in range(p)]
+    s, t = curves_mod._chunk_sums(g, p, True)
+    assert s == sum(chi_g)
+    assert t == sum(legendre(u, p) * chi_g[u] for u in range(1, p))
+
+
+def test_poly_eval_int32_at_the_last_int32_prime():
+    """Every coefficient p - 1 at p = 46337: each Horner step reaches
+    p (p - 1), just under 2^31, before a reduction."""
+    p = 46337
+    x = np.arange(p, dtype=np.int32)
+    for degree in range(1, 11):
+        coeffs = (p - 1,) * (degree + 1)
+        got = poly_eval_all_mod(coeffs, p, x)
+        assert got.dtype == np.int32
+        want = [reduce(lambda v, c: (v * u + c) % p, reversed(coeffs)) for u in range(p)]
+        assert got.tolist() == want, degree
 
 
 # -- the sweep engine --------------------------------------------------------

@@ -41,6 +41,8 @@ CASES = {
     ),
     "moments-g1": (["moments", "--f", "x^3+x+1", "--N", "1500"], []),
     "moments-g2": (["moments", "--f", "x^5-x+1", "--N", "1500"], []),
+    # p <= 46337 runs on int32 lanes, p >= 46349 on int64: N crosses both
+    "moments-g2-lanes": (["moments", "--f", "x^5-x+1", "--N", "46500"], []),
     "st-classify": (["st-classify", "--f", "x^5+x", "--N", "2000"], []),
     "peterson": (["peterson", "--f", QUINTIC, "--sigma", "1/x"], []),
     "factor-check-pass": (
