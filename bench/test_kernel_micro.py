@@ -1,6 +1,7 @@
 """Micro-benchmarks of the trace kernel's layers at one prime, p = 40009, of
-the whole character sum there, either side of the end of the int32 lanes
-(p = 46337 and 46349) and at p = 9999991 (where the arrays leave the cache),
+the whole character sum there, at p = 32771 (the first prime whose squares
+take two chunks), either side of the end of the int32 lanes (p = 46337 and
+46349) and at p = 9999991 (where the arrays leave the cache),
 of the traces of a quintic f and its Peterson D = f(T^2) on one
 table, apart (two ``hyperelliptic_trace`` calls) and in one ``traces_at``
 call (D read from f's chunk loop), of the scalar quadratic character, of
@@ -29,6 +30,7 @@ from nagaolab.stats import empirical_moments
 
 P = 40009
 BIG_P = 9999991
+TWO_CHUNK_P = 32771  # the first prime with (p - 1)/2 > CHUNK = 16384
 LANE_PRIMES = [46337, 46349]  # the last prime with int32 lanes, the first with int64
 QUINTIC = parse_polynomial("x^5+2*x^4+3*x^3+3*x^2+2*x+1")
 PETERSON_D = parse_polynomial("x^10+2*x^8+3*x^6+3*x^4+2*x^2+1")  # D(x) = h(x^2)
@@ -76,6 +78,12 @@ def test_residue_table_lanes(benchmark, p):
 def test_char_sum(benchmark, g):
     residue_table(P)
     benchmark(char_sum, g, P)
+
+
+def test_char_sum_two_chunks(benchmark):
+    assert (TWO_CHUNK_P - 1) // 2 > finite_field.CHUNK
+    residue_table(TWO_CHUNK_P)
+    benchmark(char_sum, SAMPLE_QUINTIC, TWO_CHUNK_P)
 
 
 @pytest.mark.parametrize("p", LANE_PRIMES)

@@ -20,7 +20,9 @@ from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cache import TraceCache
-from .finite_field import CHUNK, CapExceededError, legendre, poly_eval_all_mod, primes_in, residue_table
+from .finite_field import (
+    INT32_MAX_P, CapExceededError, chunk_len, int32_ks, legendre, poly_eval_all_mod, primes_in, residue_table
+)
 from .polynomials import IntPolynomial, PolynomialError
 
 DEFAULT_LPOLY_CAP = 10**4
@@ -98,8 +100,8 @@ def char_sum(g: IntPolynomial, p: int) -> int:
     g(-k) = E - O, and the sum is chi(g(0)) + sum_k (chi[E + O - p] + chi[E - O]).
     Both indices lie in [-p, p), where the table's ``chi`` reads chi of the
     residue.  e and o have half the degree of g and are evaluated at the
-    (p-1)/2 entries of its ``squares``, CHUNK at a time.  When o = 0 the sum is
-    chi(g(0)) + 2 sum_k chi[E].
+    (p-1)/2 entries of its ``squares``, 64 KiB of lanes at a time
+    (``chunk_len``).  When o = 0 the sum is chi(g(0)) + 2 sum_k chi[E].
     """
     return _chunk_sums(g, p, False)[0]
 
@@ -114,22 +116,26 @@ def _chunk_sums(g: IntPolynomial, p: int, twisted: bool) -> tuple[int, int]:
     and (1 + chi(-1)) sum_k chi(k) chi[E] when o = 0.
 
     Every lane has the dtype of the table's squares, int32 up to
-    INT32_MAX_P and int64 above (``ResidueTable``); the gather indices are
-    widened to intp, and each chunk's int8 values are summed in int32.
+    INT32_MAX_P and int64 above (``ResidueTable``); k is a slice of the
+    shared int32 k of ``int32_ks`` there and an int64 arange per chunk
+    above.  The gather indices are widened to intp, and each chunk's int8
+    values are summed in int32.
     """
     import numpy as np
 
     chi, squares = residue_table(p)
     even, odd = g.coeffs[::2], g.coeffs[1::2]
+    ks = int32_ks()[0] if p <= INT32_MAX_P else None
+    step = chunk_len(squares)
     minus = p % 4 == 3  # chi(-1) = -1
     total = twist = 0
-    for i in range(0, len(squares), CHUNK):
-        s = squares[i : i + CHUNK]
-        e = poly_eval_all_mod(even, p, s)
+    for i in range(0, len(squares), step):
+        s = squares[i : i + step]
         if any(odd):
             o = poly_eval_all_mod(odd, p, s)
-            o *= np.arange(i + 1, i + 1 + len(s), dtype=s.dtype)  # k
+            o *= np.arange(i + 1, i + 1 + len(s), dtype=s.dtype) if ks is None else ks[i : i + len(s)]
             o -= o // p * p
+            e = poly_eval_all_mod(even, p, s)
             neg = chi[(e - o).astype(np.intp, copy=False)]
             e += o
             e -= p
@@ -141,7 +147,7 @@ def _chunk_sums(g: IntPolynomial, p: int, twisted: bool) -> tuple[int, int]:
                     w = pos - neg
                 twist += int((chi[i + 1 : i + 1 + len(s)] * w).sum(dtype=np.int32))
         else:
-            v = chi[e.astype(np.intp, copy=False)]
+            v = chi[poly_eval_all_mod(even, p, s).astype(np.intp, copy=False)]
             total += 2 * int(v.sum(dtype=np.int32))
             if twisted and not minus:
                 twist += 2 * int((chi[i + 1 : i + 1 + len(s)] * v).sum(dtype=np.int32))
@@ -217,16 +223,35 @@ def _process_pool(workers: int):
     """A pool of ``workers`` forked processes.
 
     Fork, not spawn: a forked worker starts with the parent's modules and
-    needs no import of its own.  The CLI forks before it has loaded numpy,
-    so with no thread of its own.  A Ctrl-C reaches the whole process group:
-    the workers take SIGINT's default action and end at once, without a
-    traceback, and the CLI alone reports it.  The pool modules are imported
-    here, not at module load, so a run on one thread or with every a_p
-    cached never loads them.
+    needs no import of its own.  numpy is imported here, before the fork, so
+    the workers inherit it instead of each importing it.  Loaded first here,
+    its BLAS is pinned to one thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
+    and MKL_NUM_THREADS set to 1 while it loads, then put back; nagaolab
+    does no linear algebra), so the process still has no thread but its own
+    when it forks.  A Ctrl-C reaches the whole process group: the workers
+    take SIGINT's default action and end at once, without a traceback, and
+    the CLI alone reports it.  The pool modules are imported here, not at
+    module load, so a run on one thread or with every a_p cached never loads
+    them.
     """
     import multiprocessing
+    import os
     import signal
+    import sys
     from concurrent.futures.process import ProcessPoolExecutor
+
+    if "numpy" not in sys.modules:
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        saved = {var: os.environ.get(var) for var in blas}
+        os.environ.update(dict.fromkeys(blas, "1"))
+        try:
+            import numpy  # noqa: F401  (BLAS reads its thread count as it loads)
+        finally:
+            for var, value in saved.items():
+                if value is None:
+                    del os.environ[var]
+                else:
+                    os.environ[var] = value
 
     return ProcessPoolExecutor(
         workers,

@@ -11,9 +11,10 @@ All primes handled downstream are odd; ``primes_in`` itself still reports 2
 when it lies in the requested range and callers filter.  One cap, N_HARD_CAP,
 bounds the sieve and the residue tables, and so every sweep.
 
-numpy is imported by the functions that build arrays (``_residue_table`` and
-``poly_eval_all_mod``), not by this module: the sieve and the character are
-pure Python, so a run whose traces all come from the cache never loads it.
+numpy is imported by the functions that build arrays (``int32_ks``,
+``_residue_table`` and ``poly_eval_all_mod``), not by this module: the sieve
+and the character are pure Python, so a run whose traces all come from the
+cache never loads it.
 """
 
 from __future__ import annotations
@@ -34,12 +35,21 @@ N_HARD_CAP = 10**7
 # table, and so every lane of the chunk loop, are int32; above it int64.
 INT32_MAX_P = 46337
 
-# Entries per pass of the array kernels over the (p-1)/2 squares.  One pass
-# takes 32 KiB in int32 and 64 KiB in int64 or intp (the gather indices): it
-# stays in cache however large p is, and below the 128 KiB at which glibc's
-# malloc maps fresh pages for a block, so the temporaries of a pass reuse
-# heap memory instead of page-faulting.
-CHUNK = 1 << 13
+# Entries per pass of the array kernels over the (p-1)/2 squares on int32
+# lanes; ``chunk_len`` gives every lane width the same 64 KiB, so int64 lanes
+# take CHUNK // 2.  A pass of lanes stays in cache however large p is.  With
+# 16384 entries an int64 pass (128 KiB) page-faulted: in a fresh process one
+# char_sum at p = 9999991 took 15180 minor faults and 20 % longer than with
+# 8192.  The intp gather indices of an int32 pass are 128 KiB too, but there
+# a sweep stays near one fault per prime: the table build maps and frees a
+# larger intp copy at each p, which raises glibc's mmap threshold.  On int32
+# lanes a prime p > 2 CHUNK + 1 takes two passes or more.
+CHUNK = 1 << 14
+
+
+def chunk_len(lanes: np.ndarray) -> int:
+    """Entries per pass over an array of ``lanes``' dtype: 64 KiB of them."""
+    return CHUNK * 4 // lanes.itemsize
 
 
 class CapExceededError(ValueError):
@@ -113,24 +123,48 @@ def residue_table(p: int) -> ResidueTable:
     return _residue_table(p)
 
 
+@lru_cache(maxsize=None)
+def int32_ks() -> tuple[np.ndarray, np.ndarray]:
+    """(k, k^2) for k = 1..INT32_MAX_P // 2, as read-only int32 arrays.
+
+    Built on first use and kept for the process: 181 KiB that every prime
+    on int32 lanes slices, so neither ``_residue_table`` nor a chunk of the
+    kernel makes its own arange.  k^2 < INT32_MAX_P^2 / 4 fits int32.
+    """
+    import numpy as np
+
+    k = np.arange(1, INT32_MAX_P // 2 + 1, dtype=np.int32)
+    k2 = k * k
+    k.flags.writeable = k2.flags.writeable = False
+    return k, k2
+
+
 @lru_cache(maxsize=1)
 def _residue_table(p: int) -> ResidueTable:
     """Build the table of ``residue_table``, memoised for the last p.
 
     k^2 = (p - k)^2, so the squares of 1..(p-1)/2 already hit every nonzero
-    square.  One arange is squared and reduced in place, CHUNK at a time, so
-    each pass stays in cache; chi is scattered through an intp view of the
-    squares (a copy when they are int32).  Calls at one p share the table,
-    which is freed after the next is built: freed first, its pages faulted
-    in at every prime.
+    square.  Up to INT32_MAX_P they are the shared k^2 of ``int32_ks``
+    reduced mod p; above, one int64 arange is squared and reduced in place,
+    ``chunk_len`` at a time, so each pass stays in cache.  chi is scattered
+    through an intp view of the squares (a copy when they are int32).  Calls
+    at one p share the table, which is freed after the next is built: freed
+    first, its pages faulted in at every prime.
     """
     import numpy as np
 
-    squares = np.arange(1, p // 2 + 1, dtype=np.int32 if p <= INT32_MAX_P else np.int64)
-    for i in range(0, len(squares), CHUNK):
-        v = squares[i : i + CHUNK]
-        v *= v
-        v -= v // p * p
+    if p <= INT32_MAX_P:
+        k2 = int32_ks()[1][: p // 2]
+        q = k2 // p
+        q *= p
+        squares = k2 - q
+    else:
+        squares = np.arange(1, p // 2 + 1, dtype=np.int64)
+        step = chunk_len(squares)
+        for i in range(0, len(squares), step):
+            v = squares[i : i + step]
+            v *= v
+            v -= v // p * p
     chi = np.full(p, -1, dtype=np.int8)
     chi[squares.astype(np.intp, copy=False)] = 1
     chi[0] = 0
@@ -139,16 +173,18 @@ def _residue_table(p: int) -> ResidueTable:
 
 
 def poly_eval_all_mod(coeffs, p: int, x: np.ndarray) -> np.ndarray:
-    """Vectorized Horner: f at every entry of x mod p, as an array of x's dtype.
+    """Vectorized Horner: f at every entry of x mod p, as a new array of x's dtype.
 
     ``x`` holds residues in [0, p) in a signed integer dtype that holds
     p (p - 1).  The coefficients are reduced once, and those of the top
-    degrees that vanish mod p are skipped.  The running values are reduced
-    only when a bound on them says the next v*x + c could pass the dtype's
-    maximum, and at the end if the bound passes p - 1: for p < 55108 an
-    int64 quintic takes 2 reductions instead of 6.  A reduction of the
-    nonnegative values is v - (v // p) * p: numpy divides an array by a
-    scalar about twice as fast as it takes the remainder.
+    degrees that vanish mod p are skipped.  A top coefficient 1 is not
+    multiplied by: Horner starts from x + c, or from x * x + c' when the
+    next coefficient c is 0.  The running values are reduced only when a
+    bound on them says the next v*x + c could pass the dtype's maximum, and
+    at the end if the bound passes p - 1: for p < 55108 an int64 quintic
+    takes 2 reductions instead of 6.  A reduction of the nonnegative values
+    is v - (v // p) * p: numpy divides an array by a scalar about twice as
+    fast as it takes the remainder.
     """
     import numpy as np
 
@@ -156,12 +192,22 @@ def poly_eval_all_mod(coeffs, p: int, x: np.ndarray) -> np.ndarray:
     top, *rest = list(dropwhile(operator.not_, reduced)) or [0]  # [0]: zero mod p
     if not rest:
         return np.full(len(x), top, dtype=x.dtype)
-    limit = int(np.iinfo(x.dtype).max)
+    limit = (1 << 8 * x.itemsize - 1) - 1  # the largest value of x's signed dtype
     c, *rest = rest
-    v = x * top
-    if c:
-        v += c
-    bound = top * (p - 1) + c  # every entry of v lies in [0, bound]
+    if top != 1:
+        v = x * top
+        if c:
+            v += c
+        bound = top * (p - 1) + c  # every entry of v lies in [0, bound]
+    elif c or not rest:
+        v = x + c  # a new array even when c = 0
+        bound = p - 1 + c
+    else:
+        c, *rest = rest
+        v = x * x
+        if c:
+            v += c
+        bound = (p - 1) * (p - 1) + c
     for c in rest:
         if bound * (p - 1) + c > limit:
             v -= v // p * p

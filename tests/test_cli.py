@@ -321,7 +321,9 @@ def fresh_python(*lines: str, flags: tuple[str, ...] = ()) -> subprocess.Complet
 def test_pool_modules_load_only_for_a_pool(tmp_path):
     """The process-pool modules stay out of start-up and out of a cold run on
     one thread.  A cold run on two threads loads them (the probe can see
-    them), and its own process, which forks the workers, never loads numpy."""
+    them) and numpy, which its workers inherit; its process has one thread
+    at every fork, with OPENBLAS_NUM_THREADS unset or asking for 4 threads,
+    and the BLAS settings it had before the run after it."""
     argv = ["st-classify", "--f", "x^5-x+1", "--N", "2000", "--output", str(tmp_path / "out.csv")]
     pool = "'concurrent.futures.process'"
     one = fresh_python(
@@ -331,13 +333,41 @@ def test_pool_modules_load_only_for_a_pool(tmp_path):
         f"assert {pool} not in sys.modules, 'loaded by a one-thread run'",
     )
     assert one.returncode == 0, one.stderr
-    two = fresh_python(
-        "from nagaolab.cli import main",
-        f"assert main({argv + ['--threads', '2']!r}) == 0",
-        f"assert {pool} in sys.modules, 'a two-thread run built no pool'",
-        "assert 'numpy' not in sys.modules, 'numpy loaded outside the workers'",
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    unset = [f"os.environ.pop({var!r}, None)" for var in blas_vars]
+    for want in (None, "4"):
+        blas = [] if want is None else [f"os.environ['OPENBLAS_NUM_THREADS'] = {want!r}"]
+        two = fresh_python(
+            "import os",
+            *unset,
+            *blas,
+            "threads = []  # the thread count of this process at each fork",
+            "os.register_at_fork(before=lambda: threads.append(len(os.listdir('/proc/self/task'))))",
+            "from nagaolab.cli import main",
+            f"assert main({argv + ['--threads', '2']!r}) == 0",
+            f"assert {pool} in sys.modules, 'a two-thread run built no pool'",
+            "assert 'numpy' in sys.modules, 'numpy not loaded before the fork'",
+            "assert threads == [1, 1], threads",
+            f"assert [os.environ.get(var) for var in {blas_vars!r}] == [{want!r}, None, None], 'BLAS settings not put back'",
+        )
+        assert two.returncode == 0, (blas, two.stderr)
+
+
+def test_import_and_warm_run_build_no_shared_ks(tmp_path):
+    """The shared int32 k and k^2 of the kernel are built by the first trace
+    computed, not by the import or by a run whose every a_p is cached."""
+    argv = ["moments", "--f", "x^3+x+1", "--N", "300", "--cache-dir", str(tmp_path / "cache")]
+    built = "nagaolab.finite_field.int32_ks.cache_info().misses"
+    proc = fresh_python(
+        "import nagaolab.cli, nagaolab.finite_field",
+        f"assert {built} == 0, 'built by import nagaolab.cli'",
+        f"assert nagaolab.cli.main({argv!r}) == 0",
+        f"assert {built} == 1, 'a cold run built no k'",
+        "nagaolab.finite_field.int32_ks.cache_clear()",
+        f"assert nagaolab.cli.main({argv!r}) == 0",
+        f"assert {built} == 0, 'built by a warm run'",
     )
-    assert two.returncode == 0, two.stderr
+    assert proc.returncode == 0, proc.stderr
 
 
 WARM_RUNS = [

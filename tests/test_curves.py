@@ -195,16 +195,21 @@ def test_char_sum_every_small_polynomial(p):
         assert char_sum(g, p) == _chi_sum_oracle(g, p), coeffs
 
 
+# 3 and 1 mod 4: the first primes whose (p - 1)/2 squares take two chunks.
+TWO_CHUNK_PRIMES = [32771, 32789]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    st.one_of(st.sampled_from([3, 5, 16411, 16417]), st.sampled_from(SMALL_PRIMES)),
+    st.one_of(st.sampled_from([3, 5, *TWO_CHUNK_PRIMES]), st.sampled_from(SMALL_PRIMES)),
     st.integers(1, 6),
     st.sampled_from(PARITY),
     st.data(),
 )
 def test_twisted_chunk_sums_match_scalar_oracle(p, degree, parity, data):
     """The twisted sum T = sum_{u != 0} chi(u) chi(h(u)) of h's chunk loop,
-    at p = 1 and 3 mod 4 and past one CHUNK of roots (p = 16411, 16417)."""
+    at p = 1 and 3 mod 4 and past one CHUNK of squares (p = 32771, 32789)."""
+    assert all((q - 1) // 2 > ff_mod.CHUNK for q in TWO_CHUNK_PRIMES)  # else a larger CHUNK drops the coverage
     coeffs = data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=degree + 1, max_size=degree + 1))
     coeffs[degree] = coeffs[degree] or 1
     if parity == "even terms only":
@@ -254,6 +259,41 @@ def test_poly_eval_int32_at_the_last_int32_prime():
         assert got.dtype == np.int32
         want = [reduce(lambda v, c: (v * u + c) % p, reversed(coeffs)) for u in range(p)]
         assert got.tolist() == want, degree
+
+
+@pytest.mark.parametrize("p, dtype", [(46337, np.int32), (46349, np.int64)])
+def test_poly_eval_monic_starts(p, dtype):
+    """A top coefficient 1 is not multiplied by: Horner starts from x + c, or
+    from x * x + c' after a 0.  Checked with the next coefficient 0, nonzero
+    and p - 1 (and 2p + 1 and -p, which reduce to 1 and 0), on either lane."""
+    rng = random.Random(p)
+    xs = [0, 1, 2, p - 2, p - 1] + [rng.randrange(p) for _ in range(495)]
+    x = np.array(xs, dtype=dtype)
+    tails = [(), (0,), (p - 1,), (0, p - 1), (0, 0, p - 1), (5, p - 1, p - 1)]
+    for top in (1, 2 * p + 1):
+        for c in (0, -p, 7, p - 1):
+            for tail in tails:
+                coeffs = (*reversed(tail), c, top)  # ascending: constant first
+                got = poly_eval_all_mod(coeffs, p, x)
+                assert got.dtype == dtype
+                want = [reduce(lambda v, a: (v * u + a) % p, reversed(coeffs)) for u in xs]
+                assert got.tolist() == want, coeffs
+    fresh = poly_eval_all_mod((0, 1), p, x)  # v = x + 0: a new array, which callers write to
+    assert not np.shares_memory(fresh, x)
+
+
+def test_residue_tables_across_the_lane_boundary_count_one_per_prime():
+    """Sweeping primes either side of INT32_MAX_P builds one table per prime
+    and the shared k and k^2 once."""
+    g = parse_polynomial("x^5-x+1")
+    primes = [p for p in primes_in(46300, 46400) if p not in hyperelliptic_bad_primes(g)]
+    assert min(primes) <= ff_mod.INT32_MAX_P < max(primes)
+    want = [hyperelliptic_trace(g, p) for p in primes]
+    ff_mod._residue_table.cache_clear()
+    ff_mod.int32_ks.cache_clear()
+    assert [a for _, (a,) in sweep_traces([g], primes)] == want
+    assert ff_mod._residue_table.cache_info().misses == len(primes)
+    assert ff_mod.int32_ks.cache_info().misses == 1
 
 
 # -- the sweep engine --------------------------------------------------------

@@ -8,9 +8,12 @@ from hypothesis import given, strategies as st
 from sympy import isprime
 
 from nagaolab.finite_field import (
+    INT32_MAX_P,
     N_HARD_CAP,
     CapExceededError,
     ResidueTable,
+    _residue_table,
+    int32_ks,
     legendre,
     poly_eval_all_mod,
     primes_in,
@@ -123,6 +126,26 @@ def test_residue_table_popcount_balance():
         assert (tab.chi[tab.squares] == 1).all()
         w = 4 if p <= 46337 else 8
         assert tab.chi.nbytes + tab.squares.nbytes == p + w * ((p - 1) // 2)
+
+
+def test_shared_int32_ks_are_k_and_k_squared():
+    k, k2 = int32_ks()
+    assert k.dtype == k2.dtype == np.int32
+    assert len(k) == len(k2) == INT32_MAX_P // 2 == 23168
+    assert k.tolist() == list(range(1, 23169))
+    assert k2.tolist() == [v * v for v in range(1, 23169)]
+    for a in (k, k2):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    assert int32_ks()[1] is k2  # built once per process
+
+
+@pytest.mark.parametrize("p", [3, 5, 32771, 32789, 46337, 46349])
+def test_residue_table_squares_are_k_squared_mod_p(p):
+    """From the shared k^2 up to INT32_MAX_P, from an int64 arange above."""
+    squares = _residue_table(p).squares
+    assert squares.dtype == (np.int32 if p <= INT32_MAX_P else np.int64)
+    assert squares.tolist() == [k * k % p for k in range(1, (p - 1) // 2 + 1)]
 
 
 def test_residue_table_matches_legendre_exhaustive():
