@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cache import CacheCorruptError, TraceCache
 from .curves import (
@@ -83,11 +83,13 @@ class ExperimentConfig(NamedTuple):
 
 
 class Report(NamedTuple):
-    """A command's result: the report rows, and for the ``.skipped`` sidecar
-    the curves of the sweep with their bad primes, or None for no sidecar."""
+    """A command's result: the report rows, each a tuple in the order of
+    ``columns`` (an iterable that ``_write`` reads once, so a sweep's rows
+    are made as it runs), and for the ``.skipped`` sidecar the curves of the
+    sweep with their bad primes, or None for no sidecar."""
 
     columns: list[str]
-    rows: list[dict]
+    rows: Iterable[tuple]
     skipped: tuple[list[IntPolynomial], BadPrimes] | None = None
 
 
@@ -133,9 +135,9 @@ def _write(report: Report, cfg: ExperimentConfig) -> None:
     if cfg.fmt == "json":
         import json
 
-        text = json.dumps([{k: row.get(k) for k in cols} for row in report.rows], indent=2) + "\n"
+        text = json.dumps([dict(zip(cols, row)) for row in report.rows], indent=2) + "\n"
     else:
-        lines = [",".join(cols)] + [",".join(_fmt(row.get(k)) for k in cols) for row in report.rows]
+        lines = [",".join(cols)] + [",".join(map(_fmt, row)) for row in report.rows]
         text = "\n".join(lines) + "\n"
     if cfg.output == "-":
         sys.stdout.write(text)
@@ -200,14 +202,16 @@ def _parse_grid(cfg: ExperimentConfig) -> list[int]:
     return grid
 
 
-def _traces(cfg: ExperimentConfig, c: CurveSpec) -> list[TraceRecord]:
+def _traces(cfg: ExperimentConfig, c: CurveSpec) -> Iterator[TraceRecord]:
+    """The curve's records, yielded as the sweep reaches them; the N cap is
+    checked here, when this is called."""
     primes = good_primes(c.bad_primes, cfg.N)
     sweep = sweep_traces([c.f], primes, cfg.threads, _open_caches(cfg, [c.f]))
-    return [TraceRecord(p, a, c.genus) for p, (a,) in sweep]
+    return (TraceRecord(p, a, c.genus) for p, (a,) in sweep)
 
 
 def cmd_trace(cfg: ExperimentConfig, c: CurveSpec) -> Report:
-    rows = [{"p": t.p, "a": t.a} for t in _traces(cfg, c)]
+    rows = ((t.p, t.a) for t in _traces(cfg, c))
     return Report(["p", "a"], rows, ([c.f], c.bad_primes))
 
 
@@ -219,7 +223,7 @@ def cmd_lpoly(cfg: ExperimentConfig, c: CurveSpec) -> Report:
         raise CapExceededError(
             f"p = {primes[-1]} exceeds the F_p^2 counting cap {DEFAULT_LPOLY_CAP}"
         )
-    rows = [{"p": t.p, "a": t.a, "b": genus2_b(c.f, t.p, t.a)} for t in _traces(cfg, c)]
+    rows = ((t.p, t.a, genus2_b(c.f, t.p, t.a)) for t in _traces(cfg, c))
     return Report(["p", "a", "b"], rows, ([c.f], c.bad_primes))
 
 
@@ -228,10 +232,7 @@ def cmd_nagao(cfg: ExperimentConfig, c: CurveSpec) -> Report:
     surface = twist_surface(c.f, D)
     caches = _open_caches(cfg, [c.f, D])
     series = nagao_series(surface, cfg.N, _parse_grid(cfg), cfg.threads, caches)
-    rows = [
-        {"N": n, "S1": s1, "S2": s2, "n_primes": k}
-        for n, s1, s2, k in zip(series.n_grid, series.s1, series.s2, series.n_primes)
-    ]
+    rows = zip(series.n_grid, series.s1, series.s2, series.n_primes)
     return Report(["N", "S1", "S2", "n_primes"], rows, ([c.f, D], surface.bad_primes))
 
 
@@ -240,7 +241,7 @@ def cmd_moments(cfg: ExperimentConfig, c: CurveSpec) -> Report:
     angles to the 1-D measures in genus 1.  ``st-classify``: the moment class
     of the second moment, its candidate groups of the curve's genus and the
     predicted rank."""
-    traces = _traces(cfg, c)
+    traces = list(_traces(cfg, c))
     if not traces:
         raise ConfigError(f"no good prime p <= N = {cfg.N} to take moments over")
     m = empirical_moments(traces)
@@ -251,36 +252,26 @@ def cmd_moments(cfg: ExperimentConfig, c: CurveSpec) -> Report:
         else:
             table = [(r.name, r.second_moment) for r in load_st_table()]
         groups = [name for name, moment in table if moment == cls]
-        row = {
-            "N": cfg.N,
-            "second_moment": m.second_moment,
-            "zero_fraction": m.zero_fraction,
-            "moment_class": cls,
-            "candidates": "|".join(groups),
-            "predicted_rank": cls,
-            "flag": "" if cls is not None else "no class within tolerance",
-        }
+        columns = [
+            "N", "second_moment", "zero_fraction", "moment_class", "candidates", "predicted_rank", "flag"
+        ]
+        flag = "" if cls is not None else "no class within tolerance"
+        row = (cfg.N, m.second_moment, m.zero_fraction, cls, "|".join(groups), cls, flag)
     else:
-        row = {
-            "N": cfg.N,
-            "second_moment": m.second_moment,
-            "fourth_moment": m.fourth_moment,
-            "zero_fraction": m.zero_fraction,
-            "n_primes": m.n_primes,
-        }
+        columns = ["N", "second_moment", "fourth_moment", "zero_fraction", "n_primes"]
+        columns += ["ks_" + tag.replace("-", "_") for tag in MEASURE_TAGS]
         angles = [normalized_angle(t) for t in traces] if c.genus == 1 else None
-        for tag in MEASURE_TAGS:  # the 1-D angle measures do not apply in genus 2
-            ks = None if angles is None else ks_distance(angles, st_measure(tag))
-            row["ks_" + tag.replace("-", "_")] = ks
-    return Report(list(row), [row], ([c.f], c.bad_primes))
+        # the 1-D angle measures do not apply in genus 2
+        ks = [ks_distance(angles, st_measure(tag)) if angles else None for tag in MEASURE_TAGS]
+        row = (cfg.N, m.second_moment, m.fourth_moment, m.zero_fraction, m.n_primes, *ks)
+    return Report(columns, [row], ([c.f], c.bad_primes))
 
 
 def cmd_peterson(cfg: ExperimentConfig, c: CurveSpec) -> Report:
     if not cfg.sigma:
         raise ConfigError("peterson requires --sigma")
     result = peterson_D(c.f, parse_mobius(cfg.sigma))
-    row = {"D": poly_to_str(result.D, "T"), "multiplier": result.multiplier}
-    return Report(list(row), [row])
+    return Report(["D", "multiplier"], [(poly_to_str(result.D, "T"), result.multiplier)])
 
 
 def cmd_factor_check(cfg: ExperimentConfig, c: CurveSpec) -> Report:
@@ -295,12 +286,8 @@ def cmd_factor_check(cfg: ExperimentConfig, c: CurveSpec) -> Report:
     others = [curve_from_poly(parse_polynomial(s)).f for s in cfg.s_curves]
     caches = _open_caches(cfg, [D, c.f, *others])
     rep = verify_factorization(D, c.f, cfg.r, cfg.N, others, cfg.threads, caches)
-    row = {
-        "passed": "pass" if rep.passed else "fail",
-        "first_failing_prime": rep.first_failing_prime,
-        "primes_checked": rep.primes_checked,
-    }
-    return Report(list(row), [row])
+    row = ("pass" if rep.passed else "fail", rep.first_failing_prime, rep.primes_checked)
+    return Report(["passed", "first_failing_prime", "primes_checked"], [row])
 
 
 # Each command's handler and the flags it reads; its parser accepts no others.

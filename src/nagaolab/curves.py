@@ -295,9 +295,11 @@ def sweep_traces(
     slot = [distinct.index(g) for g in polys]
     by_poly = {c.poly: c for c in caches or ()}
     stores = [by_poly.get(g) for g in distinct]
-    cols = [[None] * len(primes) if c is None else list(map(c.get, primes)) for c in stores]
     blocks = [slice(k, k + _BLOCK) for k in range(0, len(primes), _BLOCK)]
-    block_cols = [[col[b] for col in cols] for b in blocks]
+    block_cols = [
+        [[None] * len(primes[b]) if c is None else list(map(c.get, primes[b])) for c in stores]
+        for b in blocks
+    ]
     missed = [any(None in col for col in bc) for bc in block_cols]
     todo = (
         repeat(distinct),

@@ -82,14 +82,6 @@ class NagaoSeries(NamedTuple):
     s1: tuple[float, ...]
     s2: tuple[float, ...]
     n_primes: tuple[int, ...]
-    scaled: tuple[tuple[int, int], ...]  # (p, p * A_p) ascending in p
-
-    @property
-    def records(self) -> tuple[tuple[int, Fraction], ...]:
-        """(p, A_p) ascending in p, as exact rationals built on demand."""
-        from fractions import Fraction
-
-        return tuple((p, Fraction(pa, p)) for p, pa in self.scaled)
 
 
 def geometric_grid(n_max: int, points: int = 20) -> list[int]:
@@ -122,7 +114,7 @@ def nagao_series(
     even_D = s.D.degree % 2 == 0
     lead_D = s.D.lead
     log = math.log
-    scaled: list[tuple[int, int]] = []
+    count = 0  # good primes summed
     # Kahan-compensated sums of -A_p log p (w) and of -A_p (u), fed ascending in p.
     sum_w = comp_w = sum_u = comp_u = 0.0
     closed: list[tuple[float, float, int]] = []  # (sum_w, sum_u, primes summed) at each cutoff
@@ -131,11 +123,11 @@ def nagao_series(
     sweep = sweep_traces([s.f, s.D], good_primes(s.bad_primes, n_max), threads, caches)
     for p, (a_f, a_D) in sweep:
         while cuts[len(closed)] < p:
-            closed.append((sum_w, sum_u, len(scaled)))
+            closed.append((sum_w, sum_u, count))
         # n = a_f (a_D + [deg D even] chi_p(lead D)) = -p A_p, and n / p is
         # the correctly rounded -A_p.
         n = a_f * (a_D + legendre(lead_D, p)) if even_D else a_f * a_D
-        scaled.append((p, -n))
+        count += 1
         v = n / p
         y = v * log(p) - comp_w
         t = sum_w + y
@@ -145,13 +137,12 @@ def nagao_series(
         t = sum_u + y
         comp_u = (t - sum_u) - y
         sum_u = t
-    closed += [(sum_w, sum_u, len(scaled))] * (len(grid) - len(closed))
+    closed += [(sum_w, sum_u, count)] * (len(grid) - len(closed))
     return NagaoSeries(
         tuple(grid),
         tuple(w / cut for (w, _, _), cut in zip(closed, grid)),
         tuple(u / k if k else 0.0 for _, u, k in closed),
         tuple(k for _, _, k in closed),
-        tuple(scaled),
     )
 
 

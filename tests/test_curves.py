@@ -34,6 +34,7 @@ from nagaolab.curves import (
 )
 from nagaolab.finite_field import legendre, poly_eval_all_mod, primes_in
 from nagaolab.polynomials import IntPolynomial, parse_polynomial
+from oracles import genus1_trace_mod_p
 
 
 def curve(s):
@@ -593,6 +594,60 @@ def test_trace_parity_and_weil_bound_up_to_the_cap(f, p):
     assert (a - _root_count(f, p) - f.degree) % 2 == 0, (f, p, a)
     genus = (f.degree - 1) // 2
     assert a * a <= 4 * genus * genus * p, (f, p, a)
+
+
+@st.composite
+def split_halves(draw):
+    """A squarefree h of degree 2 or 3 with h(0) != 0, so that g = h(x^2), an
+    even quartic or sextic, is squarefree too."""
+    degree = draw(st.sampled_from([2, 3]))
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=degree, max_size=degree))
+    h = IntPolynomial((*coeffs, draw(st.sampled_from([1, -1, 2, 3]))))
+    assume(h(0) != 0 and h.is_squarefree())
+    return h
+
+
+@settings(max_examples=20, deadline=None, phases=NO_SHRINK)
+@given(split_halves(), st.lists(st.integers(10**4, 10**5).map(lambda n: sympy.nextprime(n - 1)), max_size=3))
+def test_even_polynomial_splits_into_two_lower_genus_curves(h, large):
+    """g = h(x^2) has a_p(g) = a_p(h) + a_p(x h) at every good p of g: from
+    sum_x chi(h(x^2)) = sum_u chi(h(u)) (1 + chi(u)), and exactly one of h and
+    x h has even degree, with the lead of g.  Each value is its own
+    ``hyperelliptic_trace`` call, so no call sees g together with its half;
+    below 300, a_p(g) is also the exhaustive count."""
+    g = _squared(h)
+    xh = IntPolynomial((0, *h.coeffs))
+    bad = hyperelliptic_bad_primes(g)
+    for p in [*primes_in(3, 2000), *large]:
+        if p in bad:
+            continue
+        a_g = hyperelliptic_trace(g, p)
+        assert a_g == hyperelliptic_trace(h, p) + hyperelliptic_trace(xh, p), (h, p)
+        if p < 300:
+            assert a_g == _oracle(g, p), (g, p)
+
+
+# Good primes past the exhaustive oracle; 2x^4-3x^2+x+7 has a lead that is
+# not a square mod 50021 and is one mod 199999.
+GENUS1_PAST_THE_ORACLE = [
+    ("x^3+x+1", 10007),
+    ("x^3-2*x+5", 100003),
+    ("x^4+x+1", 199999),
+    ("2*x^4-3*x^2+x+7", 50021),
+    ("2*x^4-3*x^2+x+7", 199999),
+    ("x^3+x+1", 199999),
+]
+
+
+@pytest.mark.parametrize("f, p", GENUS1_PAST_THE_ORACLE)
+def test_genus1_trace_is_the_hasse_invariant_past_the_oracle(f, p):
+    """a_p of a cubic or quartic equals the symmetric residue of the
+    coefficient of x^(p-1) in f^((p-1)/2) mod p (``oracles.genus1_trace_mod_p``),
+    which fixes a_p outright, where parity and the Weil bound would pass a
+    negated a_p."""
+    f = parse_polynomial(f)
+    assert p not in hyperelliptic_bad_primes(f)
+    assert hyperelliptic_trace(f, p) == genus1_trace_mod_p(f, p)
 
 
 @pytest.mark.parametrize("threads", [1, 2])

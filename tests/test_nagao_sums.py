@@ -1,34 +1,16 @@
 """nagao_series sums -A_p = n / p from integers; the reference below takes
--float(A_p) of each exact rational A_p and must give the same doubles."""
+-float(A_p) of each exact rational A_p, built from ``char_sum`` and
+``hyperelliptic_trace`` one prime at a time, and must give the same doubles."""
 
-import math
+from fractions import Fraction
 
 import pytest
 
+from nagaolab.curves import char_sum, hyperelliptic_trace
+from nagaolab.finite_field import primes_in
 from nagaolab.polynomials import parse_polynomial
 from nagaolab.twist import nagao_series, twist_surface
-
-
-def _kahan(xs):
-    s = c = 0.0
-    for x in xs:
-        y = x - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-    return s
-
-
-def _reference(records, grid):
-    """(S1, S2, n_primes) at each cutoff from the exact (p, A_p) records."""
-    out = []
-    for cut in grid:
-        below = [(p, -float(a)) for p, a in records if p <= cut]
-        s_w = _kahan(v * math.log(p) for p, v in below)
-        s_u = _kahan(v for _, v in below)
-        out.append((s_w / cut, s_u / len(below) if below else 0.0, len(below)))
-    return out
-
+from oracles import nagao_reference
 
 SURFACES = [
     ("T^3+T", "T^3+T"),  # self-twist, odd degree
@@ -40,10 +22,12 @@ SURFACES = [
 
 @pytest.mark.parametrize("f, D", SURFACES, ids=[f"{f} by {D}" for f, D in SURFACES])
 def test_nagao_series_matches_the_exact_reference(f, D):
+    """A_p = chi-sum of D times a_p(f), over p.  The grid holds every good
+    prime, so a single wrong A_p changes the doubles at its own cutoff."""
     s = twist_surface(parse_polynomial(f), parse_polynomial(D))
-    grid = [2, 100, 101, 997, 1500, 3000]
+    good = [p for p in primes_in(3, 3001) if p not in s.bad_primes]
+    exact = [(p, Fraction(char_sum(s.D, p) * hyperelliptic_trace(s.f, p), p)) for p in good]
+    grid = sorted({2, 100, 101, 997, 1500, 3000, *good})
     ns = nagao_series(s, 3000, grid)
-    assert [p for p, _ in ns.records] == [p for p, _ in ns.scaled]
-    assert all(p * a == pa for (p, a), (_, pa) in zip(ns.records, ns.scaled))
     # exact equality: the same doubles, not merely close ones
-    assert list(zip(ns.s1, ns.s2, ns.n_primes)) == _reference(ns.records, grid)
+    assert list(zip(ns.s1, ns.s2, ns.n_primes)) == nagao_reference(exact, grid)

@@ -28,6 +28,7 @@ from nagaolab.twist import (
     twist_surface,
     verify_factorization,
 )
+from oracles import nagao_reference
 
 
 def surface(f, d=None):
@@ -54,6 +55,19 @@ def test_average_trace_examples():
         average_trace(s, 2)
 
 
+def _assert_series_at_every_good_prime(s, n_max, exact):
+    """nagao_series on a grid of every good prime <= n_max, and n_max, equals
+    the Kahan reference of the exact (p, A_p): a single wrong A_p changes
+    the doubles at its own cutoff."""
+    grid = sorted({*(p for p, _ in exact), n_max})
+    ns = nagao_series(s, n_max, grid)
+    assert list(zip(ns.s1, ns.s2, ns.n_primes)) == nagao_reference(exact, grid)
+
+
+def _good(s, n_max):
+    return [p for p in primes_in(3, n_max + 1) if p not in s.bad_primes]
+
+
 def test_mode_agreement_corpus():
     polys = [
         "x^3+x", "x^3+x+1", "x^3-x+3", "x^5-x+1", "x^5+x",
@@ -62,34 +76,21 @@ def test_mode_agreement_corpus():
     # D runs over odd and even degrees, so both chi-sum corrections are exercised
     for f, d in zip(polys, polys[1:] + polys[:1]):
         s = surface(f, d)
-        records = nagao_series(s, 2000, [2000]).records
-        assert [p for p, _ in records] == [p for p in primes_in(3, 2001) if p not in s.bad_primes]
-        for p, a_avg in records:
-            assert a_avg == average_trace(s, p), (f, d, p)
+        _assert_series_at_every_good_prime(s, 2000, [(p, average_trace(s, p)) for p in _good(s, 2000)])
 
 
 def test_self_twist_identity_both_genera():
     # p * A_p = -a_p(f)^2 when D = f
     for f in ("x^3+x+1", "x^5-x+1"):
         s = surface(f)
-        for p, a_avg in nagao_series(s, 10**4, [10**4]).records:
-            a = hyperelliptic_trace(s.f, p)
-            assert p * a_avg == -a * a
+        exact = [(p, Fraction(-hyperelliptic_trace(s.f, p) ** 2, p)) for p in _good(s, 10**4)]
+        _assert_series_at_every_good_prime(s, 10**4, exact)
 
 
 def test_nagao_series_empty_sum():
     s = surface("x^3+x")
     ns = nagao_series(s, 2, [2])
     assert ns.s1 == (0.0,) and ns.s2 == (0.0,) and ns.n_primes == (0,)
-
-
-def test_nagao_series_records_are_exact():
-    s = surface("x^3+x")
-    ns = nagao_series(s, 200, [100, 200])
-    for p, a_avg in ns.records:
-        assert a_avg == average_trace(s, p)
-        assert a_avg.denominator in (1, p)
-    assert [p for p, _ in ns.records] == sorted(p for p, _ in ns.records)
 
 
 def test_nagao_series_grid_validation():
