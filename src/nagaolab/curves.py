@@ -230,9 +230,11 @@ def _process_pool(workers: int):
     does no linear algebra), so the process still has no thread but its own
     when it forks.  A Ctrl-C reaches the whole process group: the workers
     take SIGINT's default action and end at once, without a traceback, and
-    the CLI alone reports it.  The pool modules are imported here, not at
-    module load, so a run on one thread or with every a_p cached never loads
-    them.
+    the CLI alone reports it.  A process that ignores SIGINT (as a
+    non-interactive shell starts its background jobs) has its workers ignore
+    it too, so a group SIGINT stops neither.  The pool modules are imported
+    here, not at module load, so a run on one thread or with every a_p
+    cached never loads them.
     """
     import multiprocessing
     import os
@@ -253,11 +255,12 @@ def _process_pool(workers: int):
                 else:
                     os.environ[var] = value
 
+    ignored = signal.getsignal(signal.SIGINT) == signal.SIG_IGN
     return ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=signal.signal,
-        initargs=(signal.SIGINT, signal.SIG_DFL),
+        initargs=(signal.SIGINT, signal.SIG_IGN if ignored else signal.SIG_DFL),
     )
 
 

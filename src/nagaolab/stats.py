@@ -1,6 +1,7 @@
 """Sato-Tate statistics: empirical moments, equidistribution distances, the
-Haar-measure moment oracles, the Sato-Tate groups of elliptic curves and of
-abelian surfaces over Q, and classification by second moment.
+Haar-measure moment oracles (by adaptive Simpson quadrature), the Sato-Tate
+groups of elliptic curves and of abelian surfaces over Q, and classification
+by second moment.
 
 The key identity consumed here: for each group in the table, the second moment
 E[a_p^2/p] equals the real rank of the endomorphism algebra, which equals the
@@ -11,11 +12,10 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .curves import TraceRecord
 from .polynomials import IntPolynomial, parse_polynomial
-from .quadrature import adaptive_simpson, adaptive_simpson_2d
 
 MOMENT_CLASSES = (1, 2, 4)
 CLASS_TOLERANCE = 0.25
@@ -95,6 +95,44 @@ def st_measure(tag: str) -> STMeasure1D:
     return STMeasure1D(tag)
 
 
+# -- Haar-measure oracles by adaptive Simpson quadrature ---------------------
+
+
+def adaptive_simpson(fn: Callable[[float], float], a: float, b: float, tol: float) -> float:
+    """Integral of fn over [a, b] with absolute error budget tol."""
+    fa, fb = fn(a), fn(b)
+    m = 0.5 * (a + b)
+    fm = fn(m)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return _refine(fn, a, b, fa, fm, fb, whole, tol, 50)
+
+
+def _refine(fn, a, b, fa, fm, fb, whole, tol, depth):
+    m = 0.5 * (a + b)
+    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+    flm, frm = fn(lm), fn(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    delta = left + right - whole
+    if depth <= 0 or abs(delta) <= 15.0 * tol:
+        return left + right + delta / 15.0
+    return _refine(fn, a, m, fa, flm, fm, left, tol / 2.0, depth - 1) + _refine(
+        fn, m, b, fm, frm, fb, right, tol / 2.0, depth - 1
+    )
+
+
+def adaptive_simpson_2d(
+    fn: Callable[[float, float], float], a: float, b: float, c: float, d: float
+) -> float:
+    """Iterated 1-D adaptive Simpson over the rectangle [a,b] x [c,d]: error
+    budget 1e-9 for each inner integral, 1e-7 for the outer one."""
+
+    def inner(x: float) -> float:
+        return adaptive_simpson(lambda y: fn(x, y), c, d, 1e-9)
+
+    return adaptive_simpson(inner, a, b, 1e-7)
+
+
 def haar_second_moment(measure: STMeasure1D) -> float:
     """E[a^2/p] = integral of 4 cos^2(theta) against the measure.
 
@@ -144,46 +182,44 @@ def empirical_moments(traces: Sequence[TraceRecord]) -> MomentReport:
 
     Each moment is float(m / n) for the exact rational sum m of its n terms,
     rounded once, so the result does not depend on the order of the traces.
-    ``_certified_mean`` gets it in linear time.
+    One pass sums the fixed-point terms of both moments, and
+    ``_certified_mean`` rounds each sum, so the cost is linear.
     """
     if not traces:
         raise ValueError("empirical_moments requires a nonempty trace sequence")
-    squares = [(rec.a * rec.a, rec.p) for rec in traces]
-    zeros = sum(1 for rec in traces if rec.a == 0)
+    s2 = s4 = zeros = 0
+    for p, a, _ in traces:
+        a2 = a * a
+        s2 += (a2 << _K) // p
+        s4 += (a2 * a2 << _K) // (p * p)
+        zeros += a == 0
     n = len(traces)
-    return MomentReport(
-        n,
-        _certified_mean(squares),
-        _certified_mean([(a2 * a2, p * p) for a2, p in squares]),
-        zeros / n,
-    )
+    return MomentReport(n, _certified_mean(s2, traces, 1), _certified_mean(s4, traces, 2), zeros / n)
 
 
-# Fraction bits of the fixed-point terms in _certified_mean.
+# Fraction bits of the fixed-point terms of empirical_moments.
 _K = 192
 
 
-def _certified_mean(terms: list[tuple[int, int]]) -> float:
-    """float(sum(num / den) / n), correctly rounded, over n terms (num, den)
-    with num >= 0 and den > 0.
+def _certified_mean(s: int, traces: Sequence[TraceRecord], k: int) -> float:
+    """float(sum(a^2k / p^k) / n) over the n traces, correctly rounded, from
+    s, the sum of the terms a^2k 2^K / p^k each floored to an integer.
 
-    Each term times 2^K is floored to an integer; their sum S is within n of
-    the exact sum times 2^K, so the mean lies in [S, S + n) / (n 2^K).
-    Rounding is monotone, so when both ends round to the same double that is
-    the mean's double.  Otherwise (a mean within about 2^-K of a rounding
-    boundary, or an exact 0) the exact Fraction sum decides.  Adding exact
-    Fractions costs a gcd on a denominator that grows with every prime, so
-    O(n^2); the fixed-point sum is linear.
+    s is within n of the exact sum times 2^K, so the mean lies in
+    [s, s + n) / (n 2^K).  Rounding is monotone, so when both ends round to
+    the same double that is the mean's double.  Otherwise (a mean within
+    about 2^-K of a rounding boundary, or an exact 0) the exact Fraction sum
+    over the traces decides.  Adding exact Fractions costs a gcd on a
+    denominator that grows with every prime, so O(n^2); s is linear.
     """
-    n = len(terms)
-    s = sum((num << _K) // den for num, den in terms)
+    n = len(traces)
     scale = n << _K
     mean = s / scale  # int true division rounds correctly
     if mean == (s + n) / scale:
         return mean
     from fractions import Fraction
 
-    return float(sum((Fraction(num, den) for num, den in terms), Fraction(0)) / n)
+    return float(sum((Fraction(t.a ** (2 * k), t.p**k) for t in traces), Fraction(0)) / n)
 
 
 def ks_distance(angles: Sequence[float], measure: STMeasure1D) -> float:

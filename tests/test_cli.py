@@ -884,19 +884,21 @@ def test_interrupt_exits_130_and_keeps_the_complete_blocks(tmp_path, capsys, mon
     assert sorted(TraceCache(tmp_path / "cache", f).records) == primes[:8]
 
 
-def test_ctrl_c_on_two_threads_prints_one_line_and_leaves_no_process(tmp_path):
-    """SIGINT to the process group of a run on two worker processes, one of
-    them idle and one deep in a block: the CLI prints one error line and
-    exits 130, and no process of the group is left."""
+def _group_sigint(tmp_path, sigint, slow):
+    """Run ``trace --f x^3+x+1 --N 1000`` on two threads in a child whose
+    SIGINT disposition is ``sigint``, send SIGINT to its process group once
+    the first of its two 128-prime blocks is cached, and return its exit code
+    and stderr.  Every prime above 800, in the second block, sleeps ``slow``
+    seconds.  The group must be empty once the child has exited."""
     cache = tmp_path / "cache"
-    # Two blocks of 128 primes; every prime of the second one takes a minute.
+    argv = ["trace", "--f", "x^3+x+1", "--N", "1000", "--threads", "2", "--cache-dir", str(cache)]
     script = "\n".join([
         "import sys, time",
         "import nagaolab.curves as curves",
         "from nagaolab.cli import main",
         "real = curves.traces_at",
-        "curves.traces_at = lambda fs, p: time.sleep(60) if p > 800 else real(fs, p)",
-        f"sys.exit(main({['trace', '--f', 'x^3+x+1', '--N', '1000', '--threads', '2', '--cache-dir', str(cache)]!r}))",
+        f"curves.traces_at = lambda fs, p: time.sleep({slow} if p > 800 else 0) or real(fs, p)",
+        f"sys.exit(main({[*argv, '--output', str(tmp_path / 'out.csv')]!r}))",
     ])
     proc = subprocess.Popen(
         [sys.executable, "-c", script],
@@ -904,6 +906,7 @@ def test_ctrl_c_on_two_threads_prints_one_line_and_leaves_no_process(tmp_path):
         stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
         start_new_session=True,  # its own process group, shared by its workers
+        preexec_fn=lambda: signal.signal(signal.SIGINT, sigint),  # not what pytest was started with
     )
     try:
         deadline = time.monotonic() + 30
@@ -917,6 +920,27 @@ def test_ctrl_c_on_two_threads_prints_one_line_and_leaves_no_process(tmp_path):
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
-    assert (proc.returncode, err) == (EXIT_INTERRUPTED, b"error: interrupted\n")
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)  # the group is empty: no worker outlived the CLI
+    return proc.returncode, err
+
+
+def test_ctrl_c_on_two_threads_prints_one_line_and_leaves_no_process(tmp_path):
+    """SIGINT to the process group of a run on two worker processes, one of
+    them idle and one deep in a block: the CLI prints one error line and
+    exits 130, and no process of the group is left."""
+    # every prime of the second block takes a minute
+    assert _group_sigint(tmp_path, signal.SIG_DFL, 60) == (EXIT_INTERRUPTED, b"error: interrupted\n")
+
+
+def test_group_sigint_ignored_on_two_threads_finishes_the_run(tmp_path):
+    """A run started with SIGINT ignored (a shell's background job) ignores it
+    in its workers too: a group SIGINT during its second block changes
+    nothing, and the run ends with the report and cache of an uninterrupted
+    run and leaves no process."""
+    assert _group_sigint(tmp_path, signal.SIG_IGN, 0.1) == (EXIT_OK, b"")
+    cold = ["trace", "--f", "x^3+x+1", "--N", "1000", "--cache-dir", str(tmp_path / "cold")]
+    assert main([*cold, "--output", str(tmp_path / "cold.csv")]) == EXIT_OK
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+    f = parse_polynomial("x^3+x+1")
+    assert cache_path(tmp_path / "cache", f).read_bytes() == cache_path(tmp_path / "cold", f).read_bytes()

@@ -198,19 +198,23 @@ def test_char_sum_every_small_polynomial(p):
 
 # 3 and 1 mod 4: the first primes whose (p - 1)/2 squares take two chunks.
 TWO_CHUNK_PRIMES = [32771, 32789]
+# 1 and 3 mod 4: the first primes on int64 lanes.
+INT64_PRIMES = [46349, 46351]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
 @given(
-    st.one_of(st.sampled_from([3, 5, *TWO_CHUNK_PRIMES]), st.sampled_from(SMALL_PRIMES)),
+    st.one_of(st.sampled_from([3, 5, *TWO_CHUNK_PRIMES, *INT64_PRIMES]), st.sampled_from(SMALL_PRIMES)),
     st.integers(1, 6),
     st.sampled_from(PARITY),
     st.data(),
 )
 def test_twisted_chunk_sums_match_scalar_oracle(p, degree, parity, data):
     """The twisted sum T = sum_{u != 0} chi(u) chi(h(u)) of h's chunk loop,
-    at p = 1 and 3 mod 4 and past one CHUNK of squares (p = 32771, 32789)."""
+    at p = 1 and 3 mod 4, past one CHUNK of squares (p = 32771, 32789) and
+    on int64 lanes (p = 46349, 46351)."""
     assert all((q - 1) // 2 > ff_mod.CHUNK for q in TWO_CHUNK_PRIMES)  # else a larger CHUNK drops the coverage
+    assert all(q > ff_mod.INT32_MAX_P for q in INT64_PRIMES)
     coeffs = data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=degree + 1, max_size=degree + 1))
     coeffs[degree] = coeffs[degree] or 1
     if parity == "even terms only":

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 import nagaolab.stats as stats_mod
 from nagaolab.curves import TraceRecord, curve_from_poly, good_primes, sweep_traces
 from nagaolab.finite_field import primes_in
-from nagaolab.quadrature import adaptive_simpson
 from nagaolab.stats import (
     GENUS1_GROUPS,
     HALF_UNIFORM_DIRAC,
@@ -16,6 +15,7 @@ from nagaolab.stats import (
     SATO_TATE,
     UNIFORM,
     STMeasure1D,
+    adaptive_simpson,
     empirical_moments,
     haar_second_moment,
     haar_second_moment_usp4,
