@@ -128,5 +128,5 @@ def test_empirical_moments(benchmark):
     # Hasse-bounded genus-2 traces at the first 10^4 primes but 2
     rng = random.Random(0)
     primes = primes_in(3, 104744)
-    traces = [TraceRecord(p, rng.randint(-math.isqrt(16 * p), math.isqrt(16 * p)), 2) for p in primes]
+    traces = [TraceRecord(p, rng.randint(-math.isqrt(16 * p), math.isqrt(16 * p))) for p in primes]
     benchmark(empirical_moments, traces)

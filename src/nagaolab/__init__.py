@@ -29,7 +29,6 @@ from .stats import (
     ks_distance,
     load_st_table,
     moment_class,
-    st_measure,
 )
 from .twist import (
     MobiusTransform,

@@ -20,7 +20,6 @@ from .curves import (
     BadPrimes,
     CurveError,
     CurveSpec,
-    TraceRecord,
     WorkerDiedError,
     curve_from_poly,
     genus2_b,
@@ -34,11 +33,11 @@ from .polynomials import IntPolynomial, ParseError, PolynomialError, parse_polyn
 from .stats import (
     GENUS1_GROUPS,
     MEASURE_TAGS,
+    STMeasure1D,
     empirical_moments,
     ks_distance,
     load_st_table,
     moment_class,
-    st_measure,
 )
 from .twist import (
     MobiusTransform,
@@ -202,17 +201,16 @@ def _parse_grid(cfg: ExperimentConfig) -> list[int]:
     return grid
 
 
-def _traces(cfg: ExperimentConfig, c: CurveSpec) -> Iterator[TraceRecord]:
-    """The curve's records, yielded as the sweep reaches them; the N cap is
-    checked here, when this is called."""
+def _traces(cfg: ExperimentConfig, c: CurveSpec) -> Iterator[tuple[int, int]]:
+    """The curve's traces (p, a), yielded as the sweep reaches them; the N cap
+    is checked here, when this is called."""
     primes = good_primes(c.bad_primes, cfg.N)
     sweep = sweep_traces([c.f], primes, cfg.threads, _open_caches(cfg, [c.f]))
-    return (TraceRecord(p, a, c.genus) for p, (a,) in sweep)
+    return ((p, a) for p, (a,) in sweep)
 
 
 def cmd_trace(cfg: ExperimentConfig, c: CurveSpec) -> Report:
-    rows = ((t.p, t.a) for t in _traces(cfg, c))
-    return Report(["p", "a"], rows, ([c.f], c.bad_primes))
+    return Report(["p", "a"], _traces(cfg, c), ([c.f], c.bad_primes))
 
 
 def cmd_lpoly(cfg: ExperimentConfig, c: CurveSpec) -> Report:
@@ -223,7 +221,7 @@ def cmd_lpoly(cfg: ExperimentConfig, c: CurveSpec) -> Report:
         raise CapExceededError(
             f"p = {primes[-1]} exceeds the F_p^2 counting cap {DEFAULT_LPOLY_CAP}"
         )
-    rows = ((t.p, t.a, genus2_b(c.f, t.p, t.a)) for t in _traces(cfg, c))
+    rows = ((p, a, genus2_b(c.f, p, a)) for p, a in _traces(cfg, c))
     return Report(["p", "a", "b"], rows, ([c.f], c.bad_primes))
 
 
@@ -260,9 +258,10 @@ def cmd_moments(cfg: ExperimentConfig, c: CurveSpec) -> Report:
     else:
         columns = ["N", "second_moment", "fourth_moment", "zero_fraction", "n_primes"]
         columns += ["ks_" + tag.replace("-", "_") for tag in MEASURE_TAGS]
-        angles = [normalized_angle(t) for t in traces] if c.genus == 1 else None
-        # the 1-D angle measures do not apply in genus 2
-        ks = [ks_distance(angles, st_measure(tag)) if angles else None for tag in MEASURE_TAGS]
+        # the 1-D angle measures do not apply in genus 2; sorted once, so each
+        # ks_distance sorts a sorted list
+        angles = sorted(map(normalized_angle, traces)) if c.genus == 1 else None
+        ks = [ks_distance(angles, STMeasure1D(tag)) if angles else None for tag in MEASURE_TAGS]
         row = (cfg.N, m.second_moment, m.fourth_moment, m.zero_fraction, m.n_primes, *ks)
     return Report(columns, [row], ([c.f], c.bad_primes))
 

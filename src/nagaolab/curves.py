@@ -70,7 +70,6 @@ class CurveSpec(NamedTuple):
 class TraceRecord(NamedTuple):
     p: int
     a: int
-    genus: int
 
 
 def hyperelliptic_bad_primes(f: IntPolynomial) -> BadPrimes:
@@ -175,16 +174,13 @@ def traces_at(polys: Sequence[IntPolynomial], p: int) -> list[int]:
     In a chain h(x), h(x^2), h(x^4) the last is a base, since its half is
     not one.
     """
-    # Keyed by coefficient tuples, which hash and compare in C: this runs at
-    # every prime, and IntPolynomial keys nearly doubled its cost for [D, f].
-    coeffs = [g.coeffs for g in polys]
-    halves = {c: c[::2] for c in coeffs if not any(c[1::2]) and c[::2] in coeffs}
-    halves = {c: h for c, h in halves.items() if h not in halves}
+    halves = {g: h for g in polys if not any(g.coeffs[1::2]) for h in polys if h.coeffs == g.coeffs[::2]}
+    halves = {g: h for g, h in halves.items() if h not in halves}
     loops = {}  # base -> (S, T) of its chunk loop
-    for g, c in zip(polys, coeffs):
-        if c not in halves and c not in loops:
-            loops[c] = _chunk_sums(g, p, c in halves.values())
-    sums = [sum(loops[halves[c]]) if c in halves else loops[c][0] for c in coeffs]
+    for g in polys:
+        if g not in halves and g not in loops:
+            loops[g] = _chunk_sums(g, p, g in halves.values())
+    sums = [sum(loops[halves[g]]) if g in halves else loops[g][0] for g in polys]
     return [-s - (legendre(g.lead, p) if g.degree % 2 == 0 else 0) for g, s in zip(polys, sums)]
 
 
@@ -366,13 +362,12 @@ def genus2_b(f: IntPolynomial, p: int, a: int) -> int:
     return b
 
 
-def normalized_angle(rec: TraceRecord) -> float:
-    """theta_p = arccos(a / 2 sqrt(p)) in [0, pi], genus-1 records only."""
-    if rec.genus != 1:
-        raise CurveError("normalized_angle is defined for genus-1 records")
-    z = rec.a / (2.0 * math.sqrt(rec.p))
+def normalized_angle(rec: tuple[int, int]) -> float:
+    """theta_p = arccos(a / 2 sqrt(p)) in [0, pi] of a genus-1 trace (p, a)."""
+    p, a = rec
+    z = a / (2.0 * math.sqrt(p))
     if abs(z) > 1.0:
-        raise AssertionError(f"Hasse bound violated at p={rec.p}: a={rec.a}")
+        raise AssertionError(f"Hasse bound violated at p={p}: a={a}")
     return math.acos(z)
 
 
@@ -394,4 +389,4 @@ def trace_oracle_exhaustive(c: CurveSpec, p: int) -> TraceRecord:
         infinity = 1
     else:
         infinity = sq[c.f.lead % p]
-    return TraceRecord(p, p + 1 - (affine + infinity), c.genus)
+    return TraceRecord(p, p + 1 - (affine + infinity))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 
 # The largest exponent the parser accepts, checked before int() reads the
 # exponent's digits and before the dense coefficient tuple is built: far above
@@ -37,42 +38,21 @@ class ParseError(PolynomialError):
         self.column = column
 
 
-class IntPolynomial:
+class IntPolynomial(namedtuple("IntPolynomial", "coeffs")):
     """Univariate polynomial with exact integer coefficients, constant term first.
 
-    Immutable: equal to, and hashed like, another IntPolynomial with the same
-    coefficients, so it keys the sweep engine's dicts; pickled by its
-    coefficients, so the worker processes receive it.
+    A 1-tuple of its trimmed coefficients: equal to, and hashed like, another
+    IntPolynomial with the same coefficients, so it keys the sweep engine's
+    dicts, and never equal to its coefficient tuple.
     """
 
-    __slots__ = ("coeffs",)
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, coeffs):
+    def __new__(cls, coeffs):
         c = tuple(int(v) for v in coeffs)
         while c and c[-1] == 0:
             c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"IntPolynomial is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"IntPolynomial is immutable: cannot delete {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not IntPolynomial:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.coeffs,))
-
-    def __reduce__(self):
-        return IntPolynomial, (self.coeffs,)
-
-    def __repr__(self) -> str:
-        return f"IntPolynomial(coeffs={self.coeffs!r})"
+        return super().__new__(cls, c)
 
     @property
     def degree(self) -> int:

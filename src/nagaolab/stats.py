@@ -14,7 +14,6 @@ import math
 from collections import namedtuple
 from typing import Callable, NamedTuple, Sequence
 
-from .curves import TraceRecord
 from .polynomials import IntPolynomial, parse_polynomial
 
 MOMENT_CLASSES = (1, 2, 4)
@@ -89,10 +88,6 @@ class STMeasure1D(namedtuple("STMeasure1D", "tag")):
         if self.tag == UNIFORM:
             return theta / math.pi
         return theta / (2.0 * math.pi) + (self.atom_mass if theta >= math.pi / 2 else 0.0)
-
-
-def st_measure(tag: str) -> STMeasure1D:
-    return STMeasure1D(tag)
 
 
 # -- Haar-measure oracles by adaptive Simpson quadrature ---------------------
@@ -177,8 +172,9 @@ class MomentReport(NamedTuple):
     zero_fraction: float
 
 
-def empirical_moments(traces: Sequence[TraceRecord]) -> MomentReport:
-    """Second/fourth moments of a_p/sqrt(p) and the exact zero fraction.
+def empirical_moments(traces: Sequence[tuple[int, int]]) -> MomentReport:
+    """Second/fourth moments of a_p/sqrt(p) and the exact zero fraction, over
+    the traces (p, a).
 
     Each moment is float(m / n) for the exact rational sum m of its n terms,
     rounded once, so the result does not depend on the order of the traces.
@@ -188,7 +184,7 @@ def empirical_moments(traces: Sequence[TraceRecord]) -> MomentReport:
     if not traces:
         raise ValueError("empirical_moments requires a nonempty trace sequence")
     s2 = s4 = zeros = 0
-    for p, a, _ in traces:
+    for p, a in traces:
         a2 = a * a
         s2 += (a2 << _K) // p
         s4 += (a2 * a2 << _K) // (p * p)
@@ -201,7 +197,7 @@ def empirical_moments(traces: Sequence[TraceRecord]) -> MomentReport:
 _K = 192
 
 
-def _certified_mean(s: int, traces: Sequence[TraceRecord], k: int) -> float:
+def _certified_mean(s: int, traces: Sequence[tuple[int, int]], k: int) -> float:
     """float(sum(a^2k / p^k) / n) over the n traces, correctly rounded, from
     s, the sum of the terms a^2k 2^K / p^k each floored to an integer.
 
@@ -219,7 +215,7 @@ def _certified_mean(s: int, traces: Sequence[TraceRecord], k: int) -> float:
         return mean
     from fractions import Fraction
 
-    return float(sum((Fraction(t.a ** (2 * k), t.p**k) for t in traces), Fraction(0)) / n)
+    return float(sum((Fraction(a ** (2 * k), p**k) for p, a in traces), Fraction(0)) / n)
 
 
 def ks_distance(angles: Sequence[float], measure: STMeasure1D) -> float:
@@ -239,7 +235,7 @@ def ks_distance(angles: Sequence[float], measure: STMeasure1D) -> float:
         if not cont:
             return atom_dev
         # continuous part of the limit law, renormalized, is uniform on [0, pi]
-        return max(atom_dev, ks_distance(cont, st_measure(UNIFORM)))
+        return max(atom_dev, ks_distance(cont, STMeasure1D(UNIFORM)))
     xs = sorted(angles)
     n = len(xs)
     d = 0.0

@@ -32,6 +32,32 @@ def nagao_reference(exact, grid):
     return out
 
 
+def _power_coeffs(fs, k, p, n):
+    """[h_0, ..., h_n] of h = f^k mod p, for f given by its coefficients fs
+    mod p, constant first, with fs[0] != 0 and n < p.
+
+    h satisfies f h' = k f' h; comparing coefficients of x^(m-1) gives
+    m f_0 h_m = sum_(i>=1) (k i - (m-i)) f_i h_(m-i), with h_0 = f_0^k:
+    O(n deg f) integer steps mod p, each dividing by an m < p.
+    """
+    inv_f0 = pow(fs[0], -1, p)
+    h = [pow(fs[0], k, p)]
+    terms = list(enumerate(fs))[1:]
+    for m in range(1, n + 1):
+        s = 0
+        for i, fi in terms:
+            if i > m:
+                break
+            s += (k * i - (m - i)) * fi * h[m - i]
+        h.append(s * pow(m, -1, p) % p * inv_f0 % p)
+    return h
+
+
+def _symmetric_residue(c, p):
+    c %= p
+    return c - p if c > p // 2 else c
+
+
 def genus1_trace_mod_p(f, p):
     """a_p of y^2 = f(x) for a cubic or quartic f, from the coefficient of
     x^(p-1) in f^((p-1)/2) mod p, as the symmetric residue in (-p/2, p/2).
@@ -40,24 +66,33 @@ def genus1_trace_mod_p(f, p):
     of x^(p-1) and x^(2(p-1)) in f^k.  For a cubic, f^k has no x^(2(p-1))
     term; for a quartic that term is lead^k = chi_p(lead), which cancels the
     point-at-infinity term, so in both a_p = c_(p-1) mod p.  With
-    |a_p| <= 2 sqrt(p) < p/2 for p > 16 the residue fixes a_p.
-
-    h = f^k satisfies f h' = k f' h; comparing coefficients of x^n gives
-    (n+1) f_0 h_(n+1) = sum_(i>=1) (k i - (n+1-i)) f_i h_(n+1-i), with
-    h_0 = f_0^k: O(p deg f) integer steps mod p.  Needs f(0) != 0 mod p.
+    |a_p| <= 2 sqrt(p) < p/2 for p > 16 the residue fixes a_p.  The
+    coefficient comes from ``_power_coeffs``.  Needs f(0) != 0 mod p.
     """
     fs = [c % p for c in f.coeffs]
     assert f.degree in (3, 4) and fs[0] != 0 and p > 16, (f, p)
-    k = (p - 1) // 2
-    inv_f0 = pow(fs[0], -1, p)
-    h = [pow(fs[0], k, p)]
-    terms = list(enumerate(fs))[1:]
-    for m in range(1, p):  # m = n + 1
-        s = 0
-        for i, fi in terms:
-            if i > m:
-                break
-            s += (k * i - (m - i)) * fi * h[m - i]
-        h.append(s * pow(m, -1, p) % p * inv_f0 % p)
-    c = h[p - 1]
-    return c - p if c > p // 2 else c
+    return _symmetric_residue(_power_coeffs(fs, (p - 1) // 2, p, p - 1)[p - 1], p)
+
+
+def genus2_trace_mod_p(f, p):
+    """a_p of y^2 = f(x) for a quintic or sextic f, as the symmetric residue
+    of c_(p-1) + c_(2p-2) mod p, where c_j is the coefficient of x^j in f^k,
+    k = (p-1)/2: the trace of the Hasse-Witt matrix.
+
+    Sum_x f(x)^k is minus c_(p-1) + c_(2p-2) + c_(3p-3).  A quintic's f^k
+    has degree below 3p-3; a sextic's c_(3p-3) is lead^k = chi_p(lead),
+    which cancels the point-at-infinity term.  With |a_p| <= 4 sqrt(p) < p/2
+    for p > 64 the residue fixes a_p.
+
+    c_(p-1) comes from ``_power_coeffs`` run from the bottom of f^k.
+    c_(2p-2) is the coefficient of x^(dk - 2(p-1)) in r^k, where
+    r(x) = x^d f(1/x) and d = deg f: the same recurrence run from the top,
+    to the index (d - 4)(p - 1)/2 < p, so no step divides by p.  Needs
+    f(0) != 0 mod p.
+    """
+    fs = [c % p for c in f.coeffs]
+    d, k = f.degree, (p - 1) // 2
+    assert d in (5, 6) and fs[0] != 0 and p > 64, (f, p)
+    bottom = _power_coeffs(fs, k, p, p - 1)[p - 1]
+    top = _power_coeffs(fs[::-1], k, p, d * k - 2 * (p - 1))[-1]
+    return _symmetric_residue(bottom + top, p)

@@ -17,7 +17,7 @@ from nagaolab.stats import (
     haar_second_moment,
     haar_second_moment_usp4,
     ks_distance,
-    st_measure,
+    STMeasure1D,
 )
 from nagaolab.twist import peterson_D, verify_factorization
 from nagaolab.cli import parse_mobius
@@ -117,9 +117,9 @@ def test_criterion_3_second_moments(poly, expected, cache_dir, artifacts, tmp_pa
 
 def test_criterion_4_haar_oracles():
     errs = [
-        abs(haar_second_moment(st_measure("sato-tate")) - 1.0),
-        abs(haar_second_moment(st_measure("uniform")) - 2.0),
-        abs(haar_second_moment(st_measure("half-uniform-dirac")) - 1.0),
+        abs(haar_second_moment(STMeasure1D("sato-tate")) - 1.0),
+        abs(haar_second_moment(STMeasure1D("uniform")) - 2.0),
+        abs(haar_second_moment(STMeasure1D("half-uniform-dirac")) - 1.0),
     ]
     err4 = abs(haar_second_moment_usp4() - 1.0)
     ok = max(errs) <= 1e-9 and err4 <= 1e-6
@@ -168,8 +168,8 @@ def test_criterion_6_cm_dichotomy(cache_dir):
         traces.append((p, a))
     vanishing_ok = all((a == 0) == (p % 4 == 3) for p, a in traces)
     zero_frac = sum(1 for _, a in traces if a == 0) / len(traces)
-    angles = [normalized_angle(TraceRecord(p, a, 1)) for p, a in traces if a != 0]
-    ks = ks_distance(angles, st_measure("uniform"))
+    angles = [normalized_angle(TraceRecord(p, a)) for p, a in traces if a != 0]
+    ks = ks_distance(angles, STMeasure1D("uniform"))
     ok = vanishing_ok and 0.49 <= zero_frac <= 0.51 and ks <= 0.02
     report(
         "criterion 6: CM trace dichotomy",

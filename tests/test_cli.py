@@ -776,7 +776,7 @@ PACKAGE_EXPORTS = [
     "legendre", "primes_in", "residue_table",
     "IntPolynomial", "ParseError", "parse_polynomial", "poly_to_str",
     "MomentReport", "STGroupRecord", "STMeasure1D", "empirical_moments", "haar_second_moment",
-    "haar_second_moment_usp4", "ks_distance", "load_st_table", "moment_class", "st_measure",
+    "haar_second_moment_usp4", "ks_distance", "load_st_table", "moment_class",
     "MobiusTransform", "NagaoSeries", "PetersonError", "TwistSurfaceSpec", "average_trace",
     "nagao_series", "peterson_D", "twist_surface", "verify_factorization",
 ]

@@ -34,7 +34,7 @@ from nagaolab.curves import (
 )
 from nagaolab.finite_field import legendre, poly_eval_all_mod, primes_in
 from nagaolab.polynomials import IntPolynomial, parse_polynomial
-from oracles import genus1_trace_mod_p
+from oracles import genus1_trace_mod_p, genus2_trace_mod_p
 
 
 def curve(s):
@@ -654,6 +654,29 @@ def test_genus1_trace_is_the_hasse_invariant_past_the_oracle(f, p):
     assert hyperelliptic_trace(f, p) == genus1_trace_mod_p(f, p)
 
 
+# Good primes past the exhaustive oracle; the sextic's lead 2 is a square mod
+# 10009 and not one mod 50021 or 100003.
+GENUS2_PAST_THE_ORACLE = [
+    ("x^5-x+1", 10007),
+    ("x^5-x+1", 100003),
+    ("x^5-x+1", 199999),
+    ("2*x^6+3*x^2+x+5", 10009),
+    ("2*x^6+3*x^2+x+5", 50021),
+    ("2*x^6+3*x^2+x+5", 100003),
+]
+
+
+@pytest.mark.parametrize("f, p", GENUS2_PAST_THE_ORACLE)
+def test_genus2_trace_is_the_hasse_witt_trace_past_the_oracle(f, p):
+    """a_p of a quintic or sextic equals the symmetric residue of the trace
+    c_(p-1) + c_(2p-2) of the Hasse-Witt matrix of f^((p-1)/2) mod p
+    (``oracles.genus2_trace_mod_p``), which fixes a_p for p > 64, where
+    parity and the Weil bound would pass a negated a_p."""
+    f = parse_polynomial(f)
+    assert p not in hyperelliptic_bad_primes(f)
+    assert hyperelliptic_trace(f, p) == genus2_trace_mod_p(f, p)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_even_polynomial_swept_with_its_half_evaluates_no_squares_path(tmp_path, monkeypatch, threads):
     """The Peterson D of a quintic f with f(0) = 1 and sigma = 1/x is f(T^2).
@@ -796,12 +819,11 @@ def test_l_polynomial_functional_equation():
 
 
 def test_normalized_angle():
-    assert normalized_angle(TraceRecord(7, 0, 1)) == pytest.approx(math.pi / 2)
-    assert normalized_angle(TraceRecord(5, 2, 1)) == pytest.approx(1.1071487, abs=1e-6)
+    assert normalized_angle(TraceRecord(7, 0)) == pytest.approx(math.pi / 2)
+    assert normalized_angle(TraceRecord(5, 2)) == pytest.approx(1.1071487, abs=1e-6)
+    assert normalized_angle((5, 2)) == normalized_angle(TraceRecord(5, 2))  # a plain pair
     with pytest.raises(AssertionError):
-        normalized_angle(TraceRecord(5, 5, 1))
-    with pytest.raises(CurveError):
-        normalized_angle(TraceRecord(5, 2, 2))
+        normalized_angle(TraceRecord(5, 5))
 
 
 def _two_curves(n_max):

@@ -22,7 +22,6 @@ from nagaolab.stats import (
     ks_distance,
     load_st_table,
     moment_class,
-    st_measure,
     usp4_expectation,
 )
 
@@ -49,7 +48,7 @@ def test_table_curves_land_in_their_moment_class():
     for row in load_st_table():
         c = curve_from_poly(row.example_curve)
         primes = good_primes(c.bad_primes, 10**4)
-        traces = [TraceRecord(p, a, c.genus) for p, (a,) in sweep_traces([c.f], primes)]
+        traces = [TraceRecord(p, a) for p, (a,) in sweep_traces([c.f], primes)]
         m2 = empirical_moments(traces).second_moment
         if moment_class(m2) != row.second_moment:
             wrong[row.name] = (row.second_moment, m2)
@@ -77,36 +76,34 @@ def test_table_class_sizes():
 
 def test_measures_total_mass_one():
     for tag in MEASURE_TAGS:
-        m = st_measure(tag)
+        m = STMeasure1D(tag)
         assert adaptive_simpson(m.density, 0.0, math.pi, 1e-10) + m.atom_mass == pytest.approx(1.0, abs=1e-9)
 
 
 def test_measure_is_its_tag():
-    """The constructor and the factory agree, every law has total mass 1 at
-    pi (the atom included), and an unknown tag is refused by both."""
+    """Every law has total mass 1 at pi (the atom included), and an unknown
+    tag is refused."""
     for tag in MEASURE_TAGS:
-        assert STMeasure1D(tag) == st_measure(tag)
         assert STMeasure1D(tag).cdf(math.pi) == pytest.approx(1.0, abs=1e-12)
     assert STMeasure1D(HALF_UNIFORM_DIRAC).cdf(math.pi) == 1.0
-    for make in (STMeasure1D, st_measure):
-        with pytest.raises(ValueError, match="unknown measure tag 'bogus'"):
-            make("bogus")
+    with pytest.raises(ValueError, match="unknown measure tag 'bogus'"):
+        STMeasure1D("bogus")
 
 
 def test_measure_cdfs():
-    m = st_measure(SATO_TATE)
+    m = STMeasure1D(SATO_TATE)
     assert m.cdf(0.0) == 0.0
     assert m.cdf(math.pi) == pytest.approx(1.0, abs=1e-12)
     assert m.cdf(math.pi / 2) == pytest.approx(0.5, abs=1e-12)
-    d = st_measure(HALF_UNIFORM_DIRAC)
+    d = STMeasure1D(HALF_UNIFORM_DIRAC)
     assert d.cdf(math.pi / 2 - 1e-9) == pytest.approx(0.25, abs=1e-6)
     assert d.cdf(math.pi / 2) == pytest.approx(0.75, abs=1e-6)
 
 
 def test_haar_second_moments_1d():
-    assert haar_second_moment(st_measure(SATO_TATE)) == pytest.approx(1.0, abs=1e-9)
-    assert haar_second_moment(st_measure(UNIFORM)) == pytest.approx(2.0, abs=1e-9)
-    assert haar_second_moment(st_measure(HALF_UNIFORM_DIRAC)) == pytest.approx(1.0, abs=1e-9)
+    assert haar_second_moment(STMeasure1D(SATO_TATE)) == pytest.approx(1.0, abs=1e-9)
+    assert haar_second_moment(STMeasure1D(UNIFORM)) == pytest.approx(2.0, abs=1e-9)
+    assert haar_second_moment(STMeasure1D(HALF_UNIFORM_DIRAC)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_haar_second_moment_usp4():
@@ -123,14 +120,14 @@ def test_usp4_density_normalized_and_odd_moment_zero():
 
 
 def test_empirical_moments_all_zero():
-    traces = [TraceRecord(p, 0, 1) for p in (5, 13, 17)]
+    traces = [TraceRecord(p, 0) for p in (5, 13, 17)]
     rep = empirical_moments(traces)
     assert rep.second_moment == 0.0
     assert rep.zero_fraction == 1.0
 
 
 def test_empirical_moments_single_record():
-    rep = empirical_moments([TraceRecord(5, 2, 1)])
+    rep = empirical_moments([TraceRecord(5, 2)])
     assert rep.second_moment == pytest.approx(4 / 5)
     assert rep.zero_fraction == 0.0
     assert rep.n_primes == 1
@@ -143,7 +140,7 @@ def test_empirical_moments_empty_rejected():
 
 def test_empirical_moments_permutation_invariant():
     rng = random.Random(5)
-    traces = [TraceRecord(p, rng.randrange(-4, 5), 1) for p in (5, 7, 11, 13, 17, 19)]
+    traces = [TraceRecord(p, rng.randrange(-4, 5)) for p in (5, 7, 11, 13, 17, 19)]
     rep1 = empirical_moments(traces)
     shuffled = traces[:]
     rng.shuffle(shuffled)
@@ -174,12 +171,13 @@ def hasse_traces(draw):
     genus = draw(st.sampled_from([1, 2]))
     ps = draw(st.lists(st.sampled_from(PRIMES), min_size=1, max_size=200, unique=True))
     bounds = [math.isqrt(4 * genus * genus * p) for p in ps]
-    return [TraceRecord(p, draw(st.integers(-b, b)), genus) for p, b in zip(ps, bounds)]
+    return [TraceRecord(p, draw(st.integers(-b, b))) for p, b in zip(ps, bounds)]
 
 
 @given(hasse_traces())
 def test_empirical_moments_equal_fraction_oracle(traces):
     assert moments_hex(traces) == fraction_moments(traces)
+    assert empirical_moments([(p, a) for p, a in traces]) == empirical_moments(traces)  # plain pairs
 
 
 def test_empirical_moments_fallback_equals_fraction_oracle(monkeypatch):
@@ -188,7 +186,7 @@ def test_empirical_moments_fallback_equals_fraction_oracle(monkeypatch):
     monkeypatch.setattr(stats_mod, "_K", 2)
     rng = random.Random(11)
     for size in (1, 2, 7, 300):
-        traces = [TraceRecord(p, rng.randint(-40, 40), 2) for p in rng.sample(PRIMES[100:], size)]
+        traces = [TraceRecord(p, rng.randint(-40, 40)) for p in rng.sample(PRIMES[100:], size)]
         n = len(traces)
         s = sum((t.a * t.a << 2) // t.p for t in traces)
         assert float(Fraction(s, n << 2)) != float(Fraction(s + n, n << 2))  # the fallback runs
@@ -201,7 +199,7 @@ def test_empirical_moments_fallback_equals_fraction_oracle(monkeypatch):
 def test_ks_quantile_samples_fit():
     n = 1000
     for tag in (SATO_TATE, UNIFORM):
-        m = st_measure(tag)
+        m = STMeasure1D(tag)
         # invert the CDF by bisection at the midpoints of a uniform grid
         samples = []
         for i in range(n):
@@ -218,7 +216,7 @@ def test_ks_quantile_samples_fit():
 
 
 def test_ks_constant_sample_vs_sato_tate():
-    d = ks_distance([math.pi / 2] * 100, st_measure(SATO_TATE))
+    d = ks_distance([math.pi / 2] * 100, STMeasure1D(SATO_TATE))
     assert d >= 0.4  # CDF at pi/2 is exactly 1/2, sup gap 1/2
 
 
@@ -227,16 +225,16 @@ def test_ks_dirac_split():
     n = 500
     cont = [(i + 0.5) / n * math.pi for i in range(n)]
     sample = cont + [math.pi / 2] * n
-    d = ks_distance(sample, st_measure(HALF_UNIFORM_DIRAC))
+    d = ks_distance(sample, STMeasure1D(HALF_UNIFORM_DIRAC))
     assert d <= 1.0 / n + 1e-6
     # atom mass wildly off -> large distance
-    d2 = ks_distance([math.pi / 2] * 100, st_measure(HALF_UNIFORM_DIRAC))
+    d2 = ks_distance([math.pi / 2] * 100, STMeasure1D(HALF_UNIFORM_DIRAC))
     assert d2 == pytest.approx(0.5)
 
 
 def test_ks_empty_rejected():
     with pytest.raises(ValueError):
-        ks_distance([], st_measure(UNIFORM))
+        ks_distance([], STMeasure1D(UNIFORM))
 
 
 # -- classification ----------------------------------------------------------
@@ -250,7 +248,7 @@ def test_genus1_group_moments_are_haar_moments():
     tags = {"SU(2)": SATO_TATE, "N(U(1))": HALF_UNIFORM_DIRAC, "U(1)": UNIFORM}
     assert [name for name, _ in GENUS1_GROUPS] == list(tags)
     for name, moment in GENUS1_GROUPS:
-        assert moment == round(haar_second_moment(st_measure(tags[name]))), name
+        assert moment == round(haar_second_moment(STMeasure1D(tags[name]))), name
 
 
 def test_moment_class_stability_at_centers():
