@@ -23,8 +23,8 @@ import numpy as np
 import pytest
 
 from nagaolab import finite_field
-from nagaolab.curves import TraceRecord, char_sum, hyperelliptic_trace, traces_at
-from nagaolab.finite_field import legendre, poly_eval_all_mod, primes_in, residue_table
+from nagaolab.curves import TraceRecord, hyperelliptic_trace, traces_at
+from nagaolab.finite_field import char_sum, legendre, poly_eval_all_mod, primes_in, residue_table
 from nagaolab.polynomials import parse_polynomial
 from nagaolab.stats import empirical_moments
 

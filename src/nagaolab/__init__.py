@@ -10,14 +10,13 @@ from .curves import (
     BadPrimes,
     CurveSpec,
     TraceRecord,
-    char_sum,
     curve_from_poly,
     hyperelliptic_trace,
     normalized_angle,
     sweep_traces,
     trace_oracle_exhaustive,
 )
-from .finite_field import legendre, primes_in, residue_table
+from .finite_field import char_sum, legendre, primes_in, residue_table
 from .polynomials import IntPolynomial, ParseError, parse_polynomial, poly_to_str
 from .stats import (
     MomentReport,

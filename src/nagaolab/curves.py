@@ -20,9 +20,7 @@ from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cache import TraceCache
-from .finite_field import (
-    INT32_MAX_P, CapExceededError, chunk_len, int32_ks, legendre, poly_eval_all_mod, primes_in, residue_table
-)
+from .finite_field import CapExceededError, char_sums, legendre, primes_in, residue_table
 from .polynomials import IntPolynomial, PolynomialError
 
 DEFAULT_LPOLY_CAP = 10**4
@@ -91,68 +89,6 @@ def curve_from_poly(f: IntPolynomial) -> CurveSpec:
     return CurveSpec(f, genus, hyperelliptic_bad_primes(f))
 
 
-def char_sum(g: IntPolynomial, p: int) -> int:
-    """sum_x chi_p(g(x)) over x = 0..p-1, gathered from the residue table of p.
-
-    Split g(x) = e(x^2) + x o(x^2).  For k = 1..(p-1)/2 and s = k^2, let
-    E = e(s) and O = k o(s), reduced mod p; then g(k) = E + O and
-    g(-k) = E - O, and the sum is chi(g(0)) + sum_k (chi[E + O - p] + chi[E - O]).
-    Both indices lie in [-p, p), where the table's ``chi`` reads chi of the
-    residue.  e and o have half the degree of g and are evaluated at the
-    (p-1)/2 entries of its ``squares``, 64 KiB of lanes at a time
-    (``chunk_len``).  When o = 0 the sum is chi(g(0)) + 2 sum_k chi[E].
-    """
-    return _chunk_sums(g, p, False)[0]
-
-
-def _chunk_sums(g: IntPolynomial, p: int, twisted: bool) -> tuple[int, int]:
-    """The chunk loop of ``char_sum``: (S, T) with S = sum_x chi_p(g(x)) and,
-    when ``twisted``, T = sum_{u != 0} chi_p(u) chi_p(g(u)), else T = 0.
-
-    S + T = sum_t chi_p(g(t^2)), since t^2 = u has 1 + chi_p(u) roots t.
-    chi(k) for k = 1..(p-1)/2 is the slice chi[1 : (p+1)/2] and
-    chi(-k) = chi(-1) chi(k), so T = sum_k chi(k) (chi[E + O - p] + chi(-1) chi[E - O]),
-    and (1 + chi(-1)) sum_k chi(k) chi[E] when o = 0.
-
-    Every lane has the dtype of the table's squares, int32 up to
-    INT32_MAX_P and int64 above (``ResidueTable``); k is a slice of the
-    shared int32 k of ``int32_ks`` there and an int64 arange per chunk
-    above.  The gather indices are widened to intp, and each chunk's int8
-    values are summed in int32.
-    """
-    import numpy as np
-
-    chi, squares = residue_table(p)
-    even, odd = g.coeffs[::2], g.coeffs[1::2]
-    ks = int32_ks()[0] if p <= INT32_MAX_P else None
-    step = chunk_len(squares)
-    minus = p % 4 == 3  # chi(-1) = -1
-    total = twist = 0
-    for i in range(0, len(squares), step):
-        s = squares[i : i + step]
-        if any(odd):
-            o = poly_eval_all_mod(odd, p, s)
-            o *= np.arange(i + 1, i + 1 + len(s), dtype=s.dtype) if ks is None else ks[i : i + len(s)]
-            o -= o // p * p
-            e = poly_eval_all_mod(even, p, s)
-            neg = chi[(e - o).astype(np.intp, copy=False)]
-            e += o
-            e -= p
-            pos = chi[e.astype(np.intp, copy=False)]
-            w = pos + neg
-            total += int(w.sum(dtype=np.int32))
-            if twisted:
-                if minus:
-                    w = pos - neg
-                twist += int((chi[i + 1 : i + 1 + len(s)] * w).sum(dtype=np.int32))
-        else:
-            v = chi[poly_eval_all_mod(even, p, s).astype(np.intp, copy=False)]
-            total += 2 * int(v.sum(dtype=np.int32))
-            if twisted and not minus:
-                twist += 2 * int((chi[i + 1 : i + 1 + len(s)] * v).sum(dtype=np.int32))
-    return legendre(g(0), p) + total, twist
-
-
 def hyperelliptic_trace(f: IntPolynomial, p: int) -> int:
     """Trace of Frobenius of the smooth projective model of y^2 = f(x) at a good p.
 
@@ -168,18 +104,18 @@ def traces_at(polys: Sequence[IntPolynomial], p: int) -> list[int]:
     one p.  No Weil check here: at a bad p, where ``hyperelliptic_trace`` is
     called too, |a| can pass 2 g sqrt(p).
 
-    Each base polynomial runs its chunk loop once.  An even g(x) = h(x^2)
+    Each base polynomial runs ``char_sums`` once.  An even g(x) = h(x^2)
     whose half h is in ``polys`` too is not a base: sum_t chi_p(g(t)) = S + T
-    from h's twisted loop (``_chunk_sums``), and only such an h computes T.
+    from h's twisted sums, and only such an h computes T.
     In a chain h(x), h(x^2), h(x^4) the last is a base, since its half is
     not one.
     """
     halves = {g: h for g in polys if not any(g.coeffs[1::2]) for h in polys if h.coeffs == g.coeffs[::2]}
     halves = {g: h for g, h in halves.items() if h not in halves}
-    loops = {}  # base -> (S, T) of its chunk loop
+    loops = {}  # base -> its (S, T)
     for g in polys:
         if g not in halves and g not in loops:
-            loops[g] = _chunk_sums(g, p, g in halves.values())
+            loops[g] = char_sums(g, p, g in halves.values())
     sums = [sum(loops[halves[g]]) if g in halves else loops[g][0] for g in polys]
     return [-s - (legendre(g.lead, p) if g.degree % 2 == 0 else 0) for g, s in zip(polys, sums)]
 
@@ -272,7 +208,7 @@ def sweep_traces(
     computed once.  A polynomial g with no odd-degree term whose half h,
     g(x) = h(x^2), is swept too (the Peterson D of ``factor-check`` and
     ``nagao`` when D's half is f) is not evaluated where both miss: h's
-    chunk loop also returns T = sum_{u != 0} chi_p(u) chi_p(h(u)), and
+    ``char_sums`` also returns T = sum_{u != 0} chi_p(u) chi_p(h(u)), and
     sum_t chi_p(g(t)) = sum_u chi_p(h(u)) + T (``traces_at``).  Where only g
     misses, it is evaluated on its own, as is every g whose half is not
     swept.  The cache of each polynomial (caches are matched through

@@ -1,20 +1,20 @@
-"""Modular arithmetic substrate: prime ranges and the quadratic character.
+"""Prime ranges, the quadratic character and the chi-sum kernel mod p.
 
 Everything here works with plain Python integers (exact) plus numpy tables on
 the performance path.  ``legendre`` is the one scalar character; a
 ``ResidueTable`` serves only vector gathers, chi_p at a whole array of
 residues at once.  ``residue_table`` alone decides when a table is built and
 how long it lives: it keeps the last one, read-only, for every caller at
-that p.  Nothing is factored: a curve's bad primes are a
-divisibility test (``curves.BadPrimes``).
+that p; ``char_sums``, the one kernel, sums chi_p(g) over one.  Nothing is
+factored: a curve's bad primes are a divisibility test (``curves.BadPrimes``).
 All primes handled downstream are odd; ``primes_in`` itself still reports 2
 when it lies in the requested range and callers filter.  One cap, N_HARD_CAP,
 bounds the sieve and the residue tables, and so every sweep.
 
-numpy is imported by the functions that build arrays (``int32_ks``,
-``_residue_table`` and ``poly_eval_all_mod``), not by this module: the sieve
-and the character are pure Python, so a run whose traces all come from the
-cache never loads it.
+numpy is imported by the functions that build or read arrays (``int32_ks``,
+``_residue_table``, ``poly_eval_all_mod`` and ``char_sums``), not by this
+module: the sieve and the character are pure Python, so a run whose traces
+all come from the cache never loads it.
 """
 
 from __future__ import annotations
@@ -29,21 +29,24 @@ from typing import TYPE_CHECKING, NamedTuple
 if TYPE_CHECKING:
     import numpy as np
 
+    from .polynomials import IntPolynomial
+
 N_HARD_CAP = 10**7
 
 # The largest prime with p^2 - 1 < 2^31: up to it the squares of a residue
-# table, and so every lane of the chunk loop, are int32; above it int64.
+# table, and so every lane of ``char_sums``, are int32; above it int64.
 INT32_MAX_P = 46337
 
-# Entries per pass of the array kernels over the (p-1)/2 squares on int32
-# lanes; ``chunk_len`` gives every lane width the same 64 KiB, so int64 lanes
-# take CHUNK // 2.  A pass of lanes stays in cache however large p is.  With
-# 16384 entries an int64 pass (128 KiB) page-faulted: in a fresh process one
-# char_sum at p = 9999991 took 15180 minor faults and 20 % longer than with
-# 8192.  The intp gather indices of an int32 pass are 128 KiB too, but there
-# a sweep stays near one fault per prime: the table build maps and frees a
-# larger intp copy at each p, which raises glibc's mmap threshold.  On int32
-# lanes a prime p > 2 CHUNK + 1 takes two passes or more.
+# Entries per pass of ``char_sums`` and ``_residue_table`` over the (p-1)/2
+# squares on int32 lanes; ``chunk_len`` gives every lane width the same
+# 64 KiB, so int64 lanes take CHUNK // 2.  A pass stays in cache however
+# large p is.  With 16384 entries an int64 pass (128 KiB) page-faulted: in a
+# fresh process one char_sum at p = 9999991 took 15180 minor faults and 20 %
+# longer than with 8192.  The intp gather indices of an int32 pass are
+# 128 KiB too, but there a sweep stays near one fault per prime: the table
+# build maps and frees a larger intp copy at each p, which raises glibc's
+# mmap threshold.  On int32 lanes a prime p > 2 CHUNK + 1 takes two passes
+# or more.
 CHUNK = 1 << 14
 
 
@@ -108,7 +111,7 @@ class ResidueTable(NamedTuple):
     reads chi of its residue.  ``squares`` is the array k^2 mod p for
     k = 1..(p-1)/2, each nonzero square once, int32 for p <= INT32_MAX_P and
     int64 above: p + w (p-1)/2 bytes in all, w = 4 or 8.  Its dtype is the
-    lane width of the chunk loop at p.  Read-only: every caller at one p
+    lane width of ``char_sums`` at p.  Read-only: every caller at one p
     gets the same table.
     """
 
@@ -128,8 +131,8 @@ def int32_ks() -> tuple[np.ndarray, np.ndarray]:
     """(k, k^2) for k = 1..INT32_MAX_P // 2, as read-only int32 arrays.
 
     Built on first use and kept for the process: 181 KiB that every prime
-    on int32 lanes slices, so neither ``_residue_table`` nor a chunk of the
-    kernel makes its own arange.  k^2 < INT32_MAX_P^2 / 4 fits int32.
+    on int32 lanes slices, so neither ``_residue_table`` nor a pass of
+    ``char_sums`` makes its own arange.  k^2 < INT32_MAX_P^2 / 4 fits int32.
     """
     import numpy as np
 
@@ -219,3 +222,59 @@ def poly_eval_all_mod(coeffs, p: int, x: np.ndarray) -> np.ndarray:
     if bound >= p:
         v -= v // p * p
     return v
+
+
+def char_sum(g: IntPolynomial, p: int) -> int:
+    """sum_x chi_p(g(x)) over x = 0..p-1, from the residue table of p (``char_sums``)."""
+    return char_sums(g, p, False)[0]
+
+
+def char_sums(g: IntPolynomial, p: int, twisted: bool) -> tuple[int, int]:
+    """(S, T) with S = sum_x chi_p(g(x)) over x = 0..p-1 and, when ``twisted``,
+    T = sum_{u != 0} chi_p(u) chi_p(g(u)), else T = 0.
+
+    S + T = sum_t chi_p(g(t^2)), since t^2 = u has 1 + chi_p(u) roots t.
+    Split g(x) = e(x^2) + x o(x^2).  For k = 1..(p-1)/2 and s = k^2, let
+    E = e(s) and O = k o(s), reduced mod p; then g(+-k) = E +- O, so
+    S = chi(g(0)) + sum_k (chi[E + O - p] + chi[E - O]), both indices in
+    [-p, p), where ``chi`` reads chi of the residue.  chi(k) is the slice
+    chi[1 : (p+1)/2] and chi(-k) = chi(-1) chi(k), so
+    T = sum_k chi(k) (chi[E + O - p] + chi(-1) chi[E - O]).  When o = 0,
+    S = chi(g(0)) + 2 sum_k chi[E] and T = (1 + chi(-1)) sum_k chi(k) chi[E].
+
+    e and o are evaluated at the table's ``squares``, ``chunk_len`` at a
+    time, so every lane has the squares' dtype: on int32 lanes k is a slice
+    of the shared k of ``int32_ks``, on int64 lanes an arange per chunk.
+    Gathers index with intp, and each chunk's int8 values sum in int32.
+    """
+    import numpy as np
+
+    chi, squares = residue_table(p)
+    even, odd = g.coeffs[::2], g.coeffs[1::2]
+    ks = int32_ks()[0] if squares.itemsize == 4 else None
+    step = chunk_len(squares)
+    minus = p % 4 == 3  # chi(-1) = -1
+    total = twist = 0
+    for i in range(0, len(squares), step):
+        s = squares[i : i + step]
+        if any(odd):
+            o = poly_eval_all_mod(odd, p, s)
+            o *= np.arange(i + 1, i + 1 + len(s), dtype=s.dtype) if ks is None else ks[i : i + len(s)]
+            o -= o // p * p
+            e = poly_eval_all_mod(even, p, s)
+            neg = chi[(e - o).astype(np.intp, copy=False)]
+            e += o
+            e -= p
+            pos = chi[e.astype(np.intp, copy=False)]
+            w = pos + neg
+            total += int(w.sum(dtype=np.int32))
+            if twisted:
+                if minus:
+                    w = pos - neg
+                twist += int((chi[i + 1 : i + 1 + len(s)] * w).sum(dtype=np.int32))
+        else:
+            v = chi[poly_eval_all_mod(even, p, s).astype(np.intp, copy=False)]
+            total += 2 * int(v.sum(dtype=np.int32))
+            if twisted and not minus:
+                twist += 2 * int((chi[i + 1 : i + 1 + len(s)] * v).sum(dtype=np.int32))
+    return legendre(g(0), p) + total, twist

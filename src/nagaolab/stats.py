@@ -11,6 +11,8 @@ predicted generic rank of the self-twist surface f(T) y^2 = f(x).
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from typing import Callable, NamedTuple, Sequence
 
@@ -225,24 +227,27 @@ def ks_distance(angles: Sequence[float], measure: STMeasure1D) -> float:
     samples that sit exactly on the atom (theta = pi/2, i.e. a_p = 0), and the
     atom's mass mismatch |fraction at pi/2 - mass| enters as a separate term;
     the reported distance is the max of the two.
+
+    One sort and two reductions over the CDF values F_i: (i+1)/n - F_i >= i/n - F_i,
+    so max(F_i - i/n, (i+1)/n - F_i) is the larger of their absolute values.
     """
     if len(angles) == 0:
         raise ValueError("ks_distance requires a nonempty sample")
+    xs = sorted(angles)
+    atom_dev = 0.0
     if measure.atom_mass > 0.0:
-        half_pi = math.pi / 2
-        cont = [t for t in angles if t != half_pi]
-        atom_dev = abs((len(angles) - len(cont)) / len(angles) - measure.atom_mass)
-        if not cont:
+        # the atom's samples are a run of the sorted list
+        lo, hi = bisect_left(xs, math.pi / 2), bisect_right(xs, math.pi / 2)
+        atom_dev = abs((hi - lo) / len(xs) - measure.atom_mass)
+        del xs[lo:hi]
+        if not xs:
             return atom_dev
         # continuous part of the limit law, renormalized, is uniform on [0, pi]
-        return max(atom_dev, ks_distance(cont, STMeasure1D(UNIFORM)))
-    xs = sorted(angles)
+        measure = STMeasure1D(UNIFORM)
     n = len(xs)
-    d = 0.0
-    for i, x in enumerate(xs):
-        fx = measure.cdf(x)
-        d = max(d, abs(i / n - fx), abs((i + 1) / n - fx))
-    return d
+    steps = [i / n for i in range(n + 1)]
+    cdf = list(map(measure.cdf, xs))
+    return max(atom_dev, max(map(operator.sub, cdf, steps)), max(map(operator.sub, steps[1:], cdf)))
 
 
 # -- classification --------------------------------------------------------

@@ -96,3 +96,35 @@ def genus2_trace_mod_p(f, p):
     bottom = _power_coeffs(fs, k, p, p - 1)[p - 1]
     top = _power_coeffs(fs[::-1], k, p, d * k - 2 * (p - 1))[-1]
     return _symmetric_residue(bottom + top, p)
+
+
+def ks_distance_loop(angles, measure):
+    """Kolmogorov-Smirnov distance between the empirical angle law and a measure.
+
+    For the atom-carrying measure the continuous part is compared after removing
+    samples that sit exactly on the atom (theta = pi/2, i.e. a_p = 0), and the
+    atom's mass mismatch |fraction at pi/2 - mass| enters as a separate term;
+    the reported distance is the max of the two.
+
+    The running-max loop that ``stats.ks_distance`` replaced, kept as its
+    reference; only its recursive call is renamed.
+    """
+    from nagaolab.stats import UNIFORM, STMeasure1D
+
+    if len(angles) == 0:
+        raise ValueError("ks_distance requires a nonempty sample")
+    if measure.atom_mass > 0.0:
+        half_pi = math.pi / 2
+        cont = [t for t in angles if t != half_pi]
+        atom_dev = abs((len(angles) - len(cont)) / len(angles) - measure.atom_mass)
+        if not cont:
+            return atom_dev
+        # continuous part of the limit law, renormalized, is uniform on [0, pi]
+        return max(atom_dev, ks_distance_loop(cont, STMeasure1D(UNIFORM)))
+    xs = sorted(angles)
+    n = len(xs)
+    d = 0.0
+    for i, x in enumerate(xs):
+        fx = measure.cdf(x)
+        d = max(d, abs(i / n - fx), abs((i + 1) / n - fx))
+    return d

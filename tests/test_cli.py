@@ -752,13 +752,13 @@ def test_thread_count_determinism_small(tmp_path):
 
 def test_warm_self_twist_builds_no_residue_table(tmp_path, monkeypatch):
     tables = []
-    real = curves_mod.residue_table
+    real = ff_mod.residue_table
 
     def counted(p, *args):
         tables.append(p)
         return real(p, *args)
 
-    monkeypatch.setattr(curves_mod, "residue_table", counted)
+    monkeypatch.setattr(ff_mod, "residue_table", counted)
     base = dict(f="T^3+T", N=2000, grid="500,2000", cache_dir=str(tmp_path / "cache"))
     assert run(cfg("nagao", output=str(tmp_path / "cold.csv"), **base)) == EXIT_OK
     assert tables  # the cold run computed its traces

@@ -21,7 +21,6 @@ from nagaolab.curves import (
     CurveError,
     CurveSpec,
     TraceRecord,
-    char_sum,
     curve_from_poly,
     genus2_b,
     good_primes,
@@ -32,7 +31,7 @@ from nagaolab.curves import (
     trace_oracle_exhaustive,
     traces_at,
 )
-from nagaolab.finite_field import legendre, poly_eval_all_mod, primes_in
+from nagaolab.finite_field import char_sum, char_sums, legendre, poly_eval_all_mod, primes_in
 from nagaolab.polynomials import IntPolynomial, parse_polynomial
 from oracles import genus1_trace_mod_p, genus2_trace_mod_p
 
@@ -210,7 +209,7 @@ INT64_PRIMES = [46349, 46351]
     st.data(),
 )
 def test_twisted_chunk_sums_match_scalar_oracle(p, degree, parity, data):
-    """The twisted sum T = sum_{u != 0} chi(u) chi(h(u)) of h's chunk loop,
+    """The twisted sum T = sum_{u != 0} chi(u) chi(h(u)) of ``char_sums``,
     at p = 1 and 3 mod 4, past one CHUNK of squares (p = 32771, 32789) and
     on int64 lanes (p = 46349, 46351)."""
     assert all((q - 1) // 2 > ff_mod.CHUNK for q in TWO_CHUNK_PRIMES)  # else a larger CHUNK drops the coverage
@@ -226,7 +225,7 @@ def test_twisted_chunk_sums_match_scalar_oracle(p, degree, parity, data):
     elif parity == "lead = 0 mod p":
         coeffs[degree] = p * data.draw(st.integers(1, 10**4))
     h = IntPolynomial(tuple(coeffs))
-    s, t = curves_mod._chunk_sums(h, p, True)
+    s, t = char_sums(h, p, True)
     assert s == _chi_sum_oracle(h, p)
     assert t == sum(legendre(u, p) * legendre(h(u) % p, p) for u in range(1, p))
     assert s + t == _chi_sum_oracle(IntPolynomial(tuple(c for a in h.coeffs for c in (a, 0))), p)
@@ -248,7 +247,7 @@ def test_chunk_sums_across_the_lane_boundary(p, degree, data):
     coeffs[degree] = coeffs[degree] or 1
     g = IntPolynomial(tuple(coeffs))
     chi_g = [legendre(g(x) % p, p) for x in range(p)]
-    s, t = curves_mod._chunk_sums(g, p, True)
+    s, t = char_sums(g, p, True)
     assert s == sum(chi_g)
     assert t == sum(legendre(u, p) * chi_g[u] for u in range(1, p))
 
@@ -507,11 +506,11 @@ def test_traces_at_matches_oracle_with_one_loop_per_base(h, data):
         derived[h4] = h2
     want_loops = Counter((b, b in derived.values()) for b in set(polys) if b not in derived)
     primes = good_primes(reduce(operator.or_, map(hyperelliptic_bad_primes, polys)), 300)
-    real = curves_mod._chunk_sums
+    real = char_sums
     for p in data.draw(st.lists(st.sampled_from(primes), min_size=1, max_size=3, unique=True)):
         loops = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(curves_mod, "_chunk_sums", lambda g, q, tw: loops.append((g, tw)) or real(g, q, tw))
+            mp.setattr(curves_mod, "char_sums", lambda g, q, tw: loops.append((g, tw)) or real(g, q, tw))
             got = traces_at(polys, p)
         assert got == [_oracle(g, p) for g in polys], (polys, p)
         assert Counter(loops) == want_loops
@@ -687,14 +686,14 @@ def test_even_polynomial_swept_with_its_half_evaluates_no_squares_path(tmp_path,
     primes = good_primes(hyperelliptic_bad_primes(f) | hyperelliptic_bad_primes(D), 2000)
     # Each evaluation appends its coefficients to a file, which forked workers reach too.
     log = tmp_path / "evals.log"
-    real = curves_mod.poly_eval_all_mod
+    real = ff_mod.poly_eval_all_mod
 
     def logged(coeffs, p, x):
         with open(log, "a") as fh:
             fh.write(f"{tuple(coeffs)}\n")
         return real(coeffs, p, x)
 
-    monkeypatch.setattr(curves_mod, "poly_eval_all_mod", logged)
+    monkeypatch.setattr(ff_mod, "poly_eval_all_mod", logged)
     paired = list(sweep_traces([D, f], primes, threads))
     evaluated = set(log.read_text().splitlines())
     assert str(D.coeffs[::2]) not in evaluated and str(f.coeffs[::2]) in evaluated
@@ -712,13 +711,13 @@ def test_weil_guard_covers_the_value_derived_from_the_half(tmp_path, monkeypatch
     f, D = parse_polynomial("x^5+2*x^4+3*x^3+3*x^2+2*x+1"), PETERSON_D
     primes = good_primes(hyperelliptic_bad_primes(f) | hyperelliptic_bad_primes(D), 300)
     bad_p = primes[5]  # in the second block
-    real = curves_mod._chunk_sums
+    real = char_sums
 
     def corrupted(g, p, twisted):
         s, t = real(g, p, twisted)
         return (s, t + 100 * p) if twisted and p == bad_p else (s, t)
 
-    monkeypatch.setattr(curves_mod, "_chunk_sums", corrupted)
+    monkeypatch.setattr(curves_mod, "char_sums", corrupted)
     caches = [TraceCache(tmp_path, g) for g in (D, f)]
     with pytest.raises(AssertionError, match=f"Weil bound violated at p={bad_p}: a=-?\\d+, genus 4 "):
         list(sweep_traces([D, f], primes, threads, caches))
@@ -848,8 +847,8 @@ def test_fully_warm_sweep_only_reads_its_cache(tmp_path, monkeypatch, threads):
 
         return call
 
-    for name in ("_fill", "residue_table", "_process_pool"):
-        monkeypatch.setattr(curves_mod, name, forbidden(name))
+    for mod, name in ((curves_mod, "_fill"), (ff_mod, "residue_table"), (curves_mod, "_process_pool")):
+        monkeypatch.setattr(mod, name, forbidden(name))
     monkeypatch.setattr(TraceCache, "append", forbidden("TraceCache.append"))
     caches = [TraceCache(tmp_path, g) for g in polys]
     assert list(sweep_traces(polys, primes, threads, caches)) == want

@@ -40,6 +40,8 @@ CASES = {
         ["x^2+3"],
     ),
     "moments-g1": (["moments", "--f", "x^3+x+1", "--N", "1500"], []),
+    # CM: a_p = 0 at every p = 3 mod 4, so about half the angles sit on the atom at pi/2
+    "moments-g1-cm": (["moments", "--f", "x^3+x", "--N", "1500"], []),
     "moments-g2": (["moments", "--f", "x^5-x+1", "--N", "1500"], []),
     # p <= 46337 runs on int32 lanes, p >= 46349 on int64: N crosses both
     "moments-g2-lanes": (["moments", "--f", "x^5-x+1", "--N", "46500"], []),

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from nagaolab.curves import char_sum, hyperelliptic_trace
+from nagaolab.curves import hyperelliptic_trace
+from nagaolab.finite_field import char_sum
 from nagaolab.finite_field import primes_in
 from nagaolab.polynomials import parse_polynomial
 from nagaolab.twist import nagao_series, twist_surface

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import nagaolab.stats as stats_mod
 from nagaolab.curves import TraceRecord, curve_from_poly, good_primes, sweep_traces
@@ -24,6 +24,7 @@ from nagaolab.stats import (
     moment_class,
     usp4_expectation,
 )
+from oracles import ks_distance_loop
 
 
 # -- table -------------------------------------------------------------------
@@ -235,6 +236,28 @@ def test_ks_dirac_split():
 def test_ks_empty_rejected():
     with pytest.raises(ValueError):
         ks_distance([], STMeasure1D(UNIFORM))
+
+
+_ANGLE = st.floats(0.0, math.pi, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    angles=st.one_of(
+        st.lists(_ANGLE, min_size=1, max_size=60),  # random angles, unsorted
+        st.lists(st.one_of(_ANGLE, st.just(math.pi / 2)), min_size=1, max_size=60),  # a share on the atom
+        st.integers(1, 40).map(lambda n: [math.pi / 2] * n),  # every angle on the atom
+        _ANGLE.map(lambda t: [t]),  # a single angle
+    ),
+    tag=st.sampled_from(MEASURE_TAGS),
+)
+def test_ks_distance_equals_the_running_max_loop(angles, tag):
+    """The two reductions over one sorted sample give the loop's double exactly."""
+    m = STMeasure1D(tag)
+    want = ks_distance_loop(angles, m)
+    assert ks_distance(angles, m) == want
+    assert ks_distance(sorted(angles), m) == want
+    assert ks_distance(sorted(angles, reverse=True), m) == want
 
 
 # -- classification ----------------------------------------------------------

@@ -10,11 +10,10 @@ from nagaolab.curves import (
     BadPrimeError,
     CapExceededError,
     CurveError,
-    char_sum,
     curve_from_poly,
     hyperelliptic_trace,
 )
-from nagaolab.finite_field import primes_in
+from nagaolab.finite_field import char_sum, primes_in
 from nagaolab.polynomials import IntPolynomial, PolynomialError, parse_polynomial
 from nagaolab.twist import (
     MAX_D_DEGREE,
