@@ -15,15 +15,16 @@ crash: it is dropped, and the file is truncated after the last newline.  A
 file that holds only the start of its header is a header write cut short:
 it is removed and counts as absent.  A file whose header or fingerprint does
 not match the requesting curve, or whose records are out of order, malformed
-(a byte that is not UTF-8 included) or outside the Weil bound a^2 <= 4 g^2 p
-(g = (deg f - 1) // 2), is quarantined (renamed with a .corrupt suffix) and a
-CacheCorruptError is raised.
+(a byte that is not ASCII, or a line break other than LF, included) or
+outside the Weil bound a^2 <= 4 g^2 p (g = (deg f - 1) // 2), is quarantined
+(renamed with a .corrupt suffix) and a CacheCorruptError is raised.
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING
+from contextlib import suppress
+from typing import TYPE_CHECKING, NoReturn
 
 from .polynomials import IntPolynomial
 
@@ -55,14 +56,6 @@ def cache_path(cache_dir: str | os.PathLike, f: IntPolynomial) -> Path:
     return Path(cache_dir) / f"trace_{deg}_{digest}.txt"
 
 
-def _quarantine(path: Path) -> None:
-    target = path.with_suffix(path.suffix + ".corrupt")
-    try:
-        path.rename(target)
-    except OSError:
-        pass
-
-
 class TraceCache:
     """Cached a_p values for one curve.  Single-writer: only the process that
     runs the sweep calls append(), never a forked worker."""
@@ -75,36 +68,45 @@ class TraceCache:
         if self.path.exists():
             self._load()
 
-    def _fail(self, reason: str):
-        _quarantine(self.path)
+    def quarantine(self, reason: str) -> NoReturn:
+        """Rename the file with a .corrupt suffix and raise CacheCorruptError."""
+        with suppress(OSError):
+            self.path.rename(self.path.with_suffix(self.path.suffix + ".corrupt"))
         raise CacheCorruptError(self.path, reason)
 
     def _load(self) -> None:
+        import io
+
         data = self.path.read_bytes()
         header = _header(self.poly).encode()
         if header.startswith(data) and data != header:  # a header write cut short
             self.path.unlink(missing_ok=True)
             return
         end = data.rfind(b"\n") + 1  # past the last complete line
-        lines = data[:end].decode(errors="replace").splitlines()
-        if not lines or lines[0] != HEADER:
-            self._fail("bad header")
-        if len(lines) < 2 or lines[1] != fingerprint(self.poly):
-            self._fail("fingerprint mismatch")
+        # parsed line by line as bytes, up to the first line holding a \r, \v or \f: malformed
+        cut = min([end] + [i for i in (data.find(c, 0, end) for c in b"\r\v\f") if i >= 0])
+        cut = data.rfind(b"\n", 0, cut) + 1
+        lines = io.BytesIO(data[:cut])
+        if lines.readline() != HEADER.encode() + b"\n":
+            self.quarantine("bad header")
+        if lines.readline() != fingerprint(self.poly).encode() + b"\n":
+            self.quarantine("fingerprint mismatch")
         last = 0
         weil = 4 * ((self.poly.degree - 1) // 2) ** 2  # a^2 <= 4 g^2 p
-        for line in lines[2:]:
+        for line in lines:
             try:
-                p_s, a_s = line.split(",")
+                p_s, a_s = line.split(b",")
                 p, a = int(p_s), int(a_s)
             except ValueError:
-                self._fail(f"malformed record {line!r}")
+                self.quarantine(f"malformed record {_text(line)!r}")
             if p <= last:
-                self._fail("records not strictly ascending in p")
+                self.quarantine("records not strictly ascending in p")
             if a * a > weil * p:
-                self._fail(f"record {line!r} outside the Weil bound")
+                self.quarantine(f"record {_text(line)!r} outside the Weil bound")
             last = p
             self.records[p] = a
+        if cut < end:
+            self.quarantine(f"malformed record {_text(data[cut:end])!r}")
         self._max_p = last
         if end < len(data):
             os.truncate(self.path, end)
@@ -154,6 +156,10 @@ class TraceCache:
 
 def _header(f: IntPolynomial) -> str:
     return HEADER + "\n" + fingerprint(f) + "\n"
+
+
+def _text(lines: bytes) -> str:  # the first line, quoted without its newline
+    return lines.partition(b"\n")[0].decode(errors="replace")
 
 
 def _lines(records) -> str:

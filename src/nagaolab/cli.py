@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .cache import CacheCorruptError, TraceCache
 from .curves import (
@@ -167,23 +167,25 @@ def run_verify_cache(cache: TraceCache, threads: int = 1) -> None:
     good = set(good_primes(hyperelliptic_bad_primes(cache.poly), min(max(primes, default=0), N_HARD_CAP)))
     for p in primes:
         if p not in good:
-            cache._fail(f"cached p={p} is not a good prime p <= {N_HARD_CAP} of this curve")
+            cache.quarantine(f"cached p={p} is not a good prime p <= {N_HARD_CAP} of this curve")
     for p, (a,) in sweep_traces([cache.poly], primes, threads):
         if a != cache.records[p]:
-            cache._fail(f"cached a_p disagrees with recomputation at p={p}")
+            cache.quarantine(f"cached a_p disagrees with recomputation at p={p}")
 
 
-def _open_caches(cfg: ExperimentConfig, polys: list[IntPolynomial]) -> Iterator[TraceCache]:
-    """One cache per distinct curve of a sweep, or none without a cache dir.
+def _sweep(cfg: ExperimentConfig) -> Callable[..., Iterator[tuple[int, tuple[int, ...]]]]:
+    """``sweep_traces`` on cfg.threads, with the cache of each distinct curve
+    under --cache-dir (with --verify-cache rechecked first).  The engine opens
+    them when its sweep starts, so after ``good_primes`` has checked the N cap."""
 
-    Lazy: the engine opens the caches (and with --verify-cache rechecks them)
-    when its sweep starts, so after ``good_primes`` has checked the N cap.
-    """
-    for g in dict.fromkeys(polys) if cfg.cache_dir else ():
+    def open_cache(g: IntPolynomial) -> TraceCache:
         cache = TraceCache(cfg.cache_dir, g)
         if cfg.verify_cache:
             run_verify_cache(cache, cfg.threads)
-        yield cache
+        return cache
+
+    opener = open_cache if cfg.cache_dir else None
+    return lambda polys, primes: sweep_traces(polys, primes, cfg.threads, opener)
 
 
 def _parse_grid(cfg: ExperimentConfig) -> list[int]:
@@ -204,9 +206,7 @@ def _parse_grid(cfg: ExperimentConfig) -> list[int]:
 def _traces(cfg: ExperimentConfig, c: CurveSpec) -> Iterator[tuple[int, int]]:
     """The curve's traces (p, a), yielded as the sweep reaches them; the N cap
     is checked here, when this is called."""
-    primes = good_primes(c.bad_primes, cfg.N)
-    sweep = sweep_traces([c.f], primes, cfg.threads, _open_caches(cfg, [c.f]))
-    return ((p, a) for p, (a,) in sweep)
+    return ((p, a) for p, (a,) in _sweep(cfg)([c.f], good_primes(c.bad_primes, cfg.N)))
 
 
 def cmd_trace(cfg: ExperimentConfig, c: CurveSpec) -> Report:
@@ -221,15 +221,14 @@ def cmd_lpoly(cfg: ExperimentConfig, c: CurveSpec) -> Report:
         raise CapExceededError(
             f"p = {primes[-1]} exceeds the F_p^2 counting cap {DEFAULT_LPOLY_CAP}"
         )
-    rows = ((p, a, genus2_b(c.f, p, a)) for p, a in _traces(cfg, c))
+    rows = ((p, a, genus2_b(c.f, p, a)) for p, (a,) in _sweep(cfg)([c.f], primes))
     return Report(["p", "a", "b"], rows, ([c.f], c.bad_primes))
 
 
 def cmd_nagao(cfg: ExperimentConfig, c: CurveSpec) -> Report:
     D = parse_polynomial(cfg.D) if cfg.D else c.f
     surface = twist_surface(c.f, D)
-    caches = _open_caches(cfg, [c.f, D])
-    series = nagao_series(surface, cfg.N, _parse_grid(cfg), cfg.threads, caches)
+    series = nagao_series(surface, cfg.N, _parse_grid(cfg), _sweep(cfg))
     rows = zip(series.n_grid, series.s1, series.s2, series.n_primes)
     return Report(["N", "S1", "S2", "n_primes"], rows, ([c.f, D], surface.bad_primes))
 
@@ -283,8 +282,7 @@ def cmd_factor_check(cfg: ExperimentConfig, c: CurveSpec) -> Report:
     else:
         raise ConfigError("--D (a polynomial or 'auto-peterson') is required")
     others = [curve_from_poly(parse_polynomial(s)).f for s in cfg.s_curves]
-    caches = _open_caches(cfg, [D, c.f, *others])
-    rep = verify_factorization(D, c.f, cfg.r, cfg.N, others, cfg.threads, caches)
+    rep = verify_factorization(D, c.f, cfg.r, cfg.N, others, _sweep(cfg))
     row = ("pass" if rep.passed else "fail", rep.first_failing_prime, rep.primes_checked)
     return Report(["passed", "first_failing_prime", "primes_checked"], [row])
 

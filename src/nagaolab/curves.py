@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .cache import TraceCache
 from .finite_field import CapExceededError, char_sums, legendre, primes_in, residue_table
@@ -200,7 +200,7 @@ def sweep_traces(
     polys: Sequence[IntPolynomial],
     primes: Sequence[int],
     threads: int = 1,
-    caches: Iterable[TraceCache] | None = None,
+    open_cache: Callable[[IntPolynomial], TraceCache | None] | None = None,
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Yield (p, (a_p(g) for g in polys)) for the given good primes, ascending.
 
@@ -211,8 +211,8 @@ def sweep_traces(
     ``char_sums`` also returns T = sum_{u != 0} chi_p(u) chi_p(h(u)), and
     sum_t chi_p(g(t)) = sum_u chi_p(h(u)) + T (``traces_at``).  Where only g
     misses, it is evaluated on its own, as is every g whose half is not
-    swept.  The cache of each polynomial (caches are matched through
-    ``TraceCache.poly``) is read by column, one ``TraceCache.get`` per prime.
+    swept.  As it starts, the sweep opens each distinct polynomial's cache by
+    ``open_cache(g)`` (None: no cache), read by column, one ``get`` per prime.
     The primes run in blocks of _BLOCK consecutive ones.  A block whose
     values are all cached is yielded straight from its columns: nothing is
     computed or appended for it.  ``_fill`` computes the misses of the other
@@ -228,8 +228,7 @@ def sweep_traces(
     """
     distinct = list(dict.fromkeys(polys))
     slot = [distinct.index(g) for g in polys]
-    by_poly = {c.poly: c for c in caches or ()}
-    stores = [by_poly.get(g) for g in distinct]
+    stores = [open_cache(g) if open_cache else None for g in distinct]
     blocks = [slice(k, k + _BLOCK) for k in range(0, len(primes), _BLOCK)]
     block_cols = [
         [[None] * len(primes[b]) if c is None else list(map(c.get, primes[b])) for c in stores]

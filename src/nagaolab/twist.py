@@ -16,9 +16,8 @@ import math
 import operator
 from collections import namedtuple
 from functools import reduce
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .cache import TraceCache
 from .curves import (
     BadPrimeError,
     BadPrimes,
@@ -100,12 +99,11 @@ def nagao_series(
     s: TwistSurfaceSpec,
     n_max: int,
     grid: Sequence[int],
-    threads: int = 1,
-    caches: Iterable[TraceCache] | None = None,
+    sweep=sweep_traces,
 ) -> NagaoSeries:
     """Both partial-sum estimators on a cutoff grid, over good primes <= n_max.
 
-    One sweep of [f, D] gives a_p(f) and a_p(D); the chi-sum over D is
+    One ``sweep`` of [f, D] gives a_p(f) and a_p(D); the chi-sum over D is
     sum_t chi_p(D(t)) = -a_p(D) - [deg D even] chi_p(lead D).
     """
     grid = sorted(set(grid))
@@ -120,8 +118,7 @@ def nagao_series(
     closed: list[tuple[float, float, int]] = []  # (sum_w, sum_u, primes summed) at each cutoff
     cuts = [*grid, math.inf]
 
-    sweep = sweep_traces([s.f, s.D], good_primes(s.bad_primes, n_max), threads, caches)
-    for p, (a_f, a_D) in sweep:
+    for p, (a_f, a_D) in sweep([s.f, s.D], good_primes(s.bad_primes, n_max)):
         while cuts[len(closed)] < p:
             closed.append((sum_w, sum_u, count))
         # n = a_f (a_D + [deg D even] chi_p(lead D)) = -p A_p, and n / p is
@@ -236,8 +233,7 @@ def verify_factorization(
     r: int,
     n_max: int,
     others: Sequence[IntPolynomial] = (),
-    threads: int = 1,
-    caches: Iterable[TraceCache] | None = None,
+    sweep=sweep_traces,
 ) -> FactorizationReport:
     """Certify a_p(J_D) = r * a_p(J_f) + sum_i a_p(E_i) at every good odd prime <= n_max.
 
@@ -245,7 +241,7 @@ def verify_factorization(
     L-polynomial linear coefficients), not a proof of the isogeny.  With
     ``others`` given, f and every E_i must be genus-1 curves (else CurveError).
     deg D > MAX_D_DEGREE raises CapExceededError.  Stops at, and reports, the
-    least violating prime.
+    least violating prime.  One ``sweep`` of [D, f, *others] gives the traces.
     """
     _check_D_degree(D)
     wrong = [g for g in (f, *others) if not 3 <= g.degree <= 4]
@@ -257,7 +253,7 @@ def verify_factorization(
     polys = [D, f, *others]
     bad = reduce(operator.or_, map(hyperelliptic_bad_primes, polys))
     checked = 0
-    for p, (a_D, a_f, *a_others) in sweep_traces(polys, good_primes(bad, n_max), threads, caches):
+    for p, (a_D, a_f, *a_others) in sweep(polys, good_primes(bad, n_max)):
         if a_D != r * a_f + sum(a_others):
             return FactorizationReport(False, p, checked)
         checked += 1

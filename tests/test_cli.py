@@ -482,6 +482,36 @@ def test_cache_not_utf8_quarantined(tmp_path, capsys):
 
 
 
+def test_every_curve_of_a_sweep_has_its_cache_opened_and_verified(tmp_path, capsys, monkeypatch):
+    """nagao with D != f reads D's cache as well as f's.  With one wrong record
+    in D's file only: above the N cap the run exits 3 before any cache is
+    opened (nothing computed, no file changed); with --verify-cache it exits 4
+    with one error line, D's file quarantined and f's bytes kept."""
+    cache = tmp_path / "cache"
+    base = dict(f="x^3+x+1", D="x^5-x+1", cache_dir=str(cache), output=str(tmp_path / "o.csv"))
+    assert run(cfg("nagao", N=300, **base)) == EXIT_OK
+    f_path, D_path = (cache_path(cache, parse_polynomial(g)) for g in ("x^3+x+1", "x^5-x+1"))
+    f_bytes = f_path.read_bytes()
+    head, fp, *records = D_path.read_text().splitlines()
+    p, a = map(int, records[-1].split(","))
+    records[-1] = f"{p},{a + 1 if a <= 0 else a - 1}"  # toward 0: inside the Weil bound
+    D_path.write_text("\n".join([head, fp, *records]) + "\n")
+    files = {q.name: q.read_bytes() for q in cache.iterdir()}
+    computed = []
+    real = curves_mod.traces_at
+    monkeypatch.setattr(curves_mod, "traces_at", lambda *a: computed.append(a) or real(*a))
+    capsys.readouterr()
+    assert run(cfg("nagao", N=10**7 + 1, verify_cache=True, **base)) == EXIT_CAP
+    assert computed == [] and {q.name: q.read_bytes() for q in cache.iterdir()} == files
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert run(cfg("nagao", N=300, verify_cache=True, **base)) == EXIT_CACHE
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: corrupt cache file {D_path}: "), line
+    assert line.endswith(f"cached a_p disagrees with recomputation at p={p}"), line
+    assert not D_path.exists() and D_path.with_suffix(".txt.corrupt").exists()
+    assert f_path.read_bytes() == f_bytes
+
+
 def test_st_classify_runs(tmp_path, monkeypatch):
     calls = []
     real = cli_mod.empirical_moments
@@ -623,7 +653,13 @@ def test_cache_fills_hole_below_max(tmp_path, monkeypatch):
 
 
 # A record line TraceCache cannot read, in place of the first record.
-MALFORMED = {"no comma": "3", "three fields": "3,0,0", "non-integer p": "3.0,0"}
+MALFORMED = {
+    "no comma": "3",
+    "three fields": "3,0,0",
+    "non-integer p": "3.0,0",
+    "non-ASCII digit": "\u0663,0",  # ARABIC-INDIC DIGIT THREE
+    "CR before LF": "3,0\r",
+}
 
 
 def _garble(path, how):

@@ -336,6 +336,11 @@ def _oracle(f: IntPolynomial, p: int) -> int:
     return trace_oracle_exhaustive(spec, p).a
 
 
+def _opener(caches):
+    """The ``open_cache`` of ``sweep_traces`` that hands out these caches, matched by curve."""
+    return {c.poly: c for c in caches or ()}.get
+
+
 @settings(max_examples=15, deadline=None, phases=NO_SHRINK)
 @given(
     st.lists(squarefree_curves, min_size=1, max_size=3),
@@ -350,7 +355,7 @@ def test_sweep_matches_oracle(curves, even, cached, threads):
     with tempfile.TemporaryDirectory() as cache_dir:
         for _ in range(2 if cached else 1):  # cold, then warm from the cache files
             caches = [TraceCache(cache_dir, g) for g in set(polys)] if cached else None
-            assert list(sweep_traces(polys, primes, threads, caches)) == want
+            assert list(sweep_traces(polys, primes, threads, _opener(caches))) == want
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -360,7 +365,7 @@ def test_sweep_partly_warm(tmp_path, monkeypatch, warm, threads):
     polys = [parse_polynomial("x^3+x+1"), parse_polynomial("x^5-x+1")]
     primes = good_primes(hyperelliptic_bad_primes(polys[0]) | hyperelliptic_bad_primes(polys[1]), 150)
     cold = [TraceCache(tmp_path / "cold", g) for g in polys]
-    want = list(sweep_traces(polys, primes, 1, cold))
+    want = list(sweep_traces(polys, primes, 1, _opener(cold)))
     if warm == "alternating":  # hits and misses alternate inside every block
         held = [range(0, len(primes), 2), range(0, len(primes), 3)]
     else:  # a hole inside the second block, and one across the second and third
@@ -385,7 +390,7 @@ def test_sweep_partly_warm(tmp_path, monkeypatch, warm, threads):
 
     monkeypatch.setattr(curves_mod, "traces_at", counted)
     warm_caches = [TraceCache(tmp_path / "warm", g) for g in polys]
-    assert list(sweep_traces(polys, primes, threads, warm_caches)) == want
+    assert list(sweep_traces(polys, primes, threads, _opener(warm_caches))) == want
     assert sorted((k, p) for _, k, p in calls()) == misses
     in_process = {pid for pid, _, _ in calls()} == {os.getpid()}
     assert in_process == (threads == 1)  # with 2 threads every trace ran in a worker
@@ -398,7 +403,7 @@ def test_sweep_partly_warm(tmp_path, monkeypatch, warm, threads):
     monkeypatch.setattr(curves_mod, "_process_pool", no_pool)
     log.unlink()
     full = [TraceCache(tmp_path / "warm", g) for g in polys]
-    assert list(sweep_traces(polys, primes, 2, full)) == want
+    assert list(sweep_traces(polys, primes, 2, _opener(full))) == want
     assert calls() == []
 
 
@@ -432,7 +437,7 @@ def test_sweep_weil_violation_raises_before_caching_its_block(tmp_path, monkeypa
 
     monkeypatch.setattr(curves_mod, "traces_at", past_weil)
     with pytest.raises(AssertionError, match=f"Weil bound violated at p={bad_p}:"):
-        list(sweep_traces([f], primes, threads, [TraceCache(tmp_path, f)]))
+        list(sweep_traces([f], primes, threads, _opener([TraceCache(tmp_path, f)])))
     assert sorted(TraceCache(tmp_path, f).records) == primes[:4]  # the first block only
 
 
@@ -471,7 +476,7 @@ def test_even_polynomial_from_its_half_matches_oracle(h, threads, held):
             caches = [TraceCache(cache_dir, g)]
             caches[0].append([(p, want[p][held == "h"]) for p in primes[::2]])
         for polys in ([D, h], [h, D], [D], [h]):
-            got = list(sweep_traces(polys, primes, threads, caches))
+            got = list(sweep_traces(polys, primes, threads, _opener(caches)))
             assert got == [(p, tuple(want[p][g is h] for g in polys)) for p in primes], polys
 
 
@@ -720,7 +725,7 @@ def test_weil_guard_covers_the_value_derived_from_the_half(tmp_path, monkeypatch
     monkeypatch.setattr(curves_mod, "char_sums", corrupted)
     caches = [TraceCache(tmp_path, g) for g in (D, f)]
     with pytest.raises(AssertionError, match=f"Weil bound violated at p={bad_p}: a=-?\\d+, genus 4 "):
-        list(sweep_traces([D, f], primes, threads, caches))
+        list(sweep_traces([D, f], primes, threads, _opener(caches)))
     for g in (D, f):
         assert sorted(TraceCache(tmp_path, g).records) == primes[:4]  # the first block only
 
@@ -736,7 +741,7 @@ def test_sweep_builds_one_residue_table_per_prime_with_a_miss(tmp_path):
     want = list(sweep_traces(polys, primes))
     TraceCache(tmp_path, D).append([(p, a_D) for p, (a_D, _, _) in want[::2]])
     ff_mod._residue_table.cache_clear()
-    assert list(sweep_traces(polys, primes, 1, [TraceCache(tmp_path, D)])) == want
+    assert list(sweep_traces(polys, primes, 1, _opener([TraceCache(tmp_path, D)]))) == want
     assert ff_mod._residue_table.cache_info().misses == len(primes)
 
 
@@ -761,7 +766,7 @@ def test_pool_size_is_the_blocks_with_a_miss(tmp_path, monkeypatch):
     held = [(p, a) for i, (p, (a,)) in enumerate(want) if i not in (1, 9, 10, 30)]  # misses in blocks 0, 2, 7
     TraceCache(tmp_path, f).append(held)
     sizes = _counted_pools(monkeypatch)
-    assert list(sweep_traces([f], primes, 8, [TraceCache(tmp_path, f)])) == want
+    assert list(sweep_traces([f], primes, 8, _opener([TraceCache(tmp_path, f)]))) == want
     assert sizes == [3]
 
 
@@ -837,7 +842,7 @@ def test_fully_warm_sweep_only_reads_its_cache(tmp_path, monkeypatch, threads):
     bytes and mtimes."""
     monkeypatch.setattr(curves_mod, "_BLOCK", 4)
     polys, primes = _two_curves(150)
-    want = list(sweep_traces(polys, primes, 1, [TraceCache(tmp_path, g) for g in polys]))
+    want = list(sweep_traces(polys, primes, 1, _opener([TraceCache(tmp_path, g) for g in polys])))
     files = sorted(tmp_path.iterdir())
     before = [(f.read_bytes(), f.stat().st_mtime_ns) for f in files]
 
@@ -851,7 +856,7 @@ def test_fully_warm_sweep_only_reads_its_cache(tmp_path, monkeypatch, threads):
         monkeypatch.setattr(mod, name, forbidden(name))
     monkeypatch.setattr(TraceCache, "append", forbidden("TraceCache.append"))
     caches = [TraceCache(tmp_path, g) for g in polys]
-    assert list(sweep_traces(polys, primes, threads, caches)) == want
+    assert list(sweep_traces(polys, primes, threads, _opener(caches))) == want
     assert [(f.read_bytes(), f.stat().st_mtime_ns) for f in files] == before
 
 
@@ -866,10 +871,10 @@ def test_partly_warm_sweep_matches_the_uncached_one(data, threads):
         mp.setattr(curves_mod, "_BLOCK", 4)
         want = list(sweep_traces(polys, primes))
         cold = [TraceCache(os.path.join(tmp, "cold"), g) for g in polys]
-        assert list(sweep_traces(polys, primes, 1, cold)) == want
+        assert list(sweep_traces(polys, primes, 1, _opener(cold))) == want
         for k, g in enumerate(polys):
             TraceCache(os.path.join(tmp, "warm"), g).append([(p, a[k]) for p, a in want if p in held[k]])
         warm = [TraceCache(os.path.join(tmp, "warm"), g) for g in polys]
-        assert list(sweep_traces(polys, primes, threads, warm)) == want
+        assert list(sweep_traces(polys, primes, threads, _opener(warm))) == want
         assert [c.path.read_bytes() for c in warm] == [c.path.read_bytes() for c in cold]
         assert multiprocessing.active_children() == []

@@ -11,7 +11,10 @@ from nagaolab.curves import (
     CapExceededError,
     CurveError,
     curve_from_poly,
+    good_primes,
+    hyperelliptic_bad_primes,
     hyperelliptic_trace,
+    sweep_traces,
 )
 from nagaolab.finite_field import char_sum, primes_in
 from nagaolab.polynomials import IntPolynomial, PolynomialError, parse_polynomial
@@ -286,3 +289,23 @@ def test_verify_mixed_rejects_higher_genus():
     for f, others in ((g2, [e]), (e, [g2])):
         with pytest.raises(CurveError, match=re.escape(str(g2))):
             verify_factorization(e, f, 1, 100, others=others)
+
+
+def test_each_sweep_names_its_curves_and_good_primes():
+    """nagao_series sweeps [f, D] and verify_factorization [D, f, *others],
+    each over the good primes of the union of their bad primes."""
+    f, D, e = (parse_polynomial(g) for g in ("x^3+x+1", "x^5-x+1", "x^3+2*x+3"))
+    calls = []
+
+    def recording(polys, primes):
+        calls.append((list(polys), list(primes)))
+        return sweep_traces(polys, primes)
+
+    bad = hyperelliptic_bad_primes
+    s = twist_surface(f, D)
+    assert nagao_series(s, 500, [100, 500], sweep=recording) == nagao_series(s, 500, [100, 500])
+    assert calls == [([f, D], good_primes(bad(f) | bad(D), 500))]
+    calls.clear()
+    want = verify_factorization(D, f, 2, 500, others=[e])
+    assert verify_factorization(D, f, 2, 500, others=[e], sweep=recording) == want
+    assert calls == [([D, f, e], good_primes(bad(D) | bad(f) | bad(e), 500))]
