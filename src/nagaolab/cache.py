@@ -8,16 +8,17 @@ Format (LF line endings, decimal integers):
     p,a
     ...
 
-records strictly ascending in p.  Records above the cached maximum are
-appended; a record below it is merged in by rewriting the file.  Every record
-ends in a newline, so an unterminated last line is an append cut short by a
-crash: it is dropped, and the file is truncated after the last newline.  A
-file that holds only the start of its header is a header write cut short:
-it is removed and counts as absent.  A file whose header or fingerprint does
-not match the requesting curve, or whose records are out of order, malformed
-(a byte that is not ASCII, or a line break other than LF, included) or
-outside the Weil bound a^2 <= 4 g^2 p (g = (deg f - 1) // 2), is quarantined
-(renamed with a .corrupt suffix) and a CacheCorruptError is raised.
+records strictly ascending in p, each the bytes _RECORD % (p, a).  Records
+above the cached maximum are appended; a record below it is merged in by
+rewriting the file.  Every record ends in a newline, so an unterminated last
+line is an append cut short by a crash: it is dropped, and the file is
+truncated after the last newline.  A file that holds only the start of its
+header is a header write cut short: it is removed and counts as absent.  A
+file whose header or fingerprint does not match the requesting curve, or
+whose records are out of order, malformed (a line other than _RECORD of the
+two integers it reads as) or outside the Weil bound a^2 <= 4 g^2 p
+(g = (deg f - 1) // 2), is quarantined (renamed with a .corrupt suffix) and
+a CacheCorruptError is raised.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ if TYPE_CHECKING:
     from pathlib import Path
 
 HEADER = "NAGAOLAB-CACHE v1"
+_RECORD = b"%d,%d\n"  # one record: what append writes, and the only line _load reads
 
 
 class CacheCorruptError(Exception):
@@ -78,15 +80,12 @@ class TraceCache:
         import io
 
         data = self.path.read_bytes()
-        header = _header(self.poly).encode()
+        header = _header(self.poly)
         if header.startswith(data) and data != header:  # a header write cut short
             self.path.unlink(missing_ok=True)
             return
         end = data.rfind(b"\n") + 1  # past the last complete line
-        # parsed line by line as bytes, up to the first line holding a \r, \v or \f: malformed
-        cut = min([end] + [i for i in (data.find(c, 0, end) for c in b"\r\v\f") if i >= 0])
-        cut = data.rfind(b"\n", 0, cut) + 1
-        lines = io.BytesIO(data[:cut])
+        lines = io.BytesIO(data[:end])  # split at LF only, not at CR, VT or FF
         if lines.readline() != HEADER.encode() + b"\n":
             self.quarantine("bad header")
         if lines.readline() != fingerprint(self.poly).encode() + b"\n":
@@ -97,6 +96,8 @@ class TraceCache:
             try:
                 p_s, a_s = line.split(b",")
                 p, a = int(p_s), int(a_s)
+                if line != _RECORD % (p, a):  # int() also reads signs, spaces, "_" and leading zeros
+                    raise ValueError
             except ValueError:
                 self.quarantine(f"malformed record {_text(line)!r}")
             if p <= last:
@@ -105,8 +106,6 @@ class TraceCache:
                 self.quarantine(f"record {_text(line)!r} outside the Weil bound")
             last = p
             self.records[p] = a
-        if cut < end:
-            self.quarantine(f"malformed record {_text(data[cut:end])!r}")
         self._max_p = last
         if end < len(data):
             os.truncate(self.path, end)
@@ -127,12 +126,12 @@ class TraceCache:
         fresh = sorted((p, a) for p, a in new_records if p not in self.records)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if not self.path.exists():
-            self.path.write_text(_header(self.poly))
+            self.path.write_bytes(_header(self.poly))
         if not fresh:
             return
         self.records.update(fresh)
         if fresh[0][0] > self._max_p:
-            with open(self.path, "a", newline="\n") as fh:
+            with open(self.path, "ab") as fh:
                 fh.write(_lines(fresh))
         else:
             self._rewrite()
@@ -144,7 +143,7 @@ class TraceCache:
 
         fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", newline="\n") as fh:
+            with os.fdopen(fd, "wb") as fh:
                 fh.write(_header(self.poly))
                 fh.write(_lines(sorted(self.records.items())))
             shutil.copymode(self.path, tmp)
@@ -154,13 +153,13 @@ class TraceCache:
             raise
 
 
-def _header(f: IntPolynomial) -> str:
-    return HEADER + "\n" + fingerprint(f) + "\n"
+def _header(f: IntPolynomial) -> bytes:
+    return f"{HEADER}\n{fingerprint(f)}\n".encode()
 
 
-def _text(lines: bytes) -> str:  # the first line, quoted without its newline
-    return lines.partition(b"\n")[0].decode(errors="replace")
+def _text(line: bytes) -> str:  # a record line, quoted without its newline
+    return line[:-1].decode(errors="replace")
 
 
-def _lines(records) -> str:
-    return "".join(f"{p},{a}\n" for p, a in records)
+def _lines(records) -> bytes:
+    return b"".join(_RECORD % r for r in records)

@@ -1,19 +1,23 @@
 import json
+import math
 import multiprocessing
 import os
 import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nagaolab.cli as cli_mod
 import nagaolab.curves as curves_mod
 import nagaolab.finite_field as ff_mod
-from nagaolab.cache import HEADER, TraceCache, cache_path, fingerprint
+from nagaolab.cache import HEADER, CacheCorruptError, TraceCache, cache_path, fingerprint
 from nagaolab.cli import (
     EXIT_BAD_CURVE,
     EXIT_CACHE,
@@ -197,6 +201,11 @@ def test_exit_code_cap():
     assert run(cfg("nagao", f="T^3+T", N=10**7 + 1, output="-")) == EXIT_CAP
 
 
+def test_unknown_command_exits_1(capsys):
+    assert run(cfg("bogus", f="x^3+x+1")) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == ["error: unknown command 'bogus'"]
+
+
 QUINTIC = "x^5+2*x^4+3*x^3+3*x^2+2*x+1"
 BIG_N = str(10**7 + 1)
 LONG_COEF = "1" * 5000
@@ -351,6 +360,24 @@ def test_pool_modules_load_only_for_a_pool(tmp_path):
             f"assert [os.environ.get(var) for var in {blas_vars!r}] == [{want!r}, None, None], 'BLAS settings not put back'",
         )
         assert two.returncode == 0, (blas, two.stderr)
+
+
+def test_pool_puts_blas_settings_back():
+    """Building the pool loads numpy, then puts each BLAS variable back as it
+    was, set or unset; a pool given no work starts no worker."""
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    proc = fresh_python(
+        "import os, multiprocessing",
+        *(f"os.environ.pop({var!r}, None)" for var in blas_vars),
+        "os.environ['OPENBLAS_NUM_THREADS'] = '4'",
+        "from nagaolab.curves import _process_pool",
+        "assert 'numpy' not in sys.modules, 'numpy loaded before the pool'",
+        "_process_pool(1).shutdown()",
+        "assert multiprocessing.active_children() == [], 'a worker started'",
+        "assert 'numpy' in sys.modules, 'numpy not loaded by the pool'",
+        f"assert [os.environ.get(var) for var in {blas_vars!r}] == ['4', None, None], 'BLAS settings not put back'",
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_import_and_warm_run_build_no_shared_ks(tmp_path):
@@ -652,6 +679,32 @@ def test_cache_fills_hole_below_max(tmp_path, monkeypatch):
     assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
 
 
+def test_cache_rewrite_failure_leaves_file(tmp_path, monkeypatch, capsys):
+    """A hole fill whose rewrite cannot replace the cache file exits 1 with
+    one error line, removes its temporary file and leaves the cache file's
+    bytes as they were; the next run fills the hole."""
+    cache = tmp_path / "cache"
+    f = parse_polynomial("x^3+x")
+    path = cache_path(cache, f)
+    base = dict(f="x^3+x", N=3000, cache_dir=str(cache))
+    assert run(cfg("nagao", D="x^3+5*x+7", output=str(tmp_path / "n.csv"), **base)) == EXIT_OK
+    before, names = path.read_bytes(), sorted(p.name for p in cache.iterdir())
+
+    def fail(src, dst):
+        raise OSError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", fail)
+    capsys.readouterr()
+    assert run(cfg("trace", output=str(tmp_path / "t1.csv"), **base)) == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"error: cannot replace {path}"
+    assert sorted(p.name for p in cache.iterdir()) == names  # no *.tmp left
+    assert path.read_bytes() == before
+    monkeypatch.undo()
+    assert run(cfg("trace", output=str(tmp_path / "t2.csv"), **base)) == EXIT_OK
+    assert TraceCache(cache, f).records[1823] == hyperelliptic_trace(f, 1823)
+
+
 # A record line TraceCache cannot read, in place of the first record.
 MALFORMED = {
     "no comma": "3",
@@ -659,6 +712,15 @@ MALFORMED = {
     "non-integer p": "3.0,0",
     "non-ASCII digit": "\u0663,0",  # ARABIC-INDIC DIGIT THREE
     "CR before LF": "3,0\r",
+    "space before p": " 3,0",
+    "sign on p": "+3,0",
+    "leading zero": "03,0",
+    "negative zero": "3,-0",
+    "space after a": "3,0 ",
+    "underscore in p": "1_3,0",
+    # each line is checked against the grammar before the Weil and ascending checks
+    "leading zero past Weil": "3,04",
+    "zero p as 00": "00,0",
 }
 
 
@@ -734,6 +796,41 @@ def test_cache_torn_tail_recovered(tmp_path, cut):
     assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
     assert not list(cache.glob("*.corrupt"))
     assert path.read_bytes() == full
+
+
+BYTES = st.sampled_from(list(b"0123456789,-+_ \t\n\r\x0b\x0c")) | st.integers(0, 255)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cache_loads_only_what_append_writes(data):
+    """One byte substituted, inserted or deleted among the records of a file
+    written by append: the next load quarantines the file, or leaves on disk
+    exactly the header and the round-trip encoding of the records it read."""
+    f = parse_polynomial("x^3+x+1")  # genus 1: a^2 <= 4p
+    ps = data.draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=12, unique=True))
+    records = [(p, data.draw(st.integers(-math.isqrt(4 * p), math.isqrt(4 * p)))) for p in ps]
+    k = data.draw(st.integers(0, len(records)))  # a second append below the maximum rewrites
+    header = f"{HEADER}\n{fingerprint(f)}\n".encode()
+
+    def encoded(recs):
+        return header + b"".join(b"%d,%d\n" % r for r in sorted(recs))
+
+    with tempfile.TemporaryDirectory() as d:
+        TraceCache(d, f).append(records[:k])
+        TraceCache(d, f).append(records[k:])
+        path = cache_path(d, f)
+        full = path.read_bytes()
+        assert full == encoded(records)
+        how = data.draw(st.sampled_from(["substitute", "insert", "delete"]))
+        i = data.draw(st.integers(len(header), len(full) - (how != "insert")))
+        new = b"" if how == "delete" else bytes([data.draw(BYTES)])
+        path.write_bytes(full[:i] + new + full[i + (how != "insert") :])
+        try:
+            loaded = TraceCache(d, f).records
+        except CacheCorruptError:
+            return
+        assert path.read_bytes() == encoded(loaded.items())
 
 
 # (curve, N, how its cache is damaged): a wrong a_p, a record at a bad prime

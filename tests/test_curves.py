@@ -18,6 +18,8 @@ import nagaolab.curves as curves_mod
 import nagaolab.finite_field as ff_mod
 from nagaolab.cache import TraceCache
 from nagaolab.curves import (
+    BadPrimeError,
+    CapExceededError,
     CurveError,
     CurveSpec,
     TraceRecord,
@@ -104,6 +106,14 @@ def test_oracle_known_values():
     c = curve("x^3+x")
     assert trace_oracle_exhaustive(c, 5).a == 2
     assert trace_oracle_exhaustive(c, 3).a == 0
+
+
+def test_oracle_refuses_large_and_bad_primes():
+    c = curve("x^3+x+1")  # discriminant -31
+    with pytest.raises(CapExceededError):
+        trace_oracle_exhaustive(c, 10007)
+    with pytest.raises(BadPrimeError):
+        trace_oracle_exhaustive(c, 31)
 
 
 def _random_squarefree(rng, degree):

@@ -103,6 +103,13 @@ def test_degree_and_lead():
         z.degree
 
 
+def test_zero_polynomial_has_no_lead_and_prints_as_0():
+    z = IntPolynomial(())
+    with pytest.raises(PolynomialError, match="no leading coefficient"):
+        z.lead
+    assert poly_to_str(z) == "0"
+
+
 def test_trailing_zeros_trimmed():
     assert IntPolynomial((1, 2, 0, 0)).coeffs == (1, 2)
 

@@ -230,6 +230,12 @@ def test_peterson_errors():
         peterson_D(parse_polynomial("x^4+1"), MobiusTransform(0, 1, 1, 0))
 
 
+def test_peterson_D_of_a_double_root_is_not_squarefree():
+    # sigma = x/(x+2) fixes both roots of x^2 (x+1), the double root 0 included
+    with pytest.raises(PetersonError, match="constructed D\\(T\\) is not squarefree"):
+        peterson_D(parse_polynomial("x^3+x^2"), MobiusTransform(1, 0, 1, 2))
+
+
 def test_verify_factorization_identity_case():
     f = parse_polynomial("x^3+x+1")
     assert verify_factorization(f, f, 1, 1000).passed
