@@ -5,7 +5,8 @@ take two chunks), either side of the end of the int32 lanes (p = 46337 and
 of the traces of a quintic f and its Peterson D = f(T^2) on one
 table, apart (two ``hyperelliptic_trace`` calls) and in one ``traces_at``
 call (D read from f's chunk loop), of the scalar quadratic character, of
-the prime sieve and of the trace moments.
+the prime sieve, of the trace moments and of the three Kolmogorov-Smirnov
+distances of a genus-1 ``moments`` run at the 10^7 cap.
 
 ``residue_table`` keeps the table of the last p, so the table builds are
 timed on the memo's builder, and each kernel case fetches the table of its
@@ -26,7 +27,7 @@ from nagaolab import finite_field
 from nagaolab.curves import TraceRecord, hyperelliptic_trace, traces_at
 from nagaolab.finite_field import char_sum, legendre, poly_eval_all_mod, primes_in, residue_table
 from nagaolab.polynomials import parse_polynomial
-from nagaolab.stats import empirical_moments
+from nagaolab.stats import MEASURE_TAGS, STMeasure1D, empirical_moments, ks_distance
 
 P = 40009
 BIG_P = 9999991
@@ -130,3 +131,16 @@ def test_empirical_moments(benchmark):
     primes = primes_in(3, 104744)
     traces = [TraceRecord(p, rng.randint(-math.isqrt(16 * p), math.isqrt(16 * p))) for p in primes]
     benchmark(empirical_moments, traces)
+
+
+@pytest.fixture(scope="module")
+def cap_angles():
+    # as many angles as odd primes below 10^7 (664,578), about half on the
+    # atom at pi/2 as for the CM curve T^3+T, the rest acos of a uniform draw
+    rng = random.Random(0)
+    return [math.pi / 2 if rng.random() < 0.5 else math.acos(rng.uniform(-1.0, 1.0)) for _ in range(664578)]
+
+
+@pytest.mark.parametrize("tag", MEASURE_TAGS)
+def test_ks_distance_at_the_cap(benchmark, cap_angles, tag):
+    benchmark(ks_distance, cap_angles, STMeasure1D(tag))

@@ -283,6 +283,8 @@ def cmd_factor_check(cfg: ExperimentConfig, c: CurveSpec) -> Report:
         raise ConfigError("--D (a polynomial or 'auto-peterson') is required")
     others = [curve_from_poly(parse_polynomial(s)).f for s in cfg.s_curves]
     rep = verify_factorization(D, c.f, cfg.r, cfg.N, others, _sweep(cfg))
+    if rep.passed and rep.primes_checked == 0:
+        raise ConfigError(f"no good prime p <= N = {cfg.N} to check the identity at")
     row = ("pass" if rep.passed else "fail", rep.first_failing_prime, rep.primes_checked)
     return Report(["passed", "first_failing_prime", "primes_checked"], [row])
 

@@ -61,10 +61,23 @@ MEASURE_TAGS = (SATO_TATE, UNIFORM, HALF_UNIFORM_DIRAC)
 GENUS1_GROUPS = (("SU(2)", 1), ("N(U(1))", 1), ("U(1)", 2))
 
 
+# Each angle law once, keyed by its tag: the density of its continuous part,
+# its CDF (the atom included) and the mass of its atom at pi/2.
+_Law = namedtuple("_Law", "density cdf atom_mass")
+_LAWS = {
+    SATO_TATE: _Law(
+        lambda t: (2.0 / math.pi) * math.sin(t) ** 2, lambda t: (t - math.sin(t) * math.cos(t)) / math.pi, 0.0
+    ),
+    UNIFORM: _Law(lambda t: 1.0 / math.pi, lambda t: t / math.pi, 0.0),
+    HALF_UNIFORM_DIRAC: _Law(
+        lambda t: 1.0 / (2.0 * math.pi), lambda t: t / (2.0 * math.pi) + (0.5 if t >= math.pi / 2 else 0.0), 0.5
+    ),
+}
+
+
 class STMeasure1D(namedtuple("STMeasure1D", "tag")):
-    """An angle law on [0, pi], one of MEASURE_TAGS: a continuous density plus,
-    for half-uniform-dirac, an atom of mass 1/2 at pi/2.  Any other tag
-    raises ValueError."""
+    """An angle law on [0, pi], one of MEASURE_TAGS, read from its row of
+    _LAWS.  Any other tag raises ValueError."""
 
     __slots__ = ()
 
@@ -73,23 +86,9 @@ class STMeasure1D(namedtuple("STMeasure1D", "tag")):
             raise ValueError(f"unknown measure tag {tag!r}")
         return super().__new__(cls, tag)
 
-    @property
-    def atom_mass(self) -> float:
-        return 0.5 if self.tag == HALF_UNIFORM_DIRAC else 0.0
-
-    def density(self, theta: float) -> float:
-        if self.tag == SATO_TATE:
-            return (2.0 / math.pi) * math.sin(theta) ** 2
-        if self.tag == UNIFORM:
-            return 1.0 / math.pi
-        return 1.0 / (2.0 * math.pi)
-
-    def cdf(self, theta: float) -> float:
-        if self.tag == SATO_TATE:
-            return (theta - math.sin(theta) * math.cos(theta)) / math.pi
-        if self.tag == UNIFORM:
-            return theta / math.pi
-        return theta / (2.0 * math.pi) + (self.atom_mass if theta >= math.pi / 2 else 0.0)
+    density = property(lambda self: _LAWS[self.tag].density)
+    cdf = property(lambda self: _LAWS[self.tag].cdf)
+    atom_mass = property(lambda self: _LAWS[self.tag].atom_mass)
 
 
 # -- Haar-measure oracles by adaptive Simpson quadrature ---------------------
@@ -136,10 +135,8 @@ def haar_second_moment(measure: STMeasure1D) -> float:
     The pi/2 atom contributes 4 cos^2(pi/2) * mass = 0.  Closed forms:
     sato-tate -> 1, uniform -> 2, half-uniform-dirac -> 1.
     """
-    integral = adaptive_simpson(
-        lambda t: 4.0 * math.cos(t) ** 2 * measure.density(t), 0.0, math.pi, 1e-10
-    )
-    return integral  # + 0.0 from the atom
+    density = measure.density
+    return adaptive_simpson(lambda t: 4.0 * math.cos(t) ** 2 * density(t), 0.0, math.pi, 1e-10)
 
 
 def usp4_expectation(g) -> float:

@@ -251,6 +251,7 @@ EXIT_CASES = [
     (["peterson", "--f", "x^3-x"], EXIT_CONFIG),
     (["peterson", "--f", "x^3", "--sigma", "1/x"], EXIT_BAD_CURVE),  # exit 1 before
     (["factor-check", "--f", "x^3+x", "--D", "x^6+2", "--N", "100"], EXIT_OK),
+    (["factor-check", "--f", "x^3+x", "--D", "x^6+2", "--N", "2"], EXIT_CONFIG),
     (["factor-check", "--f", "x^3+x", "--N", "100"], EXIT_CONFIG),
     (["factor-check", "--f", "x^3+x", "--D", "auto-peterson", "--N", "100"], EXIT_CONFIG),
     (["factor-check", "--f", "x^3+x", "--D", "x^6+2", "--s-curves", "x^3", "--N", "100"], EXIT_BAD_CURVE),

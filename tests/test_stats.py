@@ -101,6 +101,19 @@ def test_measure_cdfs():
     assert d.cdf(math.pi / 2) == pytest.approx(0.75, abs=1e-6)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    tag=st.sampled_from(MEASURE_TAGS),
+    theta=st.one_of(st.floats(0.0, math.pi, allow_nan=False), st.just(math.pi / 2)),
+)
+def test_measure_cdf_integrates_its_density(tag, theta):
+    """Each law's two columns agree: its density integrated over [0, theta],
+    plus its atom once theta reaches pi/2, is its CDF at theta."""
+    m = STMeasure1D(tag)
+    mass = adaptive_simpson(m.density, 0.0, theta, 1e-12) + (m.atom_mass if theta >= math.pi / 2 else 0.0)
+    assert mass == pytest.approx(m.cdf(theta), abs=1e-9)
+
+
 def test_haar_second_moments_1d():
     assert haar_second_moment(STMeasure1D(SATO_TATE)) == pytest.approx(1.0, abs=1e-9)
     assert haar_second_moment(STMeasure1D(UNIFORM)) == pytest.approx(2.0, abs=1e-9)
