@@ -17,7 +17,7 @@ header is a header write cut short: it is removed and counts as absent.  A
 file whose header or fingerprint does not match the requesting curve, or
 whose records are out of order, malformed (a line other than _RECORD of the
 two integers it reads as) or outside the Weil bound a^2 <= 4 g^2 p
-(g = (deg f - 1) // 2), is quarantined (renamed with a .corrupt suffix) and
+(g = ``f.genus``), is quarantined (renamed with a .corrupt suffix) and
 a CacheCorruptError is raised.
 """
 
@@ -91,7 +91,7 @@ class TraceCache:
         if lines.readline() != fingerprint(self.poly).encode() + b"\n":
             self.quarantine("fingerprint mismatch")
         last = 0
-        weil = 4 * ((self.poly.degree - 1) // 2) ** 2  # a^2 <= 4 g^2 p
+        weil = 4 * self.poly.genus**2  # a^2 <= 4 g^2 p
         for line in lines:
             try:
                 p_s, a_s = line.split(b",")

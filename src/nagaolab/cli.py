@@ -33,6 +33,7 @@ from .polynomials import IntPolynomial, ParseError, PolynomialError, parse_polyn
 from .stats import (
     GENUS1_GROUPS,
     MEASURE_TAGS,
+    MomentReport,
     STMeasure1D,
     empirical_moments,
     ks_distance,
@@ -82,14 +83,13 @@ class ExperimentConfig(NamedTuple):
 
 
 class Report(NamedTuple):
-    """A command's result: the report rows, each a tuple in the order of
-    ``columns`` (an iterable that ``_write`` reads once, so a sweep's rows
-    are made as it runs), and for the ``.skipped`` sidecar the curves of the
-    sweep with their bad primes, or None for no sidecar."""
+    """A command's result: the report rows, each a tuple in the order of ``columns`` (an
+    iterable that ``_write`` reads once, so a sweep's rows are made as it runs), and the
+    bad primes of the sweep for the ``.skipped`` sidecar, or None for no sidecar."""
 
     columns: list[str]
     rows: Iterable[tuple]
-    skipped: tuple[list[IntPolynomial], BadPrimes] | None = None
+    skipped: BadPrimes | None = None
 
 
 def parse_mobius(text: str) -> MobiusTransform:
@@ -129,7 +129,7 @@ def _fmt(v) -> str:
 
 def _write(report: Report, cfg: ExperimentConfig) -> None:
     """The report to the output file (or stdout), and beside an output file the
-    ``.skipped`` sidecar of the bad primes p <= N with reasons (p=2 | lead | disc)."""
+    ``.skipped`` sidecar of the bad primes p <= N, each with its ``reason``."""
     cols = report.columns
     if cfg.fmt == "json":
         import json
@@ -143,20 +143,10 @@ def _write(report: Report, cfg: ExperimentConfig) -> None:
         return
     with open(cfg.output, "w", newline="\n") as fh:
         fh.write(text)
-    if report.skipped is None:
-        return
-    polys, bad = report.skipped
-    skipped = []
-    for p in (q for q in primes_in(2, cfg.N + 1) if q in bad):
-        if p == 2:
-            reason = "p=2"
-        elif any(f.lead % p == 0 for f in polys):
-            reason = "lead"
-        else:
-            reason = "disc"
-        skipped.append(f"{p},{reason}\n")
-    with open(cfg.output + ".skipped", "w", newline="\n") as fh:
-        fh.write("".join(skipped))
+    bad = report.skipped
+    if bad is not None:
+        with open(cfg.output + ".skipped", "w", newline="\n") as fh:
+            fh.write("".join(f"{p},{bad.reason(p)}\n" for p in primes_in(2, cfg.N + 1) if p in bad))
 
 
 def run_verify_cache(cache: TraceCache, threads: int = 1) -> None:
@@ -210,7 +200,7 @@ def _traces(cfg: ExperimentConfig, c: CurveSpec) -> Iterator[tuple[int, int]]:
 
 
 def cmd_trace(cfg: ExperimentConfig, c: CurveSpec) -> Report:
-    return Report(["p", "a"], _traces(cfg, c), ([c.f], c.bad_primes))
+    return Report(["p", "a"], _traces(cfg, c), c.bad_primes)
 
 
 def cmd_lpoly(cfg: ExperimentConfig, c: CurveSpec) -> Report:
@@ -222,7 +212,7 @@ def cmd_lpoly(cfg: ExperimentConfig, c: CurveSpec) -> Report:
             f"p = {primes[-1]} exceeds the F_p^2 counting cap {DEFAULT_LPOLY_CAP}"
         )
     rows = ((p, a, genus2_b(c.f, p, a)) for p, (a,) in _sweep(cfg)([c.f], primes))
-    return Report(["p", "a", "b"], rows, ([c.f], c.bad_primes))
+    return Report(["p", "a", "b"], rows, c.bad_primes)
 
 
 def cmd_nagao(cfg: ExperimentConfig, c: CurveSpec) -> Report:
@@ -230,39 +220,42 @@ def cmd_nagao(cfg: ExperimentConfig, c: CurveSpec) -> Report:
     surface = twist_surface(c.f, D)
     series = nagao_series(surface, cfg.N, _parse_grid(cfg), _sweep(cfg))
     rows = zip(series.n_grid, series.s1, series.s2, series.n_primes)
-    return Report(["N", "S1", "S2", "n_primes"], rows, ([c.f, D], surface.bad_primes))
+    return Report(["N", "S1", "S2", "n_primes"], rows, surface.bad_primes)
 
 
-def cmd_moments(cfg: ExperimentConfig, c: CurveSpec) -> Report:
-    """``moments``: the trace moments, with Kolmogorov-Smirnov distances of the
-    angles to the 1-D measures in genus 1.  ``st-classify``: the moment class
-    of the second moment, its candidate groups of the curve's genus and the
-    predicted rank."""
+def _moments(cfg: ExperimentConfig, c: CurveSpec) -> tuple[list[tuple[int, int]], MomentReport]:
+    """The curve's traces (p, a) and their moments; ConfigError if it has none."""
     traces = list(_traces(cfg, c))
     if not traces:
         raise ConfigError(f"no good prime p <= N = {cfg.N} to take moments over")
-    m = empirical_moments(traces)
-    if cfg.command == "st-classify":
-        cls = moment_class(m.second_moment)
-        if c.genus == 1:
-            table = GENUS1_GROUPS
-        else:
-            table = [(r.name, r.second_moment) for r in load_st_table()]
-        groups = [name for name, moment in table if moment == cls]
-        columns = [
-            "N", "second_moment", "zero_fraction", "moment_class", "candidates", "predicted_rank", "flag"
-        ]
-        flag = "" if cls is not None else "no class within tolerance"
-        row = (cfg.N, m.second_moment, m.zero_fraction, cls, "|".join(groups), cls, flag)
-    else:
-        columns = ["N", "second_moment", "fourth_moment", "zero_fraction", "n_primes"]
-        columns += ["ks_" + tag.replace("-", "_") for tag in MEASURE_TAGS]
-        # the 1-D angle measures do not apply in genus 2; sorted once, so each
-        # ks_distance sorts a sorted list
-        angles = sorted(map(normalized_angle, traces)) if c.genus == 1 else None
-        ks = [ks_distance(angles, STMeasure1D(tag)) if angles else None for tag in MEASURE_TAGS]
-        row = (cfg.N, m.second_moment, m.fourth_moment, m.zero_fraction, m.n_primes, *ks)
-    return Report(columns, [row], ([c.f], c.bad_primes))
+    return traces, empirical_moments(traces)
+
+
+def cmd_moments(cfg: ExperimentConfig, c: CurveSpec) -> Report:
+    """The trace moments, and in genus 1 the KS distances of the angles to the 1-D measures."""
+    traces, m = _moments(cfg, c)
+    columns = ["N", "second_moment", "fourth_moment", "zero_fraction", "n_primes"]
+    columns += ["ks_" + tag.replace("-", "_") for tag in MEASURE_TAGS]
+    # the 1-D angle measures do not apply in genus 2; sorted once, so each
+    # ks_distance sorts a sorted list
+    angles = sorted(map(normalized_angle, traces)) if c.genus == 1 else None
+    ks = [ks_distance(angles, STMeasure1D(tag)) if angles else None for tag in MEASURE_TAGS]
+    row = (cfg.N, m.second_moment, m.fourth_moment, m.zero_fraction, m.n_primes, *ks)
+    return Report(columns, [row], c.bad_primes)
+
+
+def cmd_st_classify(cfg: ExperimentConfig, c: CurveSpec) -> Report:
+    """The second moment's class, its Sato-Tate groups in the curve's genus and the predicted rank."""
+    _, m = _moments(cfg, c)
+    cls = moment_class(m.second_moment)
+    table = GENUS1_GROUPS if c.genus == 1 else [(r.name, r.second_moment) for r in load_st_table()]
+    groups = [name for name, moment in table if moment == cls]
+    columns = [
+        "N", "second_moment", "zero_fraction", "moment_class", "candidates", "predicted_rank", "flag"
+    ]
+    flag = "" if cls is not None else "no class within tolerance"
+    row = (cfg.N, m.second_moment, m.zero_fraction, cls, "|".join(groups), cls, flag)
+    return Report(columns, [row], c.bad_primes)
 
 
 def cmd_peterson(cfg: ExperimentConfig, c: CurveSpec) -> Report:
@@ -299,7 +292,7 @@ _COMMANDS = {
     "lpoly": (cmd_lpoly, _SWEEP),
     "nagao": (cmd_nagao, (*_SWEEP, "--D", "--grid")),
     "moments": (cmd_moments, _SWEEP),
-    "st-classify": (cmd_moments, _SWEEP),
+    "st-classify": (cmd_st_classify, _SWEEP),
     "peterson": (cmd_peterson, (*_COMMON, "--sigma")),
     "factor-check": (cmd_factor_check, (*_SWEEP, "--D", "--sigma", "--r", "--s-curves")),
 }

@@ -45,16 +45,21 @@ class WorkerDiedError(RuntimeError):
 
 
 class BadPrimes(NamedTuple):
-    """The primes dividing ``modulus``: ``p in bad`` is ``modulus % p == 0`` for
-    a prime p, and ``bad | other`` holds the primes of either."""
+    """The bad primes of curves whose leading coefficients multiply to ``leads``: ``p in
+    bad`` is ``modulus % p == 0`` for a prime p, and ``bad | other`` holds the primes of either."""
 
     modulus: int
+    leads: int
 
     def __contains__(self, p: int) -> bool:
         return self.modulus % p == 0
 
     def __or__(self, other: BadPrimes) -> BadPrimes:
-        return BadPrimes(self.modulus * other.modulus)
+        return BadPrimes(self.modulus * other.modulus, self.leads * other.leads)
+
+    def reason(self, p: int) -> str:
+        """Why the bad prime p is bad: "p=2", else "lead" if p divides ``leads``, else "disc"."""
+        return "p=2" if p == 2 else "lead" if self.leads % p == 0 else "disc"
 
 
 class CurveSpec(NamedTuple):
@@ -77,7 +82,7 @@ def hyperelliptic_bad_primes(f: IntPolynomial) -> BadPrimes:
     disc = f.discriminant()
     if disc == 0:
         raise CurveError(f"{f} has a repeated root (not squarefree over Q)")
-    return BadPrimes(2 * disc * f.lead)
+    return BadPrimes(2 * disc * f.lead, f.lead)
 
 
 def curve_from_poly(f: IntPolynomial) -> CurveSpec:
@@ -85,15 +90,14 @@ def curve_from_poly(f: IntPolynomial) -> CurveSpec:
     if f.is_zero or not 3 <= f.degree <= 6:
         got = "the zero polynomial" if f.is_zero else f.degree
         raise CurveError(f"degree must be 3..6, got {got}")
-    genus = 1 if f.degree <= 4 else 2
-    return CurveSpec(f, genus, hyperelliptic_bad_primes(f))
+    return CurveSpec(f, f.genus, hyperelliptic_bad_primes(f))
 
 
 def hyperelliptic_trace(f: IntPolynomial, p: int) -> int:
     """Trace of Frobenius of the smooth projective model of y^2 = f(x) at a good p.
 
     a = -sum_x chi_p(f(x)) minus the point-at-infinity correction chi_p(lead f)
-    for even degree.  Valid for any degree >= 1, genus (deg - 1) // 2; in
+    for even degree.  Valid for any degree >= 1 (any ``f.genus``); in
     genus 0 (degree 1 or 2) the trace is 0.
     """
     return traces_at([f], p)[0]
@@ -137,15 +141,15 @@ def _fill(
 
     At each prime one ``traces_at`` call computes every polynomial that
     missed, and each value is checked against the Weil bound
-    a^2 <= 4 g^2 p with g = (deg - 1) // 2.
+    a^2 <= 4 g^2 p with g = ``IntPolynomial.genus``.
     """
+    weil = [4 * g.genus**2 for g in distinct]
     for i, p in enumerate(block_primes):
         missed = [k for k, col in enumerate(block_cols) if col[i] is None]
         for k, a in zip(missed, traces_at([distinct[k] for k in missed], p)):
-            genus = (distinct[k].degree - 1) // 2
-            if a * a > 4 * genus * genus * p:
+            if a * a > weil[k] * p:
                 raise AssertionError(
-                    f"Weil bound violated at p={p}: a={a}, genus {genus} (counting bug)"
+                    f"Weil bound violated at p={p}: a={a}, genus {distinct[k].genus} (counting bug)"
                 )
             block_cols[k][i] = a
     return block_cols

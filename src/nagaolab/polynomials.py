@@ -70,6 +70,11 @@ class IntPolynomial(namedtuple("IntPolynomial", "coeffs")):
             raise PolynomialError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
+    @property
+    def genus(self) -> int:
+        """(deg - 1) // 2: the genus of y^2 = g(x) for a squarefree g, 0 in degree 1 or 2."""
+        return (self.degree - 1) // 2
+
     def __call__(self, x):
         v = 0
         for c in reversed(self.coeffs):

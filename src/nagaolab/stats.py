@@ -62,21 +62,20 @@ GENUS1_GROUPS = (("SU(2)", 1), ("N(U(1))", 1), ("U(1)", 2))
 
 
 # Each angle law once, keyed by its tag: the density of its continuous part,
-# its CDF (the atom included) and the mass of its atom at pi/2.
-_Law = namedtuple("_Law", "density cdf atom_mass")
+# its CDF (the atom included) and the mass of its atom at pi/2, in that order.
 _LAWS = {
-    SATO_TATE: _Law(
+    SATO_TATE: (
         lambda t: (2.0 / math.pi) * math.sin(t) ** 2, lambda t: (t - math.sin(t) * math.cos(t)) / math.pi, 0.0
     ),
-    UNIFORM: _Law(lambda t: 1.0 / math.pi, lambda t: t / math.pi, 0.0),
-    HALF_UNIFORM_DIRAC: _Law(
+    UNIFORM: (lambda t: 1.0 / math.pi, lambda t: t / math.pi, 0.0),
+    HALF_UNIFORM_DIRAC: (
         lambda t: 1.0 / (2.0 * math.pi), lambda t: t / (2.0 * math.pi) + (0.5 if t >= math.pi / 2 else 0.0), 0.5
     ),
 }
 
 
-class STMeasure1D(namedtuple("STMeasure1D", "tag")):
-    """An angle law on [0, pi], one of MEASURE_TAGS, read from its row of
+class STMeasure1D(namedtuple("STMeasure1D", "tag density cdf atom_mass")):
+    """An angle law on [0, pi]: its tag, one of MEASURE_TAGS, with its row of
     _LAWS.  Any other tag raises ValueError."""
 
     __slots__ = ()
@@ -84,11 +83,10 @@ class STMeasure1D(namedtuple("STMeasure1D", "tag")):
     def __new__(cls, tag: str):
         if tag not in MEASURE_TAGS:
             raise ValueError(f"unknown measure tag {tag!r}")
-        return super().__new__(cls, tag)
+        return super().__new__(cls, tag, *_LAWS[tag])
 
-    density = property(lambda self: _LAWS[self.tag].density)
-    cdf = property(lambda self: _LAWS[self.tag].cdf)
-    atom_mass = property(lambda self: _LAWS[self.tag].atom_mass)
+    def __getnewargs__(self):  # copy and pickle rebuild the law from its tag
+        return (self.tag,)
 
 
 # -- Haar-measure oracles by adaptive Simpson quadrature ---------------------

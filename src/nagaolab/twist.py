@@ -244,9 +244,8 @@ def verify_factorization(
     least violating prime.  One ``sweep`` of [D, f, *others] gives the traces.
     """
     _check_D_degree(D)
-    wrong = [g for g in (f, *others) if not 3 <= g.degree <= 4]
-    if others and wrong:
-        g = wrong[0]
+    g = next((g for g in (f, *others) if g.genus != 1), None)
+    if others and g is not None:
         raise CurveError(
             f"{g} has degree {g.degree}: with --s-curves, --f and s-curves need degree 3 or 4"
         )

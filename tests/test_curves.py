@@ -55,6 +55,9 @@ def test_curve_from_poly_genus_and_bad_primes():
     assert curve("x^5-x+1").genus == 2
     assert curve("x^4+x+1").genus == 1
     assert curve("x^6+1").genus == 2
+    assert [parse_polynomial(f"x^{d}+1").genus for d in range(1, 11)] == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
+    for d in range(3, 7):
+        assert curve(f"x^{d}+1").genus == parse_polynomial(f"x^{d}+1").genus
 
 
 def test_curve_from_poly_rejects_repeated_root():
@@ -87,6 +90,30 @@ def test_bad_primes_match_sympy(low, lead):
     for p in primes_in(2, 400):
         want = p == 2 or lead % p == 0 or any(k > 1 for _, k in F.set_modulus(p).sqf_list()[1])
         assert (p in bad) == want, p
+
+
+def squarefree(lo, hi):
+    """Squarefree polynomials of degree lo..hi, coefficients in [-20, 20], lead in [-30, 30]."""
+    low = st.integers(lo, hi).flatmap(lambda d: st.lists(st.integers(-20, 20), min_size=d, max_size=d))
+    lead = st.integers(-30, 30).filter(bool)
+    return st.builds(lambda c, a: IntPolynomial((*c, a)), low, lead).filter(IntPolynomial.is_squarefree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(squarefree(3, 6), squarefree(1, 10), squarefree(3, 6))
+def test_bad_primes_reason_of_a_union(f, D, E):
+    """The union of three curves' bad primes holds p <= 500 iff p = 2 or p
+    divides a leading coefficient or a discriminant, and its ``reason`` is the
+    first of those that holds."""
+    polys = (f, D, E)
+    discs = [g.discriminant() for g in polys]
+    bad = hyperelliptic_bad_primes(f) | hyperelliptic_bad_primes(D)
+    bad = bad | hyperelliptic_bad_primes(E)
+    for p in primes_in(2, 501):
+        lead = any(g.lead % p == 0 for g in polys)
+        assert (p in bad) == (p == 2 or lead or any(d % p == 0 for d in discs)), p
+        if p in bad:
+            assert bad.reason(p) == ("p=2" if p == 2 else "lead" if lead else "disc"), p
 
 
 def test_trace_elliptic_known():

@@ -91,6 +91,17 @@ def test_measure_is_its_tag():
         STMeasure1D("bogus")
 
 
+def test_measure_copies_and_pickles_as_its_tag():
+    """A measure carries its law's functions, yet copy and pickle rebuild it
+    from its tag alone, so it crosses a process boundary as the tag did."""
+    import copy
+    import pickle
+
+    for tag in MEASURE_TAGS:
+        m = STMeasure1D(tag)
+        assert copy.copy(m) == copy.deepcopy(m) == pickle.loads(pickle.dumps(m)) == m
+
+
 def test_measure_cdfs():
     m = STMeasure1D(SATO_TATE)
     assert m.cdf(0.0) == 0.0
