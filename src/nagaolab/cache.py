@@ -16,9 +16,9 @@ truncated after the last newline.  A file that holds only the start of its
 header is a header write cut short: it is removed and counts as absent.  A
 file whose header or fingerprint does not match the requesting curve, or
 whose records are out of order, malformed (a line other than _RECORD of the
-two integers it reads as) or outside the Weil bound a^2 <= 4 g^2 p
-(g = ``f.genus``), is quarantined (renamed with a .corrupt suffix) and
-a CacheCorruptError is raised.
+two integers it reads as) or outside the Weil bound a^2 <= w p
+(w = ``f.weil_constant``) is quarantined (renamed with a .corrupt suffix)
+and a CacheCorruptError is raised.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class TraceCache:
         if lines.readline() != fingerprint(self.poly).encode() + b"\n":
             self.quarantine("fingerprint mismatch")
         last = 0
-        weil = 4 * self.poly.genus**2  # a^2 <= 4 g^2 p
+        weil = self.poly.weil_constant
         for line in lines:
             try:
                 p_s, a_s = line.split(b",")

@@ -204,7 +204,7 @@ def cmd_trace(cfg: ExperimentConfig, c: CurveSpec) -> Report:
 
 
 def cmd_lpoly(cfg: ExperimentConfig, c: CurveSpec) -> Report:
-    if c.genus != 2:
+    if c.f.genus != 2:
         raise CurveError("lpoly requires a genus-2 curve (degree 5 or 6)")
     primes = good_primes(c.bad_primes, cfg.N)
     if primes and primes[-1] > DEFAULT_LPOLY_CAP:
@@ -238,7 +238,7 @@ def cmd_moments(cfg: ExperimentConfig, c: CurveSpec) -> Report:
     columns += ["ks_" + tag.replace("-", "_") for tag in MEASURE_TAGS]
     # the 1-D angle measures do not apply in genus 2; sorted once, so each
     # ks_distance sorts a sorted list
-    angles = sorted(map(normalized_angle, traces)) if c.genus == 1 else None
+    angles = sorted(map(normalized_angle, traces)) if c.f.genus == 1 else None
     ks = [ks_distance(angles, STMeasure1D(tag)) if angles else None for tag in MEASURE_TAGS]
     row = (cfg.N, m.second_moment, m.fourth_moment, m.zero_fraction, m.n_primes, *ks)
     return Report(columns, [row], c.bad_primes)
@@ -248,7 +248,7 @@ def cmd_st_classify(cfg: ExperimentConfig, c: CurveSpec) -> Report:
     """The second moment's class, its Sato-Tate groups in the curve's genus and the predicted rank."""
     _, m = _moments(cfg, c)
     cls = moment_class(m.second_moment)
-    table = GENUS1_GROUPS if c.genus == 1 else [(r.name, r.second_moment) for r in load_st_table()]
+    table = GENUS1_GROUPS if c.f.genus == 1 else [(r.name, r.second_moment) for r in load_st_table()]
     groups = [name for name, moment in table if moment == cls]
     columns = [
         "N", "second_moment", "zero_fraction", "moment_class", "candidates", "predicted_rank", "flag"

@@ -9,8 +9,8 @@ L-polynomial coefficient in the 1 + a_p T + ... normalization).
 
 The smooth projective model of y^2 = f(x) has one point at infinity when
 deg f is odd and 1 + chi_p(lead f) points when deg f is even; the character-sum
-trace formula carries that correction and is cross-checked against the
-exhaustive counting oracle in the test suite.
+trace formula subtracts the excess, ``IntPolynomial.infinity_term``, and is
+cross-checked against the exhaustive counting oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -96,9 +96,8 @@ def curve_from_poly(f: IntPolynomial) -> CurveSpec:
 def hyperelliptic_trace(f: IntPolynomial, p: int) -> int:
     """Trace of Frobenius of the smooth projective model of y^2 = f(x) at a good p.
 
-    a = -sum_x chi_p(f(x)) minus the point-at-infinity correction chi_p(lead f)
-    for even degree.  Valid for any degree >= 1 (any ``f.genus``); in
-    genus 0 (degree 1 or 2) the trace is 0.
+    a = -sum_x chi_p(f(x)) - ``f.infinity_term(p)``.  Valid for any degree
+    >= 1 (any ``f.genus``); in genus 0 (degree 1 or 2) the trace is 0.
     """
     return traces_at([f], p)[0]
 
@@ -121,7 +120,7 @@ def traces_at(polys: Sequence[IntPolynomial], p: int) -> list[int]:
         if g not in halves and g not in loops:
             loops[g] = char_sums(g, p, g in halves.values())
     sums = [sum(loops[halves[g]]) if g in halves else loops[g][0] for g in polys]
-    return [-s - (legendre(g.lead, p) if g.degree % 2 == 0 else 0) for g, s in zip(polys, sums)]
+    return [-s - g.infinity_term(p) for g, s in zip(polys, sums)]
 
 
 def good_primes(bad: BadPrimes, n_max: int) -> list[int]:
@@ -141,9 +140,9 @@ def _fill(
 
     At each prime one ``traces_at`` call computes every polynomial that
     missed, and each value is checked against the Weil bound
-    a^2 <= 4 g^2 p with g = ``IntPolynomial.genus``.
+    a^2 <= ``IntPolynomial.weil_constant`` * p.
     """
-    weil = [4 * g.genus**2 for g in distinct]
+    weil = [g.weil_constant for g in distinct]
     for i, p in enumerate(block_primes):
         missed = [k for k, col in enumerate(block_cols) if col[i] is None]
         for k, a in zip(missed, traces_at([distinct[k] for k in missed], p)):

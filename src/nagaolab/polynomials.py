@@ -11,6 +11,8 @@ import math
 import re
 from collections import namedtuple
 
+from .finite_field import legendre
+
 # The largest exponent the parser accepts, checked before int() reads the
 # exponent's digits and before the dense coefficient tuple is built: far above
 # every degree a command sweeps (the Peterson D of a quintic has degree 10).
@@ -74,6 +76,16 @@ class IntPolynomial(namedtuple("IntPolynomial", "coeffs")):
     def genus(self) -> int:
         """(deg - 1) // 2: the genus of y^2 = g(x) for a squarefree g, 0 in degree 1 or 2."""
         return (self.degree - 1) // 2
+
+    @property
+    def weil_constant(self) -> int:
+        """4 genus^2: a trace a of y^2 = g(x) at a good p has a^2 <= weil_constant * p."""
+        return 4 * self.genus**2
+
+    def infinity_term(self, p: int) -> int:
+        """The points at infinity of y^2 = g(x) over F_p less one: chi_p(lead g)
+        in even degree, 0 in odd, so a_p = -sum_x chi_p(g(x)) - infinity_term(p)."""
+        return legendre(self.lead, p) if self.degree % 2 == 0 else 0
 
     def __call__(self, x):
         v = 0

@@ -104,13 +104,11 @@ def nagao_series(
     """Both partial-sum estimators on a cutoff grid, over good primes <= n_max.
 
     One ``sweep`` of [f, D] gives a_p(f) and a_p(D); the chi-sum over D is
-    sum_t chi_p(D(t)) = -a_p(D) - [deg D even] chi_p(lead D).
+    sum_t chi_p(D(t)) = -a_p(D) - ``D.infinity_term(p)``.
     """
     grid = sorted(set(grid))
     if not grid or grid[0] < 2 or grid[-1] > n_max:
         raise ValueError("a grid needs at least one cutoff, and every cutoff in [2, N]")
-    even_D = s.D.degree % 2 == 0
-    lead_D = s.D.lead
     log = math.log
     count = 0  # good primes summed
     # Kahan-compensated sums of -A_p log p (w) and of -A_p (u), fed ascending in p.
@@ -121,9 +119,9 @@ def nagao_series(
     for p, (a_f, a_D) in sweep([s.f, s.D], good_primes(s.bad_primes, n_max)):
         while cuts[len(closed)] < p:
             closed.append((sum_w, sum_u, count))
-        # n = a_f (a_D + [deg D even] chi_p(lead D)) = -p A_p, and n / p is
-        # the correctly rounded -A_p.
-        n = a_f * (a_D + legendre(lead_D, p)) if even_D else a_f * a_D
+        # n = a_f (a_D + infinity term of D) = -p A_p, and n / p is the
+        # correctly rounded -A_p.
+        n = a_f * (a_D + s.D.infinity_term(p))
         count += 1
         v = n / p
         y = v * log(p) - comp_w

@@ -7,6 +7,8 @@ import random
 import tempfile
 from collections import Counter
 from functools import reduce
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 import nagaolab.curves as curves_mod
 import nagaolab.finite_field as ff_mod
-from nagaolab.cache import TraceCache
+from nagaolab.cache import HEADER, CacheCorruptError, TraceCache, cache_path, fingerprint
 from nagaolab.curves import (
     BadPrimeError,
     CapExceededError,
@@ -152,14 +154,48 @@ def _random_squarefree(rng, degree):
 
 
 def test_oracle_equivalence_random_curves():
+    """a_p of y^2 = f, with its points at infinity, equals an exhaustive count
+    for f of every degree 1..10 (genus 0..4): every --f, and every nagao or
+    factor-check D evaluated alone, at every good p < 400."""
     rng = random.Random(2024)
-    corpus = [_random_squarefree(rng, d) for d in (3, 3, 3, 4, 5, 5, 5, 6, 6, 6)]
+    corpus = [_random_squarefree(rng, d) for d in (3, 3, 3, 4, 5, 5, 5, 6, 6, 6, 1, 2, 7, 8, 9, 10)]
     for f in corpus:
-        c = curve_from_poly(f)
-        for p in primes_in(3, 100):
-            if p in c.bad_primes:
-                continue
-            assert hyperelliptic_trace(f, p) == trace_oracle_exhaustive(c, p).a, (f, p)
+        for p in good_primes(hyperelliptic_bad_primes(f), 399):
+            assert hyperelliptic_trace(f, p) == _oracle(f, p), (f, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda g: st.sampled_from([2 * g + 1, 2 * g + 2])),
+    st.integers(-9, 9),
+    st.sampled_from(primes_in(3, 2000)),
+    st.sampled_from([1, -1]),
+)
+def test_weil_boundary_in_the_sweep_and_the_cache(degree, c0, p, sign):
+    """The largest |a| with a^2 <= 4 g^2 p passes the sweep's check and loads
+    from a cache file; one more raises in the sweep and quarantines the file."""
+    f = IntPolynomial((c0,) + (0,) * (degree - 1) + (1,))
+    g = f.genus
+    inside = sign * math.isqrt(4 * g * g * p)
+    outside = inside + sign
+
+    def sweep(a):  # the sweep's own check, on a value the kernel is patched to give
+        with mock.patch.object(curves_mod, "traces_at", lambda fs, q: [a]):
+            return list(sweep_traces([f], [p]))
+
+    def load(a, cache_dir):
+        cache_path(cache_dir, f).write_bytes(f"{HEADER}\n{fingerprint(f)}\n{p},{a}\n".encode())
+        return TraceCache(cache_dir, f).records
+
+    assert sweep(inside) == [(p, (inside,))]
+    with pytest.raises(AssertionError, match=f"Weil bound violated at p={p}: a={outside}, genus {g} "):
+        sweep(outside)
+    with tempfile.TemporaryDirectory() as cache_dir:
+        assert load(inside, cache_dir) == {p: inside}
+    with tempfile.TemporaryDirectory() as cache_dir:
+        with pytest.raises(CacheCorruptError, match="outside the Weil bound"):
+            load(outside, cache_dir)
+        assert [q.name for q in Path(cache_dir).iterdir()] == [cache_path(cache_dir, f).name + ".corrupt"]
 
 
 def test_weil_bounds_on_sweeps():
@@ -369,7 +405,7 @@ even_curves = (
 
 
 def _oracle(f: IntPolynomial, p: int) -> int:
-    spec = CurveSpec(f, (f.degree - 1) // 2, hyperelliptic_bad_primes(f))
+    spec = CurveSpec(f, f.genus, hyperelliptic_bad_primes(f))
     return trace_oracle_exhaustive(spec, p).a
 
 
