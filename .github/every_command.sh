@@ -1,46 +1,119 @@
 #!/usr/bin/env bash
-# Every command once, with the runtime dependencies only (no sympy): each
-# report is written, each JSON report parses, the pool and the one-thread
-# sweep agree, and each refused input exits with its code and one error line.
-# Run from a scratch directory with the nagaolab script on PATH; it leaves
-# its reports there.
-set -e
-nagaolab trace --f "x^3+x" --N 100
-nagaolab lpoly --f "x^5-x+1" --N 50
-nagaolab nagao --f "T^3+T" --N 200 --grid 100,200
-nagaolab moments --f "x^3+x+1" --N 200
-nagaolab st-classify --f "x^5-x+1" --N 200
-nagaolab peterson --f "x^5+2*x^4+3*x^3+3*x^2+2*x+1" --sigma "1/x"
-nagaolab factor-check --f "x^5+2*x^4+3*x^3+3*x^2+2*x+1" --D auto-peterson --sigma "1/x" --N 200
-nagaolab trace --f "x^3+x" --N 100 --format json
-# every report's JSON objects, built from its tuple rows, parse as JSON
-nagaolab lpoly --f "x^5-x+1" --N 50 --format json | python -m json.tool > /dev/null
-nagaolab nagao --f "T^3+T" --N 200 --grid 100,200 --format json | python -m json.tool > /dev/null
-nagaolab moments --f "x^3+x+1" --N 200 --format json | python -m json.tool > /dev/null
-nagaolab st-classify --f "x^5-x+1" --N 200 --format json | python -m json.tool > /dev/null
-nagaolab peterson --f "x^5+2*x^4+3*x^3+3*x^2+2*x+1" --sigma "1/x" --format json | python -m json.tool > /dev/null
-nagaolab factor-check --f "x^5+2*x^4+3*x^3+3*x^2+2*x+1" --D auto-peterson --sigma "1/x" --N 200 --format json | python -m json.tool > /dev/null
-# D = f(T^2) is swept with its half f: the same report on one and two threads
-nagaolab factor-check --f "x^5+2*x^4+3*x^3+3*x^2+2*x+1" --D auto-peterson --sigma "1/x" --N 3000 --threads 1 --output fc1.csv
-nagaolab factor-check --f "x^5+2*x^4+3*x^3+3*x^2+2*x+1" --D auto-peterson --sigma "1/x" --N 3000 --threads 2 --output fc2.csv
-cmp fc1.csv fc2.csv
-# an even sextic takes the chunk loop's o = 0 path; each forked worker keeps its own residue table
-nagaolab moments --f "x^6+1" --N 3000 --threads 1 --output m1.csv
-nagaolab moments --f "x^6+1" --N 3000 --threads 2 --output m2.csv
-cmp m1.csv m2.csv
-nagaolab nagao --f "x^5+2*x^4+3*x^3+3*x^2+2*x+1" --D "x^10+2*x^8+3*x^6+3*x^4+2*x^2+1" --N 300
-# N above the one hard cap 10^7 exits 3 with one error line
-rc=0; nagaolab trace --f "x^3+x" --N 10000001 2> cap.err || rc=$?
-if [ "$rc" -ne 3 ] || [ "$(wc -l < cap.err)" -ne 1 ] || ! grep -q '^error: ' cap.err; then
-  echo "trace --N 10000001 exited $rc"; cat cap.err; exit 1
-fi
-# a '*' with no variable after it, and a digit that is not ASCII, are syntax errors: exit 1 with one error line
-for f in "x^3+x+1*" "x^²+1"; do
-  rc=0; nagaolab trace --f "$f" --N 100 2> parse.err || rc=$?
-  if [ "$rc" -ne 1 ] || [ "$(wc -l < parse.err)" -ne 1 ] || ! grep -q '^error: ' parse.err; then
-    echo "trace --f '$f' exited $rc"; cat parse.err; exit 1
-  fi
+# Every CLI check that CI makes, as three tables, each driven by one loop:
+# commands run once, in CSV and in JSON; mode cases, each run in all five
+# execution modes; and refused inputs, each with its exit code and one error
+# line.  Needs only the runtime dependencies (no sympy).  Run from a scratch
+# directory with the nagaolab script on PATH; it leaves its reports there.
+# A failing check names its row and mode before the script exits.
+set -euo pipefail
+row="" mode=""
+trap 'rc=$?; [ "$rc" -eq 0 ] || echo "FAILED (exit $rc) in row: $row; mode: $mode" >&2' EXIT
+
+# Rows are split into words by `read -a`, which never globs the "*" of a polynomial.
+Q="x^5+2*x^4+3*x^3+3*x^2+2*x+1"  # palindromic: sigma = 1/x permutes its roots
+PETERSON="factor-check --f $Q --D auto-peterson --sigma 1/x"
+
+# -- commands once: each report is written, and its JSON objects, built from its tuple rows, parse
+ONCE=(
+  "trace --f x^3+x --N 100"
+  "lpoly --f x^5-x+1 --N 50"
+  "nagao --f T^3+T --N 200 --grid 100,200"
+  "moments --f x^3+x+1 --N 200"
+  "st-classify --f x^5-x+1 --N 200"
+  "peterson --f $Q --sigma 1/x"
+  "$PETERSON --N 200"
+  "nagao --f $Q --D x^10+2*x^8+3*x^6+3*x^4+2*x^2+1 --N 300"
+)
+for row in "${ONCE[@]}"; do
+  read -ra argv <<< "$row"
+  mode=csv; nagaolab "${argv[@]}" > /dev/null
+  mode=json; nagaolab "${argv[@]}" --format json | python -m json.tool > /dev/null
 done
-# peterson sweeps nothing, so it takes no --threads: exit 1
-rc=0; nagaolab peterson --f "x^5+2*x^4+3*x^3+3*x^2+2*x+1" --sigma "1/x" --threads 2 || rc=$?
-if [ "$rc" -ne 1 ]; then echo "peterson --threads 2 exited $rc"; exit 1; fi
+
+# -- mode cases: the reference runs on 1 thread with no cache; every other mode gives its
+# report and .skipped bytes, and no run after the cold one changes a cache byte
+MODES=(
+  "selftwist nagao --f T^3+T --N 3000"  # D = f: one curve, swept once
+  "peterson $PETERSON --N 3000"  # D = f(T^2) read from its half f's pass
+  "pair nagao --f x^3+x+1 --D x^5-x+1 --N 3000"  # no pairing: f's cache gets D's bad primes as holes
+  "int32 moments --f x^5-x+1 --N 40000"  # N > 2 * CHUNK + 1: squares take two int32 chunks
+  "int64 $PETERSON --N 50000"  # N > INT32_MAX_P: the last blocks of f and D on int64 lanes
+  "trace trace --f x^3+x+1 --N 5000"  # reports written straight from the sweep's (p, a) pairs
+  "lpoly lpoly --f x^5-x+1 --N 200"
+  "moments moments --f x^3+x+1 --N 5000"
+  "classify st-classify --f x^5-x+1 --N 5000"
+  "lead nagao --f x^3+x --D 5*x^3+x+1 --N 5000 --grid 1000,5000"  # 5 divides only D's lead
+  "cm moments --f x^3+x --N 5000"  # half the angles on the atom at pi/2 in the KS distance
+  "sextic moments --f x^6+1 --N 3000"  # an even sextic: the chunk loop's o = 0 path
+)
+for row in "${MODES[@]}"; do
+  read -r name args <<< "$row"
+  read -ra argv <<< "$args"
+  mkdir -p "$name"
+  for mode in ref t2 cold warm verified; do
+    case $mode in
+      ref) opts=(--threads 1) ;;
+      t2) opts=(--threads 2) ;;
+      cold | warm) opts=(--cache-dir "$name/cache") ;;
+      verified) opts=(--cache-dir "$name/cache" --verify-cache --threads 2) ;;
+    esac
+    nagaolab "${argv[@]}" "${opts[@]}" --output "$name/$mode.csv"
+    cmp "$name/ref.csv" "$name/$mode.csv"
+    if [ -e "$name/ref.csv.skipped" ]; then cmp "$name/ref.csv.skipped" "$name/$mode.csv.skipped"; fi
+    if [ "$mode" = cold ]; then
+      sha256sum "$name"/cache/* > "$name/cold.sha256"
+    elif [ "$mode" != ref ] && [ "$mode" != t2 ]; then
+      sha256sum "$name"/cache/* | diff "$name/cold.sha256" -
+    fi
+  done
+done
+# the extra checks of some mode cases
+row="int32" mode="OPENBLAS_NUM_THREADS=4 --threads 2"  # the pool pins BLAS to one thread
+OPENBLAS_NUM_THREADS=4 nagaolab moments --f x^5-x+1 --N 40000 --threads 2 --output int32/blas.csv
+cmp int32/ref.csv int32/blas.csv
+read -ra argv <<< "$PETERSON --N 3000"
+row="peterson" mode="verified on 1 thread"  # each cache swept alone: every a_p(D) recomputed by D's pass
+nagaolab "${argv[@]}" --cache-dir peterson/cache --verify-cache --output peterson/verified1.csv
+cmp peterson/ref.csv peterson/verified1.csv
+row="peterson" mode="only f cached"  # D misses alone and is evaluated on its own
+nagaolab trace --f "$Q" --N 3000 --cache-dir peterson/fcache --output peterson/f.csv
+nagaolab "${argv[@]}" --cache-dir peterson/fcache --output peterson/fonly.csv
+cmp peterson/ref.csv peterson/fonly.csv
+row="pair" mode="then trace on its cache"  # the trace fills f's holes and writes the uncached report
+nagaolab trace --f x^3+x+1 --N 3000 --cache-dir pair/cache --output pair/trace.csv
+nagaolab trace --f x^3+x+1 --N 3000 --output pair/trace-ref.csv
+cmp pair/trace-ref.csv pair/trace.csv
+row="lead" mode="ref sidecar"  # the union of f's and D's bad primes keeps 5 as lead
+grep -qx '5,lead' lead/ref.csv.skipped
+
+# -- refused inputs: exit code | sed edit of a fresh trace cache of x^3+x+1 to N = 50, or - | command;
+# each prints one error line, and a damaged cache is renamed *.corrupt
+REFUSED=(
+  "3|-|trace --f x^3+x --N 10000001"  # N above the hard cap 10^7
+  "1|-|trace --f x^3+x+1* --N 100"  # a '*' with no variable after it
+  "1|-|trace --f x^²+1 --N 100"  # a digit that is not ASCII
+  "1|-|peterson --f $Q --sigma 1/x --threads 2"  # peterson sweeps nothing, so it takes no --threads
+  "4|s/^7,.*/7,100/|moments --f x^3+x+1 --N 50 --cache-dir damaged"  # a_p outside the Weil bound
+  # records that int() reads as p = 3 or 13, but that the writer would not write
+  "4|s/^3,/ 3,/|moments --f x^3+x+1 --N 50 --cache-dir damaged"
+  "4|s/^3,/+3,/|moments --f x^3+x+1 --N 50 --cache-dir damaged"
+  "4|s/^3,/03,/|moments --f x^3+x+1 --N 50 --cache-dir damaged"
+  "4|s/^13,/1_3,/|moments --f x^3+x+1 --N 50 --cache-dir damaged"
+)
+mode=refused
+for row in "${REFUSED[@]}"; do
+  IFS="|" read -r code edit cmd <<< "$row"
+  read -ra argv <<< "$cmd"
+  if [ "$edit" != - ]; then
+    rm -rf damaged
+    nagaolab trace --f x^3+x+1 --N 50 --cache-dir damaged > /dev/null
+    sed -i "$edit" damaged/trace_*.txt
+  fi
+  rc=0
+  nagaolab "${argv[@]}" 2> refused.err || rc=$?
+  cat refused.err
+  [ "$rc" -eq "$code" ]
+  [ "$(wc -l < refused.err)" -eq 1 ]
+  grep -q '^error: ' refused.err
+  if [ "$edit" != - ]; then ls damaged/*.corrupt; fi
+done

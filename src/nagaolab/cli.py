@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .cache import CacheCorruptError, TraceCache
 from .curves import (
     DEFAULT_LPOLY_CAP,
+    MAX_THREADS,
     BadPrimes,
     CurveError,
     CurveSpec,
@@ -57,9 +58,6 @@ EXIT_CAP = 3
 EXIT_CACHE = 4
 EXIT_WORKER = 5
 EXIT_INTERRUPTED = 130
-
-# The largest --threads: a sweep's worker processes start all at once.
-MAX_THREADS = 64
 
 
 class ConfigError(Exception):

@@ -27,6 +27,9 @@ DEFAULT_LPOLY_CAP = 10**4
 
 _BLOCK = 128  # primes per worker block
 
+# The most worker processes a sweep may ask for: a forked pool starts them all at once.
+MAX_THREADS = 64
+
 
 class CurveError(PolynomialError):
     pass
@@ -226,9 +229,12 @@ def sweep_traces(
     a block is filled in this process, only when the consumer reaches it.
     Each process keeps its own last residue table (``residue_table``).
 
+    threads > MAX_THREADS raises CapExceededError before any cache is opened.
     A worker that dies raises WorkerDiedError naming the first prime of the
     block that was lost; the blocks before it are already in the caches.
     """
+    if threads > MAX_THREADS:
+        raise CapExceededError(f"thread count {threads} exceeds the cap {MAX_THREADS}")
     distinct = list(dict.fromkeys(polys))
     slot = [distinct.index(g) for g in polys]
     stores = [open_cache(g) if open_cache else None for g in distinct]
@@ -293,7 +299,8 @@ def genus2_b(f: IntPolynomial, p: int, a: int) -> int:
     """The L-coefficient b = (a^2 - (p^2 + 1 - #C(F_{p^2}))) / 2 of a genus-2
     curve at a good p with trace a: an exact integer, checked against |b| <= 6p."""
     num = a * a - (p * p + 1 - _count_fp2(f, p))
-    assert num % 2 == 0, "parity failure in b (counting bug)"
+    if num % 2:
+        raise AssertionError("parity failure in b (counting bug)")
     b = num // 2
     if abs(b) > 6 * p:
         raise AssertionError(f"|b| <= 6p violated at p={p}: b={b}")

@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nagaolab.cli as cli_mod
@@ -33,7 +33,7 @@ from nagaolab.cli import (
     run,
 )
 from nagaolab.curves import curve_from_poly, good_primes, hyperelliptic_trace
-from nagaolab.polynomials import ParseError, PolynomialError, parse_polynomial
+from nagaolab.polynomials import IntPolynomial, ParseError, PolynomialError, parse_polynomial, poly_to_str
 from nagaolab.stats import load_st_table
 
 
@@ -326,6 +326,23 @@ def fresh_python(*lines: str, flags: tuple[str, ...] = ()) -> subprocess.Complet
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = "\n".join(["import sys", *lines])
     return subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, timeout=60)
+
+
+def test_genus2_b_parity_check_survives_python_O():
+    """The parity check of b raises under -O too, where an assert would vanish."""
+    proc = fresh_python(
+        "import nagaolab.curves as curves",
+        "from nagaolab.polynomials import parse_polynomial",
+        "assert sys.flags.optimize == 1",
+        "curves._count_fp2 = lambda f, p: 1  # a^2 - (p^2 + 1 - 1) is odd at p = 3, a = 0",
+        "try:",
+        "    print(curves.genus2_b(parse_polynomial('x^5-x+1'), 3, 0))",
+        "except AssertionError as e:",
+        "    print(e)",
+        flags=("-O",),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"parity failure in b (counting bug)\n"
 
 
 def test_pool_modules_load_only_for_a_pool(tmp_path):
@@ -882,6 +899,103 @@ def test_thread_count_determinism_small(tmp_path):
         )
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+# -- every execution mode ----------------------------------------------------
+
+MODE_CURVES = ["x^3+x", "x^3+x+1", "x^4+x+1", "x^5-x+1", "x^6+1", "5*x^3+x+1"]
+PETERSON_CURVES = [QUINTIC, "x^3+2*x^2+2*x+1"]  # palindromic: sigma = 1/x permutes the roots
+# the D of a nagao run that leaves holes in f's cache at D's odd bad primes
+HOLE_MAKERS = ["x^3-x+1", "x^3+x+1", "x^3+7", "5*x^3+x+1"]
+HISTORIES = ["none", "cold", "warm", "prefix", "holes", "verify"]
+
+
+@st.composite
+def squarefree_curves(draw, degrees, palindromic=False):
+    """A random squarefree f of a degree in ``degrees``, with f(0) != 0 (so
+    f(T^2) is squarefree too), as text; palindromic for the Peterson pair."""
+    d = draw(st.sampled_from(degrees))
+    coef, nonzero = st.integers(-3, 3), st.sampled_from([1, -1, 2, -2, 3, -3])
+    if palindromic:  # odd d
+        half = [draw(nonzero)] + [draw(coef) for _ in range(d // 2)]
+        coeffs = half + half[::-1]
+    else:
+        coeffs = [draw(nonzero)] + [draw(coef) for _ in range(d - 1)] + [draw(nonzero)]
+    f = IntPolynomial(tuple(coeffs))
+    assume(f.is_squarefree())
+    return poly_to_str(f)
+
+
+def _cache_files(d: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(d.iterdir())} if d.exists() else {}
+
+
+def _merged(*runs: dict[str, bytes]) -> dict[str, bytes]:
+    """Per cache file, the header and the union of the records of every run's files."""
+    merged = {}
+    for files in runs:
+        for name, data in files.items():
+            lines = data.splitlines(keepends=True)
+            records = merged.setdefault(name, (b"".join(lines[:2]), {}))[1]
+            records.update((int(line.split(b",")[0]), line) for line in lines[2:])
+    return {name: head + b"".join(r for _, r in sorted(recs.items())) for name, (head, recs) in merged.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_every_execution_mode_writes_the_reference_bytes(data):
+    """Whatever the threads (1 or 2) and the cache history (none; cold; warm;
+    each file cut to its own prefix; holes left by a nagao run with another
+    D; --verify-cache), a run writes the exit code, report and .skipped
+    bytes of the one-thread run with no cache, and leaves every cache file
+    as a cold one-thread run does (after holes: as the two cold runs merged)."""
+    command = data.draw(st.sampled_from(["trace", "moments", "st-classify", "nagao", "factor-check"]))
+    kw = {}
+    if command == "factor-check":  # the Peterson pair: D = f(T^2) read from its half's pass
+        f = data.draw(st.sampled_from(PETERSON_CURVES) | squarefree_curves([3, 5], palindromic=True))
+        kw = dict(D="auto-peterson", sigma="1/x")
+    elif command == "nagao":
+        twist = data.draw(st.sampled_from(["D = f", "D != f", "D = f(T^2)"]))
+        if twist == "D = f(T^2)":  # deg D <= 10
+            f = data.draw(st.sampled_from(MODE_CURVES[1:4]) | squarefree_curves([3, 4, 5]))
+            g = parse_polynomial(f).coeffs
+            kw = dict(D=poly_to_str(IntPolynomial(tuple(c for a in g for c in (a, 0))[:-1])))
+        else:
+            f = data.draw(st.sampled_from(MODE_CURVES) | squarefree_curves([3, 4, 5, 6]))
+            if twist == "D != f":
+                kw = dict(D=data.draw(st.sampled_from(MODE_CURVES) | squarefree_curves([3, 4, 5, 6])))
+    else:
+        f = data.draw(st.sampled_from(MODE_CURVES) | squarefree_curves([3, 4, 5, 6]))
+    n = data.draw(st.integers(700, 3000) | st.integers(3, 700))  # 128-prime blocks: 1 to 4
+    threads = data.draw(st.sampled_from([1, 2]))
+    history = data.draw(st.sampled_from(HISTORIES))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+
+        def go(name, **more):
+            out = tmp / f"{name}.csv"
+            rc = run(cfg(command, f=f, N=n, output=str(out), **kw, **more))
+            sidecar = Path(f"{out}.skipped")
+            return rc, out.exists() and out.read_bytes(), sidecar.exists() and sidecar.read_bytes()
+
+        ref = go("ref")
+        assert go("cold", cache_dir=str(tmp / "cold")) == ref
+        expected = _cache_files(tmp / "cold")
+        cache = tmp / "cache"
+        if history in ("warm", "prefix", "verify"):
+            go("history", cache_dir=str(cache))
+        if history == "prefix":
+            for name, full in _cache_files(cache).items():
+                (cache / name).write_bytes(full[: data.draw(st.integers(0, len(full)))])
+        if history == "holes":
+            holes = dict(f=f, D=data.draw(st.sampled_from(HOLE_MAKERS)), N=data.draw(st.integers(3, n)))
+            run(cfg("nagao", cache_dir=str(cache), output=str(tmp / "holes.csv"), **holes))
+            run(cfg("nagao", cache_dir=str(tmp / "holes"), output=str(tmp / "holes.csv"), **holes))
+            expected = _merged(expected, _cache_files(tmp / "holes"))
+        mode = dict(threads=threads, verify_cache=history == "verify")
+        assert go("mode", cache_dir=None if history == "none" else str(cache), **mode) == ref
+        assert _cache_files(cache) == (expected if history != "none" else {})
 
 
 def test_warm_self_twist_builds_no_residue_table(tmp_path, monkeypatch):

@@ -20,6 +20,7 @@ import nagaolab.curves as curves_mod
 import nagaolab.finite_field as ff_mod
 from nagaolab.cache import HEADER, CacheCorruptError, TraceCache, cache_path, fingerprint
 from nagaolab.curves import (
+    MAX_THREADS,
     BadPrimeError,
     CapExceededError,
     CurveError,
@@ -841,6 +842,23 @@ def test_pool_size_is_the_blocks_with_a_miss(tmp_path, monkeypatch):
     sizes = _counted_pools(monkeypatch)
     assert list(sweep_traces([f], primes, 8, _opener([TraceCache(tmp_path, f)]))) == want
     assert sizes == [3]
+
+
+@pytest.mark.parametrize("threads", [MAX_THREADS + 1, 10**5])
+def test_sweep_refuses_threads_above_the_cap_before_any_work(threads, monkeypatch):
+    """Above MAX_THREADS a library sweep raises before it opens a cache or
+    builds a pool; at the cap it goes on to build its pool."""
+
+    def refused(*args):
+        raise AssertionError("called above the thread cap")
+
+    monkeypatch.setattr(curves_mod, "_process_pool", refused)
+    f = parse_polynomial("x^3+x+1")
+    primes = good_primes(hyperelliptic_bad_primes(f), 10**4)
+    with pytest.raises(CapExceededError, match=f"exceeds the cap {MAX_THREADS}"):
+        next(sweep_traces([f], primes, threads, refused))
+    with pytest.raises(AssertionError, match="called above the thread cap"):
+        next(sweep_traces([f], primes, MAX_THREADS))
 
 
 @pytest.mark.parametrize("end", ["finished", "closed after one block", "Weil violation"])
