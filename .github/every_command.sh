@@ -45,6 +45,7 @@ MODES=(
   "lead nagao --f x^3+x --D 5*x^3+x+1 --N 5000 --grid 1000,5000"  # 5 divides only D's lead
   "cm moments --f x^3+x --N 5000"  # half the angles on the atom at pi/2 in the KS distance
   "sextic moments --f x^6+1 --N 3000"  # an even sextic: the chunk loop's o = 0 path
+  "cycle factor-check --f x^3-x --D auto-peterson --sigma (x+1)/(-3x+1) --N 3000"  # a sigma of order 3, not 1/x: a degree-6 D evaluated on its own
 )
 for row in "${MODES[@]}"; do
   read -r name args <<< "$row"

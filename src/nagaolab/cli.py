@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import suppress
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .cache import CacheCorruptError, TraceCache
@@ -127,7 +128,8 @@ def _fmt(v) -> str:
 
 def _write(report: Report, cfg: ExperimentConfig) -> None:
     """The report to the output file (or stdout), and beside an output file the
-    ``.skipped`` sidecar of the bad primes p <= N, each with its ``reason``."""
+    ``.skipped`` sidecar of the bad primes p <= N, each with its ``reason``; a
+    report without one removes the sidecar an earlier run left there."""
     cols = report.columns
     if cfg.fmt == "json":
         import json
@@ -142,9 +144,12 @@ def _write(report: Report, cfg: ExperimentConfig) -> None:
     with open(cfg.output, "w", newline="\n") as fh:
         fh.write(text)
     bad = report.skipped
-    if bad is not None:
-        with open(cfg.output + ".skipped", "w", newline="\n") as fh:
-            fh.write("".join(f"{p},{bad.reason(p)}\n" for p in primes_in(2, cfg.N + 1) if p in bad))
+    if bad is None:
+        with suppress(FileNotFoundError):
+            os.remove(cfg.output + ".skipped")
+        return
+    with open(cfg.output + ".skipped", "w", newline="\n") as fh:
+        fh.write("".join(f"{p},{bad.reason(p)}\n" for p in primes_in(2, cfg.N + 1) if p in bad))
 
 
 def run_verify_cache(cache: TraceCache, threads: int = 1) -> None:
@@ -318,6 +323,8 @@ def _check_paths(cfg: ExperimentConfig) -> None:
     """Fail before any work on an output or cache path that cannot be written,
     or on --verify-cache without a cache to verify."""
     out = cfg.output
+    if not out:
+        raise ConfigError("--output is empty: name a file, or - for stdout")
     if out != "-" and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
         raise ConfigError(f"cannot write --output {out}: a directory, or in a missing one")
     cache_dir = cfg.cache_dir

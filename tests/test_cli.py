@@ -74,18 +74,6 @@ def test_parse_mobius_error_column_counts_from_the_option(text, column):
     assert text[column : column + 1] in ("*", "")  # the "*", or the end of an empty part
 
 
-def test_trace_command_csv(tmp_path):
-    out = tmp_path / "t.csv"
-    rc = run(cfg("trace", f="x^3+x", N=20, output=str(out)))
-    assert rc == EXIT_OK
-    lines = out.read_text().splitlines()
-    assert lines[0] == "p,a"
-    assert lines[1] == "3,0"
-    assert lines[2] == "5,2"
-    skipped = (tmp_path / "t.csv.skipped").read_text().splitlines()
-    assert skipped == ["2,p=2"]
-
-
 def test_trace_to_a_file_sieves_once(tmp_path):
     """The sweep's good primes and the ``.skipped`` sidecar share one sieve."""
     ff_mod._primes_below.cache_clear()
@@ -120,24 +108,6 @@ def test_lpoly_warm_rerun_reads_cache(tmp_path, monkeypatch):
     assert run(cfg("lpoly", output=str(tmp_path / "warm.csv"), **base)) == EXIT_OK
     assert computed == []
     assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
-
-
-def test_json_mirrors_csv_fields(tmp_path):
-    out_c = tmp_path / "m.csv"
-    out_j = tmp_path / "m.json"
-    assert run(cfg("moments", f="x^3+x", N=200, output=str(out_c))) == EXIT_OK
-    assert run(cfg("moments", f="x^3+x", N=200, output=str(out_j), fmt="json")) == EXIT_OK
-    header = out_c.read_text().splitlines()[0].split(",")
-    payload = json.loads(out_j.read_text())
-    assert list(payload[0].keys()) == header
-
-
-def test_nagao_csv_columns(tmp_path):
-    out = tmp_path / "n.csv"
-    assert run(cfg("nagao", f="T^3+T", N=300, grid="100,300", output=str(out))) == EXIT_OK
-    lines = out.read_text().splitlines()
-    assert lines[0] == "N,S1,S2,n_primes"
-    assert len(lines) == 3
 
 
 def test_exit_code_parse_error(tmp_path, capsys, monkeypatch):
@@ -195,6 +165,16 @@ def test_sidecar_lead_reason(argv, sidecar, tmp_path):
     out = tmp_path / "out.csv"
     assert main(argv + ["--output", str(out)]) == EXIT_OK
     assert (tmp_path / "out.csv.skipped").read_text() == sidecar
+
+
+def test_report_without_sidecar_removes_a_stale_one(tmp_path):
+    """factor-check writes no sidecar, so the one a trace left at the same
+    output name (31 is a bad prime of x^3+x+1 only) is removed."""
+    out = tmp_path / "o.csv"
+    assert run(cfg("trace", f="x^3+x+1", N=100, output=str(out))) == EXIT_OK
+    assert (tmp_path / "o.csv.skipped").read_text() == "2,p=2\n31,disc\n"
+    assert run(cfg("factor-check", f="x^3+x", D="x^3+x", r=1, N=100, output=str(out))) == EXIT_OK
+    assert not (tmp_path / "o.csv.skipped").exists()
 
 
 def test_exit_code_cap():
@@ -495,7 +475,7 @@ def test_config_builds_from_the_parser():
     assert bare == ExperimentConfig("nagao") and bare.s_curves == () and bare.cache_dir is None
 
 
-@pytest.mark.parametrize("where", ["missing-output-dir", "output-is-dir", "cache-dir-is-file"])
+@pytest.mark.parametrize("where", ["missing-output-dir", "output-is-dir", "cache-dir-is-file", "empty-output"])
 def test_unwritable_path_fails_before_any_trace(where, tmp_path, capsys, monkeypatch):
     computed = []
     monkeypatch.setattr(curves_mod, "traces_at", lambda *a: computed.append(a))
@@ -504,6 +484,8 @@ def test_unwritable_path_fails_before_any_trace(where, tmp_path, capsys, monkeyp
         out = tmp_path / "no-such-dir" / "out.csv"
     elif where == "output-is-dir":
         out.mkdir()
+    elif where == "empty-output":
+        out = ""
     else:
         cache.write_text("a file\n")
     argv = ["nagao", "--f", "T^3+T", "--N", "300", "--cache-dir", str(cache), "--output", str(out)]
@@ -606,62 +588,11 @@ def test_st_classify_genus2_candidates(f, cls, candidates, tmp_path):
     assert candidates.split("|") == [r.name for r in load_st_table() if r.second_moment == cls]
 
 
-def test_peterson_and_factor_check_cli(tmp_path):
-    out = tmp_path / "p.csv"
-    quintic = "x^5+2*x^4+3*x^3+3*x^2+2*x+1"
-    assert run(cfg("peterson", f=quintic, sigma="1/x", output=str(out))) == EXIT_OK
-    header, row = out.read_text().splitlines()
-    assert header == "D,multiplier"
-    d_str, mult = row.rsplit(",", 1)
-    assert mult == "1"
-    assert parse_polynomial(d_str) == parse_polynomial("T^10+2*T^8+3*T^6+3*T^4+2*T^2+1")
-
-    out2 = tmp_path / "fc.csv"
-    rc = run(
-        cfg("factor-check", f=quintic, D="auto-peterson", sigma="1/x", r=2, N=1000, output=str(out2))
-    )
-    assert rc == EXIT_OK
-    assert out2.read_text().splitlines()[1].startswith("pass,")
-
-
-def test_factor_check_failure_row(tmp_path):
-    out = tmp_path / "fc.csv"
-    rc = run(cfg("factor-check", f="x^3+x", D="x^6+2", r=2, N=100, output=str(out)))
-    assert rc == EXIT_OK
-    assert out.read_text().splitlines()[1] == "fail,5,0"
-
-
-def test_peterson_three_cycle_cli_bytes(tmp_path):
-    base = dict(f="x^3-x", sigma="(x+1)/(-3x+1)")
-    d = "7346640384*T^6 + 2176782336*T^4 - 429981696*T^2 - 56623104"
-    csv_out, json_out = tmp_path / "p.csv", tmp_path / "p.json"
-    assert run(cfg("peterson", output=str(csv_out), **base)) == EXIT_OK
-    assert csv_out.read_text() == f"D,multiplier\n{d},13824\n"
-    assert run(cfg("peterson", output=str(json_out), fmt="json", **base)) == EXIT_OK
-    assert json_out.read_text() == json.dumps([{"D": d, "multiplier": 13824}], indent=2) + "\n"
-
-
 def test_peterson_error_exit_code():
     assert run(cfg("peterson", f="x^3-x", sigma="-x", output="-")) == EXIT_CONFIG
 
 
 # -- cache behavior ----------------------------------------------------------
-
-
-def test_cache_cold_warm_identical(tmp_path):
-    cache = tmp_path / "cache"
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    base = dict(f="T^3+T", N=500, grid="100,500", cache_dir=str(cache))
-    assert run(cfg("nagao", output=str(out1), **base)) == EXIT_OK
-    assert run(cfg("nagao", output=str(out2), **base)) == EXIT_OK
-    assert out1.read_bytes() == out2.read_bytes()
-    files = list(cache.glob("trace_*.txt"))
-    assert len(files) == 1
-    lines = files[0].read_text().splitlines()
-    assert lines[0] == HEADER
-    assert lines[1] == fingerprint(parse_polynomial("T^3+T"))
-    ps = [int(line.split(",")[0]) for line in lines[2:]]
-    assert ps == sorted(ps)
 
 
 def test_cache_extended_not_rewritten(tmp_path):
@@ -887,18 +818,6 @@ def test_verify_cache_detects_bad_record(case, tmp_path, capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and err.startswith("error: corrupt cache file"), err
     assert not path.exists() and path.with_suffix(".txt.corrupt").exists()
     assert (computed == []) == (extra is not None)
-
-
-def test_thread_count_determinism_small(tmp_path):
-    outs = []
-    for threads in (1, 3):
-        out = tmp_path / f"n{threads}.csv"
-        assert (
-            run(cfg("nagao", f="T^3+T", N=2000, grid="geometric:5", threads=threads, output=str(out)))
-            == EXIT_OK
-        )
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
 
 
 # -- every execution mode ----------------------------------------------------
