@@ -69,9 +69,12 @@ for row in "${MODES[@]}"; do
   done
 done
 # the extra checks of some mode cases
-row="int32" mode="OPENBLAS_NUM_THREADS=4 --threads 2"  # the pool pins BLAS to one thread
+row="int32" mode="OPENBLAS_NUM_THREADS=4 --threads 2"  # every numpy load pins BLAS to one thread
 OPENBLAS_NUM_THREADS=4 nagaolab moments --f x^5-x+1 --N 40000 --threads 2 --output int32/blas.csv
 cmp int32/ref.csv int32/blas.csv
+mode="OPENBLAS_NUM_THREADS=4 --threads 1"
+OPENBLAS_NUM_THREADS=4 nagaolab moments --f x^5-x+1 --N 40000 --threads 1 --output int32/blas1.csv
+cmp int32/ref.csv int32/blas1.csv
 read -ra argv <<< "$PETERSON --N 3000"
 row="peterson" mode="verified on 1 thread"  # each cache swept alone: every a_p(D) recomputed by D's pass
 nagaolab "${argv[@]}" --cache-dir peterson/cache --verify-cache --output peterson/verified1.csv

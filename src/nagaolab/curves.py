@@ -20,7 +20,7 @@ from itertools import repeat
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .cache import TraceCache
-from .finite_field import CapExceededError, char_sums, legendre, primes_in, residue_table
+from .finite_field import CapExceededError, _numpy, char_sums, legendre, primes_in, residue_table
 from .polynomials import IntPolynomial, PolynomialError
 
 DEFAULT_LPOLY_CAP = 10**4
@@ -161,38 +161,21 @@ def _process_pool(workers: int):
     """A pool of ``workers`` forked processes.
 
     Fork, not spawn: a forked worker starts with the parent's modules and
-    needs no import of its own.  numpy is imported here, before the fork, so
-    the workers inherit it instead of each importing it.  Loaded first here,
-    its BLAS is pinned to one thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
-    and MKL_NUM_THREADS set to 1 while it loads, then put back; nagaolab
-    does no linear algebra), so the process still has no thread but its own
-    when it forks.  A Ctrl-C reaches the whole process group: the workers
-    take SIGINT's default action and end at once, without a traceback, and
-    the CLI alone reports it.  A process that ignores SIGINT (as a
-    non-interactive shell starts its background jobs) has its workers ignore
-    it too, so a group SIGINT stops neither.  The pool modules are imported
-    here, not at module load, so a run on one thread or with every a_p
-    cached never loads them.
+    needs no import of its own.  numpy is loaded here (``_numpy``), before
+    the fork, so the workers inherit it instead of each importing it.  A
+    Ctrl-C reaches the whole process group: the workers take SIGINT's
+    default action and end at once, without a traceback, and the CLI alone
+    reports it.  A process that ignores SIGINT (as a non-interactive shell
+    starts its background jobs) has its workers ignore it too, so a group
+    SIGINT stops neither.  The pool modules are imported here, not at module
+    load, so a run on one thread, with every a_p cached or with one block to
+    compute never loads them.
     """
     import multiprocessing
-    import os
     import signal
-    import sys
     from concurrent.futures.process import ProcessPoolExecutor
 
-    if "numpy" not in sys.modules:
-        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-        saved = {var: os.environ.get(var) for var in blas}
-        os.environ.update(dict.fromkeys(blas, "1"))
-        try:
-            import numpy  # noqa: F401  (BLAS reads its thread count as it loads)
-        finally:
-            for var, value in saved.items():
-                if value is None:
-                    del os.environ[var]
-                else:
-                    os.environ[var] = value
-
+    _numpy()
     ignored = signal.getsignal(signal.SIGINT) == signal.SIG_IGN
     return ProcessPoolExecutor(
         workers,
@@ -222,11 +205,12 @@ def sweep_traces(
     The primes run in blocks of _BLOCK consecutive ones.  A block whose
     values are all cached is yielded straight from its columns: nothing is
     computed or appended for it.  ``_fill`` computes the misses of the other
-    blocks.  When threads > 1, those blocks go to a pool of min(threads,
-    blocks with a miss) forked worker processes; this generator takes the
-    blocks in order, appends each filled one to the caches and then yields
-    it, so the output does not depend on the thread count.  With one thread
-    a block is filled in this process, only when the consumer reaches it.
+    blocks.  When threads > 1 and two blocks or more have a miss, those
+    blocks go to a pool of min(threads, blocks with a miss) forked worker
+    processes; this generator takes the blocks in order, appends each filled
+    one to the caches and then yields it, so the output does not depend on
+    the thread count.  Otherwise a block is filled in this process, only
+    when the consumer reaches it.
     Each process keeps its own last residue table (``residue_table``).
 
     threads > MAX_THREADS raises CapExceededError before any cache is opened.
@@ -250,7 +234,7 @@ def sweep_traces(
         [bc for bc, miss in zip(block_cols, missed) if miss],
     )
     pool, died = None, ()  # died: what the pool raises when a worker dies
-    if threads > 1 and any(missed):
+    if threads > 1 and sum(missed) > 1:
         pool = _process_pool(min(threads, sum(missed)))
         from concurrent.futures.process import BrokenProcessPool as died
     try:
@@ -272,8 +256,7 @@ def sweep_traces(
 
 def _count_fp2(f: IntPolynomial, p: int) -> int:
     """#C(F_{p^2}) for the smooth model of y^2 = f, with F_{p^2} = F_p[u]/(u^2 - n)."""
-    import numpy as np
-
+    np = _numpy()
     chi = residue_table(p).chi
     n = next(a for a in range(2, p) if legendre(a, p) == -1)
     # z = z0 + z1 u is a nonzero square in F_{p^2}  iff  chi_p(Norm z) = 1,

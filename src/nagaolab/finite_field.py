@@ -11,16 +11,18 @@ All primes handled downstream are odd; ``primes_in`` itself still reports 2
 when it lies in the requested range and callers filter.  One cap, N_HARD_CAP,
 bounds the sieve and the residue tables, and so every sweep.
 
-numpy is imported by the functions that build or read arrays (``int32_ks``,
-``_residue_table``, ``poly_eval_all_mod`` and ``char_sums``), not by this
-module: the sieve and the character are pure Python, so a run whose traces
-all come from the cache never loads it.
+``_numpy`` is the one place numpy is loaded, with BLAS held to one thread, by
+the functions that build or read arrays (``int32_ks``, ``_residue_table``,
+``poly_eval_all_mod`` and ``char_sums``), not at module load: the sieve and
+the character are pure Python, so a run whose traces all come from the cache
+never loads it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import compress, dropwhile
@@ -127,6 +129,23 @@ def residue_table(p: int) -> ResidueTable:
 
 
 @lru_cache(maxsize=None)
+def _numpy():
+    """numpy, loaded with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS
+    at 1 and then each put back as it was, set or unset: BLAS reads its thread count
+    as it loads, and nagaolab does no linear algebra, so BLAS starts no thread."""
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    saved = {var: os.environ.pop(var, None) for var in blas}
+    os.environ.update(dict.fromkeys(blas, "1"))
+    try:
+        import numpy
+    finally:
+        for var in blas:
+            del os.environ[var]
+        os.environ.update((var, value) for var, value in saved.items() if value is not None)
+    return numpy
+
+
+@lru_cache(maxsize=None)
 def int32_ks() -> tuple[np.ndarray, np.ndarray]:
     """(k, k^2) for k = 1..INT32_MAX_P // 2, as read-only int32 arrays.
 
@@ -134,8 +153,7 @@ def int32_ks() -> tuple[np.ndarray, np.ndarray]:
     on int32 lanes slices, so neither ``_residue_table`` nor a pass of
     ``char_sums`` makes its own arange.  k^2 < INT32_MAX_P^2 / 4 fits int32.
     """
-    import numpy as np
-
+    np = _numpy()
     k = np.arange(1, INT32_MAX_P // 2 + 1, dtype=np.int32)
     k2 = k * k
     k.flags.writeable = k2.flags.writeable = False
@@ -154,8 +172,7 @@ def _residue_table(p: int) -> ResidueTable:
     at one p share the table, which is freed after the next is built: freed
     first, its pages faulted in at every prime.
     """
-    import numpy as np
-
+    np = _numpy()
     if p <= INT32_MAX_P:
         k2 = int32_ks()[1][: p // 2]
         q = k2 // p
@@ -189,8 +206,7 @@ def poly_eval_all_mod(coeffs, p: int, x: np.ndarray) -> np.ndarray:
     is v - (v // p) * p: numpy divides an array by a scalar about twice as
     fast as it takes the remainder.
     """
-    import numpy as np
-
+    np = _numpy()
     reduced = [c % p for c in reversed(coeffs)]
     top, *rest = list(dropwhile(operator.not_, reduced)) or [0]  # [0]: zero mod p
     if not rest:
@@ -247,8 +263,7 @@ def char_sums(g: IntPolynomial, p: int, twisted: bool) -> tuple[int, int]:
     of the shared k of ``int32_ks``, on int64 lanes an arange per chunk.
     Gathers index with intp, and each chunk's int8 values sum in int32.
     """
-    import numpy as np
-
+    np = _numpy()
     chi, squares = residue_table(p)
     even, odd = g.coeffs[::2], g.coeffs[1::2]
     ks = int32_ks()[0] if squares.itemsize == 4 else None

@@ -360,6 +360,27 @@ def test_pool_modules_load_only_for_a_pool(tmp_path):
         assert two.returncode == 0, (blas, two.stderr)
 
 
+def test_one_thread_cold_run_loads_numpy_with_blas_on_one_thread(tmp_path):
+    """numpy has one loader, with BLAS held to one thread, on the path of a
+    one-thread run too: after a cold one-thread trace, with OPENBLAS_NUM_THREADS
+    unset or asking for 4 threads, numpy is loaded, the process has one OS
+    thread, and each BLAS variable is as it was before the run."""
+    argv = ["trace", "--f", "x^5-x+1", "--N", "300", "--output", str(tmp_path / "out.csv")]
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    for want in (None, "4"):
+        proc = fresh_python(
+            "import os",
+            *(f"os.environ.pop({var!r}, None)" for var in blas_vars),
+            *([] if want is None else [f"os.environ['OPENBLAS_NUM_THREADS'] = {want!r}"]),
+            "from nagaolab.cli import main",
+            f"assert main({argv!r}) == 0",
+            "assert 'numpy' in sys.modules, 'a cold run loaded no numpy'",
+            "assert len(os.listdir('/proc/self/task')) == 1, os.listdir('/proc/self/task')",
+            f"assert [os.environ.get(var) for var in {blas_vars!r}] == [{want!r}, None, None], 'BLAS settings not put back'",
+        )
+        assert proc.returncode == 0, (want, proc.stderr)
+
+
 def test_pool_puts_blas_settings_back():
     """Building the pool loads numpy, then puts each BLAS variable back as it
     was, set or unset; a pool given no work starts no worker."""

@@ -844,6 +844,24 @@ def test_pool_size_is_the_blocks_with_a_miss(tmp_path, monkeypatch):
     assert sizes == [3]
 
 
+@pytest.mark.parametrize("cache", ["cold, one block", "warm, misses in one block"])
+def test_two_thread_sweep_with_one_block_to_compute_builds_no_pool(tmp_path, monkeypatch, cache):
+    """Misses in one block only, cold or warm: a two-thread sweep fills it in
+    this process, builds no pool and yields the one-thread tuples."""
+    monkeypatch.setattr(curves_mod, "_BLOCK", 4)
+    f = parse_polynomial("x^3+x+1")
+    primes = good_primes(curve_from_poly(f).bad_primes, 200)
+    if cache == "cold, one block":
+        primes = primes[:4]
+    want = list(sweep_traces([f], primes))
+    if cache == "warm, misses in one block":
+        TraceCache(tmp_path, f).append([(p, a) for i, (p, (a,)) in enumerate(want) if i not in (5, 6)])
+    sizes = _counted_pools(monkeypatch)
+    assert list(sweep_traces([f], primes, 2, _opener([TraceCache(tmp_path, f)]))) == want
+    assert sizes == []
+    assert sorted(TraceCache(tmp_path, f).records) == primes
+
+
 @pytest.mark.parametrize("threads", [MAX_THREADS + 1, 10**5])
 def test_sweep_refuses_threads_above_the_cap_before_any_work(threads, monkeypatch):
     """Above MAX_THREADS a library sweep raises before it opens a cache or
