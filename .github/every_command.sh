@@ -40,6 +40,7 @@ MODES=(
   "int64 $PETERSON --N 50000"  # N > INT32_MAX_P: the last blocks of f and D on int64 lanes
   "trace trace --f x^3+x+1 --N 5000"  # reports written straight from the sweep's (p, a) pairs
   "lpoly lpoly --f x^5-x+1 --N 200"
+  "lpoly6 lpoly --f x^6+1 --N 200"  # an even degree: two points at infinity over F_{p^2}
   "moments moments --f x^3+x+1 --N 5000"
   "classify st-classify --f x^5-x+1 --N 5000"
   "lead nagao --f x^3+x --D 5*x^3+x+1 --N 5000 --grid 1000,5000"  # 5 divides only D's lead

@@ -5,8 +5,9 @@ take two chunks), either side of the end of the int32 lanes (p = 46337 and
 of the traces of a quintic f and its Peterson D = f(T^2) on one
 table, apart (two ``hyperelliptic_trace`` calls) and in one ``traces_at``
 call (D read from f's chunk loop), of the scalar quadratic character, of
-the prime sieve, of the trace moments and of the three Kolmogorov-Smirnov
-distances of a genus-1 ``moments`` run at the 10^7 cap.
+the prime sieve, of the trace moments, of the three Kolmogorov-Smirnov
+distances of a genus-1 ``moments`` run at the 10^7 cap and of one count of
+#C(F_{p^2}) for ``lpoly``'s b at p = 1009.
 
 ``residue_table`` keeps the table of the last p, so the table builds are
 timed on the memo's builder, and each kernel case fetches the table of its
@@ -23,7 +24,7 @@ import random
 import numpy as np
 import pytest
 
-from nagaolab import finite_field
+from nagaolab import curves, finite_field
 from nagaolab.curves import TraceRecord, hyperelliptic_trace, traces_at
 from nagaolab.finite_field import char_sum, legendre, poly_eval_all_mod, primes_in, residue_table
 from nagaolab.polynomials import parse_polynomial
@@ -144,3 +145,9 @@ def cap_angles():
 @pytest.mark.parametrize("tag", MEASURE_TAGS)
 def test_ks_distance_at_the_cap(benchmark, cap_angles, tag):
     benchmark(ks_distance, cap_angles, STMeasure1D(tag))
+
+
+def test_count_fp2(benchmark):
+    # lpoly's b at one prime: (p + 1)/2 char sums of degree-10 polynomials on one table
+    residue_table(1009)
+    assert benchmark(curves._count_fp2, SAMPLE_QUINTIC, 1009) == 1017237

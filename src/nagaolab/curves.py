@@ -20,8 +20,8 @@ from itertools import repeat
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .cache import TraceCache
-from .finite_field import CapExceededError, _numpy, char_sums, legendre, primes_in, residue_table
-from .polynomials import IntPolynomial, PolynomialError
+from .finite_field import CapExceededError, _numpy, char_sum, char_sums, legendre, primes_in
+from .polynomials import IntPolynomial, PolynomialError, _mul
 
 DEFAULT_LPOLY_CAP = 10**4
 
@@ -255,26 +255,26 @@ def sweep_traces(
 
 
 def _count_fp2(f: IntPolynomial, p: int) -> int:
-    """#C(F_{p^2}) for the smooth model of y^2 = f, with F_{p^2} = F_p[u]/(u^2 - n)."""
-    np = _numpy()
-    chi = residue_table(p).chi
-    n = next(a for a in range(2, p) if legendre(a, p) == -1)
-    # z = z0 + z1 u is a nonzero square in F_{p^2}  iff  chi_p(Norm z) = 1,
-    # Norm(z) = z0^2 - n z1^2.
-    total = 0
-    x1 = np.arange(p, dtype=np.int64)
-    for x0 in range(p):
-        v0 = np.zeros(p, dtype=np.int64)
-        v1 = np.zeros(p, dtype=np.int64)
-        for c in reversed(f.coeffs):
-            v0, v1 = (v0 * x0 + n * v1 * x1 + c) % p, (v0 * x1 + v1 * x0) % p
-        norm = (v0 * v0 - n * v1 * v1) % p
-        total += p + int(chi[norm].sum(dtype=np.int64))
-    if f.degree % 2 == 1:
-        total += 1
-    else:
-        # lead is a square in F_{p^2} iff it is nonzero mod p (norm of lead is lead^2)
-        total += 1 + (1 if f.lead % p else 0)
+    """#C(F_{p^2}) for the smooth model of y^2 = f, by ``char_sum`` over F_p.
+
+    A nonzero z in F_{p^2} is a square iff its norm z zbar is a square mod p.
+    Each z is x + y with x in F_p and y^2 = t, where t = 0 or t is one of the
+    (p-1)/2 non-residues, each for two y.  With f(x +- y) = A_t(x) +- y B_t(x),
+    the norm of f(z) is G_t(x) = A_t^2 - t B_t^2, so the affine points number
+    p^2 + S(G_0) + 2 sum_t S(G_t), S(g) = sum_x chi_p(g(x)).  Every nonzero
+    lead is a square in F_{p^2}, so an even degree has two points at infinity.
+    """
+    # f(x + y) = sum_j D_j(x) y^j, D_j = f^(j)/j! padded to deg f + 1 terms; column i
+    # of the even (odd) j is the x^i coefficient of A_t (B_t), a polynomial in t = y^2.
+    taylor = [[math.comb(i, j) * c for i, c in enumerate(f.coeffs)][j:] + [0] * j for j in range(f.degree + 1)]
+    even = [IntPolynomial(col) for col in zip(*taylor[::2])]
+    odd = [IntPolynomial(col) for col in zip(*taylor[1::2])]
+    total = p * p + (1 if f.degree % 2 else 1 + (f.lead % p != 0))
+    for t in [0, *(t for t in range(1, p) if legendre(t, p) == -1)]:
+        A = [h(t) % p for h in even]
+        B = [h(t) % p for h in odd]
+        G = IntPolynomial(u - t * v for u, v in zip(_mul(A, A), _mul(B, B)))
+        total += (2 if t else 1) * char_sum(G, p)
     return total
 
 

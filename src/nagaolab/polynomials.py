@@ -109,6 +109,15 @@ class IntPolynomial(namedtuple("IntPolynomial", "coeffs")):
         return poly_to_str(self)
 
 
+def _mul(p: list, q: list) -> list:
+    """Product of two coefficient lists (constant term first), exact in their type."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, u in enumerate(p):
+        for j, v in enumerate(q):
+            out[i + j] += u * v
+    return out
+
+
 def _prem(A: list[int], B: list[int]) -> list[int]:
     """Pseudo-remainder lead(B)^(deg A - deg B + 1) * A mod B, as a trimmed list."""
     r, lead_b, deg_b = list(A), B[-1], len(B) - 1

@@ -28,7 +28,7 @@ from .curves import (
     sweep_traces,
 )
 from .finite_field import CapExceededError, legendre
-from .polynomials import IntPolynomial, PolynomialError
+from .polynomials import IntPolynomial, PolynomialError, _mul
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -155,15 +155,6 @@ class MobiusTransform(namedtuple("MobiusTransform", "a b c d")):
         if a * d - b * c == 0:
             raise PolynomialError("degenerate Moebius transform (ad - bc = 0)")
         return super().__new__(cls, a, b, c, d)
-
-
-def _mul(p: list, q: list) -> list:
-    """Product of two coefficient lists (constant term first), exact in their type."""
-    out = [0] * (len(p) + len(q) - 1)
-    for i, u in enumerate(p):
-        for j, v in enumerate(q):
-            out[i + j] += u * v
-    return out
 
 
 def permutes_roots(sigma: MobiusTransform, f: IntPolynomial) -> bool:

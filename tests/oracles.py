@@ -4,6 +4,8 @@ from the engine's own code paths."""
 import math
 from bisect import bisect_right
 
+from nagaolab.finite_field import _numpy, legendre, residue_table
+
 
 def _kahan_prefixes(xs):
     """The Kahan-compensated sum of every prefix of ``xs``, the empty one first."""
@@ -96,6 +98,34 @@ def genus2_trace_mod_p(f, p):
     bottom = _power_coeffs(fs, k, p, p - 1)[p - 1]
     top = _power_coeffs(fs[::-1], k, p, d * k - 2 * (p - 1))[-1]
     return _symmetric_residue(bottom + top, p)
+
+
+def count_fp2_direct(f, p):
+    """#C(F_{p^2}) for the smooth model of y^2 = f, with F_{p^2} = F_p[u]/(u^2 - n).
+
+    The direct count over F_{p^2} that ``curves._count_fp2`` replaced, kept
+    as its reference: it reads the residue table, not the chi-sum kernel.
+    """
+    np = _numpy()
+    chi = residue_table(p).chi
+    n = next(a for a in range(2, p) if legendre(a, p) == -1)
+    # z = z0 + z1 u is a nonzero square in F_{p^2}  iff  chi_p(Norm z) = 1,
+    # Norm(z) = z0^2 - n z1^2.
+    total = 0
+    x1 = np.arange(p, dtype=np.int64)
+    for x0 in range(p):
+        v0 = np.zeros(p, dtype=np.int64)
+        v1 = np.zeros(p, dtype=np.int64)
+        for c in reversed(f.coeffs):
+            v0, v1 = (v0 * x0 + n * v1 * x1 + c) % p, (v0 * x1 + v1 * x0) % p
+        norm = (v0 * v0 - n * v1 * v1) % p
+        total += p + int(chi[norm].sum(dtype=np.int64))
+    if f.degree % 2 == 1:
+        total += 1
+    else:
+        # lead is a square in F_{p^2} iff it is nonzero mod p (norm of lead is lead^2)
+        total += 1 + (1 if f.lead % p else 0)
+    return total
 
 
 def ks_distance_loop(angles, measure):

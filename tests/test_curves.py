@@ -38,7 +38,7 @@ from nagaolab.curves import (
 )
 from nagaolab.finite_field import char_sum, char_sums, legendre, poly_eval_all_mod, primes_in
 from nagaolab.polynomials import IntPolynomial, parse_polynomial
-from oracles import genus1_trace_mod_p, genus2_trace_mod_p
+from oracles import count_fp2_direct, genus1_trace_mod_p, genus2_trace_mod_p
 
 
 def curve(s):
@@ -929,6 +929,26 @@ def test_l_polynomial_functional_equation():
             assert np.allclose(np.abs(roots), math.sqrt(p), atol=1e-9), (s, p)
             # roots pair off into alpha, p/alpha
             assert abs(np.prod(roots).real - p * p) < 1e-6 * p * p
+
+
+# Quintics and sextics, monic and not, and every prime below 300 for the count over F_{p^2}.
+GENUS2 = st.builds(
+    lambda c, a: IntPolynomial((*c, a)),
+    st.integers(5, 6).flatmap(lambda d: st.lists(st.integers(-5, 5), min_size=d, max_size=d)),
+    st.sampled_from([1, -1, 2, 3]),
+).filter(IntPolynomial.is_squarefree)
+FP2_PRIMES = primes_in(3, 300)
+
+
+@settings(max_examples=50, deadline=None)
+@given(GENUS2, st.lists(st.sampled_from(FP2_PRIMES), max_size=3))
+def test_count_fp2_matches_direct_count(f, drawn):
+    """#C(F_{p^2}) from chi-sums over F_p equals the count over F_p[u]/(u^2 - n),
+    at p = 3, 5 and the drawn primes where f has good reduction."""
+    bad = hyperelliptic_bad_primes(f)
+    for p in sorted({3, 5, *drawn}):
+        if p not in bad:
+            assert curves_mod._count_fp2(f, p) == count_fp2_direct(f, p), p
 
 
 def test_normalized_angle():

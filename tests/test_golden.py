@@ -25,6 +25,8 @@ QUINTIC = "x^5+2*x^4+3*x^3+3*x^2+2*x+1"
 CASES = {
     "trace": ["trace", "--f", "x^3+x", "--N", "400"],
     "lpoly": ["lpoly", "--f", "x^5-x+1", "--N", "60"],
+    # non-monic and of even degree: two points at infinity over F_{p^2}, and 3 | lead
+    "lpoly-sextic": ["lpoly", "--f", "3*x^6+x^2-x+1", "--N", "60"],
     "nagao-self": ["nagao", "--f", "T^3+T", "--N", "1500", "--grid", "200,700,1500"],
     "nagao-self-even": ["nagao", "--f", "x^6+1", "--N", "800", "--grid", "geometric:3"],
     "nagao-twist": ["nagao", "--f", "x^3+x", "--D", "x^3+5*x+7", "--N", "1500", "--grid", "geometric:4"],
