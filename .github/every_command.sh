@@ -44,6 +44,7 @@ MODES=(
   "moments moments --f x^3+x+1 --N 5000"
   "classify st-classify --f x^5-x+1 --N 5000"
   "lead nagao --f x^3+x --D 5*x^3+x+1 --N 5000 --grid 1000,5000"  # 5 divides only D's lead
+  "linear nagao --f x^3+x+1 --D T+3 --N 3000 --grid 100,3000"  # a linear D: every n is 0, so S1 = S2 = 0 from exact sums
   "cm moments --f x^3+x --N 5000"  # half the angles on the atom at pi/2 in the KS distance
   "sextic moments --f x^6+1 --N 3000"  # an even sextic: the chunk loop's o = 0 path
   "cycle factor-check --f x^3-x --D auto-peterson --sigma (x+1)/(-3x+1) --N 3000"  # a sigma of order 3, not 1/x: a degree-6 D evaluated on its own
@@ -98,6 +99,7 @@ REFUSED=(
   "1|-|trace --f x^3+x+1* --N 100"  # a '*' with no variable after it
   "1|-|trace --f x^²+1 --N 100"  # a digit that is not ASCII
   "1|-|peterson --f $Q --sigma 1/x --threads 2"  # peterson sweeps nothing, so it takes no --threads
+  "1|-|nagao --f T^3+T --N 100000 --grid geometric:1000000000"  # more points than N, refused before the grid loop
   "4|s/^7,.*/7,100/|moments --f x^3+x+1 --N 50 --cache-dir damaged"  # a_p outside the Weil bound
   # records that int() reads as p = 3 or 13, but that the writer would not write
   "4|s/^3,/ 3,/|moments --f x^3+x+1 --N 50 --cache-dir damaged"

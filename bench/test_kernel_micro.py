@@ -6,8 +6,9 @@ of the traces of a quintic f and its Peterson D = f(T^2) on one
 table, apart (two ``hyperelliptic_trace`` calls) and in one ``traces_at``
 call (D read from f's chunk loop), of the scalar quadratic character, of
 the prime sieve, of the trace moments, of the three Kolmogorov-Smirnov
-distances of a genus-1 ``moments`` run at the 10^7 cap and of one count of
-#C(F_{p^2}) for ``lpoly``'s b at p = 1009.
+distances of a genus-1 ``moments`` run at the 10^7 cap, of the Nagao sums
+over a seeded synthetic sweep at the cap (no kernel and no cache) and of one
+count of #C(F_{p^2}) for ``lpoly``'s b at p = 1009.
 
 ``residue_table`` keeps the table of the last p, so the table builds are
 timed on the memo's builder, and each kernel case fetches the table of its
@@ -20,6 +21,7 @@ Outside the tier-1 ``testpaths``; run them from the repository root with
 
 import math
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from nagaolab.curves import TraceRecord, hyperelliptic_trace, traces_at
 from nagaolab.finite_field import char_sum, legendre, poly_eval_all_mod, primes_in, residue_table
 from nagaolab.polynomials import parse_polynomial
 from nagaolab.stats import MEASURE_TAGS, STMeasure1D, empirical_moments, ks_distance
+from nagaolab.twist import geometric_grid, nagao_series, twist_surface
 
 P = 40009
 BIG_P = 9999991
@@ -145,6 +148,28 @@ def cap_angles():
 @pytest.mark.parametrize("tag", MEASURE_TAGS)
 def test_ks_distance_at_the_cap(benchmark, cap_angles, tag):
     benchmark(ks_distance, cap_angles, STMeasure1D(tag))
+
+
+@pytest.fixture(scope="module")
+def cap_pairs():
+    # the 664,578 odd primes below 10^7, each with seeded genus-1 traces
+    # a_f and a_D inside the Weil bound a^2 <= 4p
+    rng = random.Random(0)
+    primes = primes_in(3, 10**7 + 1)
+    draw = [rng.randint(-b, b) for p in primes for b in (math.isqrt(4 * p),) * 2]
+    return primes, array("q", draw[::2]), array("q", draw[1::2])
+
+
+def test_nagao_series_at_the_cap(benchmark, cap_pairs):
+    primes, a_f, a_D = cap_pairs
+    surface = twist_surface(parse_polynomial("x^3+x"), parse_polynomial("x^3+5*x+7"))
+
+    def sweep(polys, good):
+        # the sums alone: the drawn pairs, with no kernel and no cache
+        return zip(primes, zip(a_f, a_D))
+
+    series = benchmark(nagao_series, surface, 10**7, geometric_grid(10**7), sweep)
+    assert series.n_primes[-1] == len(primes)
 
 
 def test_count_fp2(benchmark):

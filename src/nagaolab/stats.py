@@ -14,7 +14,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .polynomials import IntPolynomial, parse_polynomial
 
@@ -173,10 +173,9 @@ def empirical_moments(traces: Sequence[tuple[int, int]]) -> MomentReport:
     """Second/fourth moments of a_p/sqrt(p) and the exact zero fraction, over
     the traces (p, a).
 
-    Each moment is float(m / n) for the exact rational sum m of its n terms,
-    rounded once, so the result does not depend on the order of the traces.
-    One pass sums the fixed-point terms of both moments, and
-    ``_certified_mean`` rounds each sum, so the cost is linear.
+    Each moment is the exact mean of its terms rounded once by
+    ``_certified_mean`` after one linear pass over the traces (a term with
+    a = 0 is exact), so it does not depend on the order of the traces.
     """
     if not traces:
         raise ValueError("empirical_moments requires a nonempty trace sequence")
@@ -187,32 +186,31 @@ def empirical_moments(traces: Sequence[tuple[int, int]]) -> MomentReport:
         s4 += (a2 * a2 << _K) // (p * p)
         zeros += a == 0
     n = len(traces)
-    return MomentReport(n, _certified_mean(s2, traces, 1), _certified_mean(s4, traces, 2), zeros / n)
+    m2 = _certified_mean(s2, n - zeros, n, ((a * a, p) for p, a in traces))
+    m4 = _certified_mean(s4, n - zeros, n, ((a**4, p * p) for p, a in traces))
+    return MomentReport(n, m2, m4, zeros / n)
 
 
-# Fraction bits of the fixed-point terms of empirical_moments.
+# Fraction bits of the fixed-point terms that _certified_mean rounds.
 _K = 192
 
 
-def _certified_mean(s: int, traces: Sequence[tuple[int, int]], k: int) -> float:
-    """float(sum(a^2k / p^k) / n) over the n traces, correctly rounded, from
-    s, the sum of the terms a^2k 2^K / p^k each floored to an integer.
-
-    s is within n of the exact sum times 2^K, so the mean lies in
-    [s, s + n) / (n 2^K).  Rounding is monotone, so when both ends round to
-    the same double that is the mean's double.  Otherwise (a mean within
-    about 2^-K of a rounding boundary, or an exact 0) the exact Fraction sum
-    over the traces decides.  Adding exact Fractions costs a gcd on a
-    denominator that grows with every prime, so O(n^2); s is linear.
+def _certified_mean(s: int, inexact: int, n: int, terms: Iterable[tuple[int, int]]) -> float:
+    """float(sum(num / den) / n) over the n terms (num, den), correctly
+    rounded, from s, the sum of the floors (num << K) // den, of which at most
+    ``inexact`` were not exact: the mean lies in [s, s + inexact] / (n 2^K).
+    Rounding is monotone, so when both ends round to the same double (always
+    if inexact = 0), that is the mean's.  Otherwise (a mean within about 2^-K
+    of a rounding boundary) the exact Fraction sum of ``terms``, read only
+    then, decides in O(n^2) time: each gcd is on a growing denominator.
     """
-    n = len(traces)
     scale = n << _K
     mean = s / scale  # int true division rounds correctly
-    if mean == (s + n) / scale:
+    if mean == (s + inexact) / scale:
         return mean
     from fractions import Fraction
 
-    return float(sum((Fraction(a ** (2 * k), p**k) for p, a in traces), Fraction(0)) / n)
+    return float(sum((Fraction(num, den) for num, den in terms), Fraction(0)) / n)
 
 
 def ks_distance(angles: Sequence[float], measure: STMeasure1D) -> float:

@@ -8,6 +8,8 @@ The average trace at p is
 an exact rational with denominator p.  The two partial-sum estimators are the
 log-weighted sum S1(N) = (1/N) sum_{p<=N} -A_p log p and the plain average
 S2(N) = (1/pi(N)) sum_{p<=N} -A_p; at the limit both equal the predicted rank.
+S2 is the exact mean rounded once, by the ``stats`` helper of the trace
+moments, and S1 is ``math.fsum`` of the doubles -A_p log p, divided by N.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 import operator
 from collections import namedtuple
 from functools import reduce
+from itertools import islice
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .curves import (
@@ -29,6 +32,7 @@ from .curves import (
 )
 from .finite_field import CapExceededError, legendre
 from .polynomials import IntPolynomial, PolynomialError, _mul
+from .stats import _K, _certified_mean
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -84,15 +88,16 @@ class NagaoSeries(NamedTuple):
 
 
 def geometric_grid(n_max: int, points: int = 20) -> list[int]:
-    """Cutoff grid: geometric, `points` values from min(1000, n_max) to n_max."""
+    """Cutoff grid: geometric, `points` <= n_max values from min(1000, n_max) to n_max."""
     if points < 1:
         raise ValueError(f"a geometric grid needs at least 1 point, got {points}")
     lo = min(1000, n_max)
     if points == 1 or lo == n_max:
         return [n_max]
+    if points > n_max:
+        raise ValueError(f"a geometric grid in [2, {n_max}] takes at most {n_max} points, got {points}")
     ratio = (n_max / lo) ** (1.0 / (points - 1))
-    grid = sorted({min(n_max, max(lo, round(lo * ratio**k))) for k in range(points)})
-    return grid
+    return sorted({min(n_max, max(lo, round(lo * ratio**k))) for k in range(points)})
 
 
 def nagao_series(
@@ -104,40 +109,39 @@ def nagao_series(
     """Both partial-sum estimators on a cutoff grid, over good primes <= n_max.
 
     One ``sweep`` of [f, D] gives a_p(f) and a_p(D); the chi-sum over D is
-    sum_t chi_p(D(t)) = -a_p(D) - ``D.infinity_term(p)``.
+    sum_t chi_p(D(t)) = -a_p(D) - ``D.infinity_term(p)``, so -p A_p is
+    n = a_f (a_D + ``D.infinity_term(p)``).  S2 is the exact mean of the n / p
+    rounded by ``stats._certified_mean``, each p and n kept for its fallback.
+    S1 is ``math.fsum`` of the doubles t = (n / p) log p, over the cutoff: a
+    nonzero |t| > 1/p > 2^-24 is a multiple of 2^-76, so the integers t 2^K
+    add exactly, and one int true division rounds their sum as fsum does.
     """
+    from array import array
+
     grid = sorted(set(grid))
     if not grid or grid[0] < 2 or grid[-1] > n_max:
         raise ValueError("a grid needs at least one cutoff, and every cutoff in [2, N]")
-    log = math.log
-    count = 0  # good primes summed
-    # Kahan-compensated sums of -A_p log p (w) and of -A_p (u), fed ascending in p.
-    sum_w = comp_w = sum_u = comp_u = 0.0
-    closed: list[tuple[float, float, int]] = []  # (sum_w, sum_u, primes summed) at each cutoff
+    log, scale = math.log, float(1 << _K)
+    w = u = inexact = 0  # fixed-point sums of -A_p log p (w) and -A_p (u); inexact floors in u
+    ps, ns = array("q"), array("q")
+    closed: list[tuple[int, int, int, int]] = []  # (w, u, inexact, primes summed) at each cutoff
     cuts = [*grid, math.inf]
 
     for p, (a_f, a_D) in sweep([s.f, s.D], good_primes(s.bad_primes, n_max)):
         while cuts[len(closed)] < p:
-            closed.append((sum_w, sum_u, count))
-        # n = a_f (a_D + infinity term of D) = -p A_p, and n / p is the
-        # correctly rounded -A_p.
+            closed.append((w, u, inexact, len(ns)))
         n = a_f * (a_D + s.D.infinity_term(p))
-        count += 1
-        v = n / p
-        y = v * log(p) - comp_w
-        t = sum_w + y
-        comp_w = (t - sum_w) - y
-        sum_w = t
-        y = v - comp_u
-        t = sum_u + y
-        comp_u = (t - sum_u) - y
-        sum_u = t
-    closed += [(sum_w, sum_u, count)] * (len(grid) - len(closed))
+        ps.append(p)
+        ns.append(n)
+        w += int(n / p * log(p) * scale)
+        u += (n << _K) // p
+        inexact += n % p != 0
+    closed += [(w, u, inexact, len(ns))] * (len(grid) - len(closed))
     return NagaoSeries(
         tuple(grid),
-        tuple(w / cut for (w, _, _), cut in zip(closed, grid)),
-        tuple(u / k if k else 0.0 for _, u, k in closed),
-        tuple(k for _, _, k in closed),
+        tuple(w / (1 << _K) / cut for (w, *_), cut in zip(closed, grid)),
+        tuple(_certified_mean(u, e, k, islice(zip(ns, ps), k)) if k else 0.0 for _, u, e, k in closed),
+        tuple(k for *_, k in closed),
     )
 
 

@@ -3,34 +3,24 @@ from the engine's own code paths."""
 
 import math
 from bisect import bisect_right
+from fractions import Fraction
+from itertools import accumulate
 
 from nagaolab.finite_field import _numpy, legendre, residue_table
 
 
-def _kahan_prefixes(xs):
-    """The Kahan-compensated sum of every prefix of ``xs``, the empty one first."""
-    s = c = 0.0
-    out = [s]
-    for x in xs:
-        y = x - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        out.append(s)
-    return out
-
-
 def nagao_reference(exact, grid):
     """(S1, S2, n_primes) at each cutoff of ``grid`` from the exact (p, A_p)
-    pairs, ascending in p: Kahan-compensated sums of -A_p log p and of -A_p
-    over p <= cutoff, with each -A_p rounded once from its rational."""
+    pairs, ascending in p, over the k primes p <= cutoff: S1 is ``math.fsum``
+    of the double terms -float(A_p) log p divided by the cutoff, and S2 the
+    exact ``Fraction`` mean of the -A_p rounded once."""
     primes = [p for p, _ in exact]
-    w = _kahan_prefixes(-float(a) * math.log(p) for p, a in exact)
-    u = _kahan_prefixes(-float(a) for _, a in exact)
+    terms = [-float(a) * math.log(p) for p, a in exact]
+    sums = list(accumulate((-a for _, a in exact), initial=Fraction(0)))
     out = []
     for cut in grid:
         k = bisect_right(primes, cut)
-        out.append((w[k] / cut, u[k] / k if k else 0.0, k))
+        out.append((math.fsum(terms[:k]) / cut, float(sums[k] / k) if k else 0.0, k))
     return out
 
 

@@ -123,6 +123,9 @@ def test_exit_code_parse_error(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
         assert main(["nagao", "--f", "T^3+T", "--N", "100", "--grid", grid]) == EXIT_CONFIG
         assert len(capsys.readouterr().err.splitlines()) == 1
+    # more geometric points than N: refused before the grid loop and the sweep
+    assert main(["nagao", "--f", "T^3+T", "--N", "100000", "--grid", "geometric:1000000000"]) == EXIT_CONFIG
+    assert len(capsys.readouterr().err.splitlines()) == 1
     for command, f in (("moments", "x^3+x"), ("st-classify", "x^5-x+1")):  # no good prime <= N
         assert main([command, "--f", f, "--N", "2"]) == EXIT_CONFIG
         assert len(capsys.readouterr().err.splitlines()) == 1

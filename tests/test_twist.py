@@ -59,8 +59,8 @@ def test_average_trace_examples():
 
 def _assert_series_at_every_good_prime(s, n_max, exact):
     """nagao_series on a grid of every good prime <= n_max, and n_max, equals
-    the Kahan reference of the exact (p, A_p): a single wrong A_p changes
-    the doubles at its own cutoff."""
+    the fsum and Fraction reference of the exact (p, A_p): a single wrong A_p
+    changes the doubles at its own cutoff."""
     grid = sorted({*(p for p, _ in exact), n_max})
     ns = nagao_series(s, n_max, grid)
     assert list(zip(ns.s1, ns.s2, ns.n_primes)) == nagao_reference(exact, grid)
@@ -120,6 +120,9 @@ def test_geometric_grid():
     assert g[0] == 1000 and g[-1] == 10**5
     assert g == sorted(set(g))
     assert geometric_grid(500) == [500]
+    assert geometric_grid(500, 30_000_000) == [500]  # one cutoff, returned before the point check
+    with pytest.raises(ValueError, match="at most 100000 points"):  # refused before its loop
+        geometric_grid(10**5, 30_000_000)
 
 
 def test_mobius_basics():
