@@ -100,6 +100,9 @@ REFUSED=(
   "1|-|trace --f x^²+1 --N 100"  # a digit that is not ASCII
   "1|-|peterson --f $Q --sigma 1/x --threads 2"  # peterson sweeps nothing, so it takes no --threads
   "1|-|nagao --f T^3+T --N 100000 --grid geometric:1000000000"  # more points than N, refused before the grid loop
+  # an empty value is read, not taken as absent: the --flag= form, since read -a drops empty words
+  "1|-|trace --f x^3+x --N 100 --cache-dir="  # no cache dir named, refused as an empty --output is
+  "1|-|nagao --f T^3+T --D= --N 100"  # an empty polynomial, not the self-twist D = f
   "4|s/^7,.*/7,100/|moments --f x^3+x+1 --N 50 --cache-dir damaged"  # a_p outside the Weil bound
   # records that int() reads as p = 3 or 13, but that the writer would not write
   "4|s/^3,/ 3,/|moments --f x^3+x+1 --N 50 --cache-dir damaged"

@@ -7,8 +7,10 @@ table, apart (two ``hyperelliptic_trace`` calls) and in one ``traces_at``
 call (D read from f's chunk loop), of the scalar quadratic character, of
 the prime sieve, of the trace moments, of the three Kolmogorov-Smirnov
 distances of a genus-1 ``moments`` run at the 10^7 cap, of the Nagao sums
-over a seeded synthetic sweep at the cap (no kernel and no cache) and of one
-count of #C(F_{p^2}) for ``lpoly``'s b at p = 1009.
+over a seeded synthetic sweep at the cap (no kernel and no cache), of one
+count of #C(F_{p^2}) for ``lpoly``'s b at p = 1009, and of a trace cache of
+a seeded synthetic sweep at the cap, appended in blocks of 128 primes into
+an empty directory (the path a cold sweep takes) and loaded back.
 
 ``residue_table`` keeps the table of the last p, so the table builds are
 timed on the memo's builder, and each kernel case fetches the table of its
@@ -21,12 +23,14 @@ Outside the tier-1 ``testpaths``; run them from the repository root with
 
 import math
 import random
+import shutil
 from array import array
 
 import numpy as np
 import pytest
 
 from nagaolab import curves, finite_field
+from nagaolab.cache import TraceCache
 from nagaolab.curves import TraceRecord, hyperelliptic_trace, traces_at
 from nagaolab.finite_field import char_sum, legendre, poly_eval_all_mod, primes_in, residue_table
 from nagaolab.polynomials import parse_polynomial
@@ -176,3 +180,35 @@ def test_count_fp2(benchmark):
     # lpoly's b at one prime: (p + 1)/2 char sums of degree-10 polynomials on one table
     residue_table(1009)
     assert benchmark(curves._count_fp2, SAMPLE_QUINTIC, 1009) == 1017237
+
+
+@pytest.fixture(scope="module")
+def cap_traces():
+    # the 664,578 odd primes below 10^7, each with a seeded genus-1 trace
+    # inside the Weil bound a^2 <= 4p
+    rng = random.Random(0)
+    return [(p, rng.randint(-b, b)) for p in primes_in(3, 10**7 + 1) for b in (math.isqrt(4 * p),)]
+
+
+@pytest.mark.parametrize("path", ["append", "load"])
+def test_trace_cache_at_the_cap(benchmark, cap_traces, tmp_path, path):
+    f = parse_polynomial("x^3+x")
+    blocks = [cap_traces[k : k + 128] for k in range(0, len(cap_traces), 128)]
+    cache_dir = tmp_path / "cache"
+
+    def fill():
+        cache = TraceCache(cache_dir, f)
+        for block in blocks:
+            cache.append(block)
+        return cache
+
+    def empty_dir():  # each round appends into an empty directory
+        shutil.rmtree(cache_dir, ignore_errors=True)
+        return (), {}
+
+    if path == "append":
+        cache = benchmark.pedantic(fill, setup=empty_dir, rounds=5)
+    else:
+        fill()
+        cache = benchmark(TraceCache, cache_dir, f)
+    assert cache.records == dict(cap_traces)

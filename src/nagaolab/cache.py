@@ -8,11 +8,13 @@ Format (LF line endings, decimal integers):
     p,a
     ...
 
-records strictly ascending in p, each the bytes _RECORD % (p, a).  Records
-above the cached maximum are appended; a record below it is merged in by
-rewriting the file.  Every record ends in a newline, so an unterminated last
-line is an append cut short by a crash: it is dropped, and the file is
-truncated after the last newline.  A file that holds only the start of its
+records strictly ascending in p, each the bytes _RECORD % (p, a).  A
+TraceCache's state is its records, a dict ascending in p as the file is, so
+the cached maximum is its last key.  Records above it are appended (the
+append that creates the file writes the header first); a record below it is
+merged in by rewriting the file.  Every record ends in a newline, so an
+unterminated last line is an append cut short by a crash: it is dropped, and
+the file is truncated after the last newline.  A file that holds only the start of its
 header is a header write cut short: it is removed and counts as absent.  A
 file whose header or fingerprint does not match the requesting curve, or
 whose records are out of order, malformed (a line other than _RECORD of the
@@ -65,8 +67,7 @@ class TraceCache:
     def __init__(self, cache_dir: str | os.PathLike, f: IntPolynomial):
         self.path = cache_path(cache_dir, f)
         self.poly = f
-        self.records: dict[int, int] = {}
-        self._max_p = 0
+        self.records: dict[int, int] = {}  # ascending in p, as the file is
         if self.path.exists():
             self._load()
 
@@ -86,9 +87,10 @@ class TraceCache:
             return
         end = data.rfind(b"\n") + 1  # past the last complete line
         lines = io.BytesIO(data[:end])  # split at LF only, not at CR, VT or FF
-        if lines.readline() != HEADER.encode() + b"\n":
+        head, fp = header.splitlines(keepends=True)
+        if lines.readline() != head:
             self.quarantine("bad header")
-        if lines.readline() != fingerprint(self.poly).encode() + b"\n":
+        if lines.readline() != fp:
             self.quarantine("fingerprint mismatch")
         last = 0
         weil = self.poly.weil_constant
@@ -106,7 +108,6 @@ class TraceCache:
                 self.quarantine(f"record {_text(line)!r} outside the Weil bound")
             last = p
             self.records[p] = a
-        self._max_p = last
         if end < len(data):
             os.truncate(self.path, end)
 
@@ -116,26 +117,29 @@ class TraceCache:
     def append(self, new_records: list[tuple[int, int]]) -> None:
         """Add the records whose p is not cached yet.
 
-        When every new p lies above the cached maximum, the records go on in
-        a single buffered append.  A new p below it (a prime the earlier
-        runs did not sweep) is a hole: the sorted merge of old and new
-        records is written to a temporary file in the same directory, which
+        With none, the file is not touched: every cached p was loaded from
+        it or appended to it.  When every new p lies above the cached
+        maximum, the records go on in a single buffered append, after the
+        header if that append creates the file.  A new p below it (a prime
+        the earlier runs did not sweep) is a hole: the records are sorted
+        again and written to a temporary file in the same directory, which
         then replaces the cache file, so the file stays strictly ascending
         and a crash leaves either the old or the new file.
         """
         fresh = sorted((p, a) for p, a in new_records if p not in self.records)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if not self.path.exists():
-            self.path.write_bytes(_header(self.poly))
         if not fresh:
             return
+        top = next(reversed(self.records), 0)
         self.records.update(fresh)
-        if fresh[0][0] > self._max_p:
+        if fresh[0][0] > top:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "ab") as fh:
+                if fh.tell() == 0:
+                    fh.write(_header(self.poly))
                 fh.write(_lines(fresh))
         else:
+            self.records = dict(sorted(self.records.items()))
             self._rewrite()
-        self._max_p = max(self._max_p, fresh[-1][0])
 
     def _rewrite(self) -> None:
         import shutil
@@ -145,7 +149,7 @@ class TraceCache:
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(_header(self.poly))
-                fh.write(_lines(sorted(self.records.items())))
+                fh.write(_lines(self.records.items()))
             shutil.copymode(self.path, tmp)
             os.replace(tmp, self.path)
         except BaseException:

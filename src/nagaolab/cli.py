@@ -5,6 +5,7 @@ or bad degree), 3 cap exceeded, 4 cache corruption, 5 a worker process died,
 130 interrupted (Ctrl-C).  Each failure prints one ``error:`` line; the blocks
 of traces a failed run completed stay in the cache.  Progress goes to stderr;
 report data only to the output file (or stdout with ``--output -``).
+An option left out is None (or its default); one given, even empty, is parsed.
 """
 
 from __future__ import annotations
@@ -67,9 +68,9 @@ class ConfigError(Exception):
 
 class ExperimentConfig(NamedTuple):
     command: str
-    f: str = ""
-    D: str = ""
-    sigma: str = ""
+    f: str | None = None
+    D: str | None = None
+    sigma: str | None = None
     N: int = 1000
     grid: str = "geometric:20"
     r: int = 2
@@ -152,11 +153,11 @@ def _write(report: Report, cfg: ExperimentConfig) -> None:
         fh.write("".join(f"{p},{bad.reason(p)}\n" for p in primes_in(2, cfg.N + 1) if p in bad))
 
 
-def run_verify_cache(cache: TraceCache, threads: int = 1) -> None:
+def run_verify_cache(cache: TraceCache, threads: int) -> None:
     """Recompute every cached record; quarantine and fail on any disagreement,
     and before any recomputation on a p that is not a good prime of the curve
     up to N_HARD_CAP."""
-    primes = sorted(cache.records)
+    primes = list(cache.records)  # ascending
     good = set(good_primes(hyperelliptic_bad_primes(cache.poly), min(max(primes, default=0), N_HARD_CAP)))
     for p in primes:
         if p not in good:
@@ -170,14 +171,15 @@ def _sweep(cfg: ExperimentConfig) -> Callable[..., Iterator[tuple[int, tuple[int
     """``sweep_traces`` on cfg.threads, with the cache of each distinct curve
     under --cache-dir (with --verify-cache rechecked first).  The engine opens
     them when its sweep starts, so after ``good_primes`` has checked the N cap."""
+    cache_dir = cfg.cache_dir
 
     def open_cache(g: IntPolynomial) -> TraceCache:
-        cache = TraceCache(cfg.cache_dir, g)
+        cache = TraceCache(cache_dir, g)
         if cfg.verify_cache:
             run_verify_cache(cache, cfg.threads)
         return cache
 
-    opener = open_cache if cfg.cache_dir else None
+    opener = None if cache_dir is None else open_cache
     return lambda polys, primes: sweep_traces(polys, primes, cfg.threads, opener)
 
 
@@ -219,8 +221,8 @@ def cmd_lpoly(cfg: ExperimentConfig, c: CurveSpec) -> Report:
 
 
 def cmd_nagao(cfg: ExperimentConfig, c: CurveSpec) -> Report:
-    D = parse_polynomial(cfg.D) if cfg.D else c.f
-    surface = twist_surface(c.f, D)
+    D = cfg.D
+    surface = twist_surface(c.f, c.f if D is None else parse_polynomial(D))
     series = nagao_series(surface, cfg.N, _parse_grid(cfg), _sweep(cfg))
     rows = zip(series.n_grid, series.s1, series.s2, series.n_primes)
     return Report(["N", "S1", "S2", "n_primes"], rows, surface.bad_primes)
@@ -262,21 +264,23 @@ def cmd_st_classify(cfg: ExperimentConfig, c: CurveSpec) -> Report:
 
 
 def cmd_peterson(cfg: ExperimentConfig, c: CurveSpec) -> Report:
-    if not cfg.sigma:
+    sigma = cfg.sigma
+    if sigma is None:
         raise ConfigError("peterson requires --sigma")
-    result = peterson_D(c.f, parse_mobius(cfg.sigma))
+    result = peterson_D(c.f, parse_mobius(sigma))
     return Report(["D", "multiplier"], [(poly_to_str(result.D, "T"), result.multiplier)])
 
 
 def cmd_factor_check(cfg: ExperimentConfig, c: CurveSpec) -> Report:
-    if cfg.D == "auto-peterson":
-        if not cfg.sigma:
-            raise ConfigError("--D auto-peterson requires --sigma")
-        D = peterson_D(c.f, parse_mobius(cfg.sigma)).D
-    elif cfg.D:
-        D = parse_polynomial(cfg.D)
-    else:
+    text, sigma = cfg.D, cfg.sigma
+    if text is None:
         raise ConfigError("--D (a polynomial or 'auto-peterson') is required")
+    if text == "auto-peterson":
+        if sigma is None:
+            raise ConfigError("--D auto-peterson requires --sigma")
+        D = peterson_D(c.f, parse_mobius(sigma)).D
+    else:
+        D = parse_polynomial(text)
     others = [curve_from_poly(parse_polynomial(s)).f for s in cfg.s_curves]
     rep = verify_factorization(D, c.f, cfg.r, cfg.N, others, _sweep(cfg))
     if rep.passed and rep.primes_checked == 0:
@@ -320,17 +324,19 @@ def _exit_code(e: Exception) -> int:
 
 
 def _check_paths(cfg: ExperimentConfig) -> None:
-    """Fail before any work on an output or cache path that cannot be written,
-    or on --verify-cache without a cache to verify."""
+    """Fail before any work on an empty path, an output or cache path that
+    cannot be written, or on --verify-cache without a cache to verify."""
     out = cfg.output
-    if not out:
+    if out == "":
         raise ConfigError("--output is empty: name a file, or - for stdout")
     if out != "-" and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
         raise ConfigError(f"cannot write --output {out}: a directory, or in a missing one")
     cache_dir = cfg.cache_dir
-    if cache_dir and os.path.exists(cache_dir) and not os.path.isdir(cache_dir):
+    if cache_dir == "":
+        raise ConfigError("--cache-dir is empty: name a directory")
+    if cache_dir is not None and os.path.exists(cache_dir) and not os.path.isdir(cache_dir):
         raise ConfigError(f"cache dir {cache_dir} is not a directory")
-    if cfg.verify_cache and not cache_dir:
+    if cfg.verify_cache and cache_dir is None:
         raise ConfigError("--verify-cache requires --cache-dir")
 
 
@@ -348,10 +354,11 @@ def run(cfg: ExperimentConfig) -> int:
             raise ConfigError("thread count must be >= 1")
         if cfg.threads > MAX_THREADS:
             raise ConfigError(f"thread count must be <= {MAX_THREADS}")
-        if not cfg.f:
+        f = cfg.f
+        if f is None:
             raise ConfigError("--f is required")
         _check_paths(cfg)
-        _write(handler(cfg, curve_from_poly(parse_polynomial(cfg.f))), cfg)
+        _write(handler(cfg, curve_from_poly(parse_polynomial(f))), cfg)
         return EXIT_OK
     except tuple(_EXIT_CODES) as e:
         return _exit_code(e)
@@ -362,10 +369,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _split_curves(text: str) -> list[str]:
-    return [s for s in text.split(",") if s.strip()]
-
-
 _FLAGS = {
     "--f": dict(help="curve polynomial f(x)"),
     "--D": dict(help="twisting polynomial D(T), or 'auto-peterson'"),
@@ -373,7 +376,7 @@ _FLAGS = {
     "--N": dict(type=int),
     "--grid": dict(help="'geometric:k' or comma-separated cutoffs"),
     "--r": dict(type=int),
-    "--s-curves": dict(type=_split_curves, help="comma-separated genus-1 polynomials"),
+    "--s-curves": dict(type=lambda text: text.split(","), help="comma-separated genus-1 polynomials"),
     "--threads": dict(type=int),
     "--cache-dir": dict(),
     "--output": dict(),

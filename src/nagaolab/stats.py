@@ -54,8 +54,6 @@ SATO_TATE = "sato-tate"
 UNIFORM = "uniform"
 HALF_UNIFORM_DIRAC = "half-uniform-dirac"
 
-MEASURE_TAGS = (SATO_TATE, UNIFORM, HALF_UNIFORM_DIRAC)
-
 # The Sato-Tate groups of elliptic curves over Q with their second moments,
 # the Haar moments of the sato-tate, half-uniform-dirac and uniform measures.
 GENUS1_GROUPS = (("SU(2)", 1), ("N(U(1))", 1), ("U(1)", 2))
@@ -72,6 +70,7 @@ _LAWS = {
         lambda t: 1.0 / (2.0 * math.pi), lambda t: t / (2.0 * math.pi) + (0.5 if t >= math.pi / 2 else 0.0), 0.5
     ),
 }
+MEASURE_TAGS = tuple(_LAWS)
 
 
 class STMeasure1D(namedtuple("STMeasure1D", "tag density cdf atom_mass")):
@@ -115,18 +114,6 @@ def _refine(fn, a, b, fa, fm, fb, whole, tol, depth):
     )
 
 
-def adaptive_simpson_2d(
-    fn: Callable[[float, float], float], a: float, b: float, c: float, d: float
-) -> float:
-    """Iterated 1-D adaptive Simpson over the rectangle [a,b] x [c,d]: error
-    budget 1e-9 for each inner integral, 1e-7 for the outer one."""
-
-    def inner(x: float) -> float:
-        return adaptive_simpson(lambda y: fn(x, y), c, d, 1e-9)
-
-    return adaptive_simpson(inner, a, b, 1e-7)
-
-
 def haar_second_moment(measure: STMeasure1D) -> float:
     """E[a^2/p] = integral of 4 cos^2(theta) against the measure.
 
@@ -139,7 +126,9 @@ def haar_second_moment(measure: STMeasure1D) -> float:
 
 def usp4_expectation(g) -> float:
     """Expectation of g(theta1, theta2) under the full-group Haar angle density
-    (8/pi^2) (cos t1 - cos t2)^2 sin^2 t1 sin^2 t2 on [0, pi]^2."""
+    (8/pi^2) (cos t1 - cos t2)^2 sin^2 t1 sin^2 t2 on [0, pi]^2, by iterated
+    1-D adaptive Simpson: error budget 1e-9 for each inner integral over t2,
+    1e-7 for the outer one over t1."""
 
     def integrand(t1: float, t2: float) -> float:
         dens = (
@@ -150,7 +139,10 @@ def usp4_expectation(g) -> float:
         )
         return g(t1, t2) * dens
 
-    return adaptive_simpson_2d(integrand, 0.0, math.pi, 0.0, math.pi)
+    def inner(t1: float) -> float:
+        return adaptive_simpson(lambda t2: integrand(t1, t2), 0.0, math.pi, 1e-9)
+
+    return adaptive_simpson(inner, 0.0, math.pi, 1e-7)
 
 
 def haar_second_moment_usp4() -> float:

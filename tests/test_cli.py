@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import nagaolab.cli as cli_mod
 import nagaolab.curves as curves_mod
 import nagaolab.finite_field as ff_mod
-from nagaolab.cache import HEADER, CacheCorruptError, TraceCache, cache_path, fingerprint
+from nagaolab.cache import HEADER, CacheCorruptError, TraceCache, _header, cache_path, fingerprint
 from nagaolab.cli import (
     EXIT_BAD_CURVE,
     EXIT_CACHE,
@@ -244,6 +244,13 @@ EXIT_CASES = [
     (["factor-check", "--f", QUINTIC, "--D", "auto-peterson", "--sigma", "1/x", "--N", BIG_N], EXIT_CAP),
     (["factor-check", "--f", "x^3+x", "--D", "x^11+x+1", "--N", "100"], EXIT_CAP),  # deg D > 10
     (["factor-check", "--f", "x^3+x", "--D", "x^6+2", "--N", "100"], EXIT_CACHE),
+    # an option given an empty value is read by its parser, not taken as absent
+    (["nagao", "--f", "T^3+T", "--N", "200", "--D="], EXIT_CONFIG),  # exit 0 before: D = f
+    (["factor-check", "--f", "x^3+x", "--D", "x^6+2", "--N", "100", "--s-curves="], EXIT_CONFIG),  # exit 0 before
+    (["peterson", "--f", "x^3-x", "--sigma="], EXIT_CONFIG),
+    (["trace", "--f=", "--N", "50"], EXIT_CONFIG),
+    (["trace", "--f", "x^3+x", "--N", "50", "--cache-dir="], EXIT_CONFIG),  # exit 0 before: no cache
+    (["trace", "--f", "x^3+x", "--N", "50", "--cache-dir=", "--verify-cache"], EXIT_CONFIG),
 ]
 
 
@@ -254,7 +261,8 @@ EXIT_CASES = [
 )
 def test_exit_codes(argv, code, tmp_path, capsys, monkeypatch):
     """Each command's documented exit codes; a failure prints one stderr line
-    and computes no trace, and no case builds a worker pool."""
+    and computes no trace, and no case builds a worker pool.  Every sweeping
+    case but one that names its own --cache-dir runs on a cache dir."""
     computed = []
     real = curves_mod.traces_at
     monkeypatch.setattr(curves_mod, "traces_at", lambda *a: computed.append(a) or real(*a))
@@ -267,7 +275,7 @@ def test_exit_codes(argv, code, tmp_path, capsys, monkeypatch):
     if code == EXIT_CACHE:
         cache.mkdir()
         cache_path(cache, parse_polynomial(argv[argv.index("--f") + 1])).write_text("NOT A CACHE\n")
-    cache_flag = [] if argv[0] == "peterson" else ["--cache-dir", str(cache)]
+    cache_flag = [] if argv[0] == "peterson" or "--cache-dir=" in argv else ["--cache-dir", str(cache)]
     assert main(argv + cache_flag + ["--output", str(tmp_path / "out.csv")]) == code
     err = capsys.readouterr().err
     if code == EXIT_OK:
@@ -804,6 +812,49 @@ def test_cache_loads_only_what_append_writes(data):
         except CacheCorruptError:
             return
         assert path.read_bytes() == encoded(loaded.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cache_state_is_its_records(data):
+    """One TraceCache through any sequence of appends (blocks above the cached
+    maximum, holes below it, p already cached, empty blocks): its records stay
+    ascending in p and equal a fresh load, and the file is the header followed
+    by those records (no file while nothing was appended)."""
+    f = parse_polynomial("x^3+x+1")  # genus 1: a^2 <= 4p
+    ps = data.draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=30, unique=True))
+    traces = {p: data.draw(st.integers(-math.isqrt(4 * p), math.isqrt(4 * p))) for p in ps}
+    blocks = data.draw(st.lists(st.lists(st.sampled_from(ps), max_size=8, unique=True), max_size=6))
+    with tempfile.TemporaryDirectory() as d:
+        cache = TraceCache(d, f)
+        for block in blocks:
+            cache.append([(p, traces[p]) for p in block])
+        assert list(cache.records) == sorted(cache.records)
+        assert cache.records == {p: traces[p] for block in blocks for p in block}
+        assert TraceCache(d, f).records == cache.records
+        path = cache_path(d, f)
+        if cache.records:
+            assert path.read_bytes() == _header(f) + b"".join(b"%d,%d\n" % r for r in cache.records.items())
+        else:
+            assert not path.exists()
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 30")
+def test_two_writers_on_one_cache_file_keep_it_loadable(tmp_path):
+    """Two TraceCache objects opened on one empty path append blocks of one
+    curve's traces in turn: A[:20], B[:10], B[10:30], A[20:40].  A third open
+    must then load the file with every record.  Each object trusts the
+    records it read at open, so B appends below A's maximum and the third
+    open quarantines the file."""
+    f = parse_polynomial("x^3+x+1")
+    traces = [(p, hyperelliptic_trace(f, p)) for p in good_primes(curve_from_poly(f).bad_primes, 300)][:40]
+    assert len(traces) == 40
+    A, B = TraceCache(tmp_path, f), TraceCache(tmp_path, f)
+    A.append(traces[:20])
+    B.append(traces[:10])
+    B.append(traces[10:30])
+    A.append(traces[20:40])
+    assert TraceCache(tmp_path, f).records == dict(traces)
 
 
 # (curve, N, how its cache is damaged): a wrong a_p, a record at a bad prime
