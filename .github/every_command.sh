@@ -96,9 +96,14 @@ grep -qx '5,lead' lead/ref.csv.skipped
 # each prints one error line, and a damaged cache is renamed *.corrupt
 REFUSED=(
   "3|-|trace --f x^3+x --N 10000001"  # N above the hard cap 10^7
+  "3|-|trace --f x^3+x --N 100 --threads 65"  # above curves.MAX_THREADS, refused as the sweep starts
+  "3|-|nagao --f T^3+T --D x^11+x+1 --N 100"  # D of degree above 10
+  "3|-|lpoly --f x^5-x+1 --N 10008"  # 10007, a good prime above lpoly's cap 10^4
   "1|-|trace --f x^3+x+1* --N 100"  # a '*' with no variable after it
   "1|-|trace --f x^²+1 --N 100"  # a digit that is not ASCII
   "1|-|peterson --f $Q --sigma 1/x --threads 2"  # peterson sweeps nothing, so it takes no --threads
+  "1|-|peterson --f $Q"  # no --sigma, refused with one message by both of its readers
+  "1|-|factor-check --f $Q --D auto-peterson --N 100"
   "1|-|nagao --f T^3+T --N 100000 --grid geometric:1000000000"  # more points than N, refused before the grid loop
   # an empty value is read, not taken as absent: the --flag= form, since read -a drops empty words
   "1|-|trace --f x^3+x --N 100 --cache-dir="  # no cache dir named, refused as an empty --output is

@@ -1,8 +1,9 @@
 """Command-line front end: parsing, sweep orchestration, caching, CSV/JSON reports.
 
 Exit codes: 0 success, 1 parse/config or I/O error, 2 bad curve (non-squarefree
-or bad degree), 3 cap exceeded, 4 cache corruption, 5 a worker process died,
-130 interrupted (Ctrl-C).  Each failure prints one ``error:`` line; the blocks
+or bad degree), 3 a cap exceeded (N, lpoly's p, D's degree or --threads, each
+refused before any trace), 4 cache corruption, 5 a worker process died, 130
+interrupted (Ctrl-C).  Each failure prints one ``error:`` line; the blocks
 of traces a failed run completed stay in the cache.  Progress goes to stderr;
 report data only to the output file (or stdout with ``--output -``).
 An option left out is None (or its default); one given, even empty, is parsed.
@@ -19,7 +20,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .cache import CacheCorruptError, TraceCache
 from .curves import (
     DEFAULT_LPOLY_CAP,
-    MAX_THREADS,
     BadPrimes,
     CurveError,
     CurveSpec,
@@ -46,6 +46,7 @@ from .stats import (
 from .twist import (
     MobiusTransform,
     PetersonError,
+    PetersonResult,
     geometric_grid,
     nagao_series,
     peterson_D,
@@ -263,24 +264,23 @@ def cmd_st_classify(cfg: ExperimentConfig, c: CurveSpec) -> Report:
     return Report(columns, [row], c.bad_primes)
 
 
+def _peterson(cfg: ExperimentConfig, c: CurveSpec) -> PetersonResult:
+    """The Peterson D of the curve under --sigma, for ``peterson`` and ``--D auto-peterson``."""
+    if cfg.sigma is None:
+        raise ConfigError("--sigma (a Moebius transform that permutes the roots of f) is required")
+    return peterson_D(c.f, parse_mobius(cfg.sigma))
+
+
 def cmd_peterson(cfg: ExperimentConfig, c: CurveSpec) -> Report:
-    sigma = cfg.sigma
-    if sigma is None:
-        raise ConfigError("peterson requires --sigma")
-    result = peterson_D(c.f, parse_mobius(sigma))
+    result = _peterson(cfg, c)
     return Report(["D", "multiplier"], [(poly_to_str(result.D, "T"), result.multiplier)])
 
 
 def cmd_factor_check(cfg: ExperimentConfig, c: CurveSpec) -> Report:
-    text, sigma = cfg.D, cfg.sigma
+    text = cfg.D
     if text is None:
         raise ConfigError("--D (a polynomial or 'auto-peterson') is required")
-    if text == "auto-peterson":
-        if sigma is None:
-            raise ConfigError("--D auto-peterson requires --sigma")
-        D = peterson_D(c.f, parse_mobius(sigma)).D
-    else:
-        D = parse_polynomial(text)
+    D = _peterson(cfg, c).D if text == "auto-peterson" else parse_polynomial(text)
     others = [curve_from_poly(parse_polynomial(s)).f for s in cfg.s_curves]
     rep = verify_factorization(D, c.f, cfg.r, cfg.N, others, _sweep(cfg))
     if rep.passed and rep.primes_checked == 0:
@@ -352,8 +352,6 @@ def run(cfg: ExperimentConfig) -> int:
         handler, _ = _COMMANDS[cfg.command]
         if cfg.threads < 1:
             raise ConfigError("thread count must be >= 1")
-        if cfg.threads > MAX_THREADS:
-            raise ConfigError(f"thread count must be <= {MAX_THREADS}")
         f = cfg.f
         if f is None:
             raise ConfigError("--f is required")

@@ -26,13 +26,12 @@ from nagaolab.cli import (
     EXIT_INTERRUPTED,
     EXIT_OK,
     EXIT_WORKER,
-    MAX_THREADS,
     ExperimentConfig,
     main,
     parse_mobius,
     run,
 )
-from nagaolab.curves import curve_from_poly, good_primes, hyperelliptic_trace
+from nagaolab.curves import MAX_THREADS, curve_from_poly, good_primes, hyperelliptic_trace
 from nagaolab.polynomials import IntPolynomial, ParseError, PolynomialError, parse_polynomial, poly_to_str
 from nagaolab.stats import load_st_table
 
@@ -110,33 +109,10 @@ def test_lpoly_warm_rerun_reads_cache(tmp_path, monkeypatch):
     assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
 
 
-def test_exit_code_parse_error(tmp_path, capsys, monkeypatch):
-    computed = []
-    monkeypatch.setattr(curves_mod, "traces_at", lambda *a: computed.append(a))
-    assert run(cfg("trace", f="x^^3", N=10, output="-")) == EXIT_CONFIG
-    assert run(cfg("nagao", f="", N=10, output="-")) == EXIT_CONFIG
-    assert main(["trace", "--badflag"]) == EXIT_CONFIG
-    assert main(["nagao", "--f", "T^3+T", "--N", "100", "--mode", "fiberwise"]) == EXIT_CONFIG
-    assert main(["nagao", "--f", "T^3+T", "--N", "100", "--gr", "100"]) == EXIT_CONFIG  # no prefix of --grid
-    # a cutoff outside [2, N], a bad point count, a kind that is not exactly "geometric"
-    for grid in ("5000", "1,50", "geometric:x", "geometric:0", "geometricXYZ", "geometric:"):
-        capsys.readouterr()
-        assert main(["nagao", "--f", "T^3+T", "--N", "100", "--grid", grid]) == EXIT_CONFIG
-        assert len(capsys.readouterr().err.splitlines()) == 1
-    # more geometric points than N: refused before the grid loop and the sweep
-    assert main(["nagao", "--f", "T^3+T", "--N", "100000", "--grid", "geometric:1000000000"]) == EXIT_CONFIG
-    assert len(capsys.readouterr().err.splitlines()) == 1
-    for command, f in (("moments", "x^3+x"), ("st-classify", "x^5-x+1")):  # no good prime <= N
-        assert main([command, "--f", f, "--N", "2"]) == EXIT_CONFIG
-        assert len(capsys.readouterr().err.splitlines()) == 1
-    assert main(["trace", "--f", "x^3+x", "--N", "50", "--verify-cache"]) == EXIT_CONFIG  # no cache to verify
+def test_exit_code_parse_error(capsys):
+    """Its message; its exit code, and those of every other refused option, are rows of EXIT_CASES."""
+    assert main(["trace", "--f", "x^3+x", "--N", "50", "--verify-cache"]) == EXIT_CONFIG
     assert capsys.readouterr().err == "error: --verify-cache requires --cache-dir\n"
-    assert computed == []
-
-
-def test_exit_code_bad_curve():
-    assert run(cfg("trace", f="x^3-3*x+2", N=10, output="-")) == EXIT_BAD_CURVE
-    assert run(cfg("trace", f="x^2+1", N=10, output="-")) == EXIT_BAD_CURVE
 
 
 CURVE_ERRORS = [
@@ -180,10 +156,6 @@ def test_report_without_sidecar_removes_a_stale_one(tmp_path):
     assert not (tmp_path / "o.csv.skipped").exists()
 
 
-def test_exit_code_cap():
-    assert run(cfg("nagao", f="T^3+T", N=10**7 + 1, output="-")) == EXIT_CAP
-
-
 def test_unknown_command_exits_1(capsys):
     assert run(cfg("bogus", f="x^3+x+1")) == EXIT_CONFIG
     assert capsys.readouterr().err.splitlines() == ["error: unknown command 'bogus'"]
@@ -192,6 +164,7 @@ def test_unknown_command_exits_1(capsys):
 QUINTIC = "x^5+2*x^4+3*x^3+3*x^2+2*x+1"
 BIG_N = str(10**7 + 1)
 LONG_COEF = "1" * 5000
+THREADS_OVER = ["--threads", str(MAX_THREADS + 1)]  # the engine's cap, checked as its sweep starts
 
 # (argv, documented exit code); a cache-corruption case finds a garbled cache
 # file of its --f curve in --cache-dir, which every command but peterson takes.
@@ -201,33 +174,47 @@ EXIT_CASES = [
     (["trace", "--f", "x^999999999", "--N", "10"], EXIT_CONFIG),  # exponent cap, before any allocation
     (["trace", "--f", LONG_COEF + "*x^3+x", "--N", "10"], EXIT_CONFIG),  # beyond int()'s digit limit
     (["trace"], EXIT_CONFIG),
+    (["trace", "--badflag"], EXIT_CONFIG),
     (["trace", "--f", "x^3-3*x+2"], EXIT_BAD_CURVE),
     (["trace", "--f", "x^2+1"], EXIT_BAD_CURVE),
     (["trace", "--f", "x^3+x", "--N", BIG_N], EXIT_CAP),
+    (["trace", "--f", "x^3+x", "--N", "5000", *THREADS_OVER], EXIT_CAP),  # exit 1 before
     (["trace", "--f", "x^3+x", "--N", "50"], EXIT_CACHE),
     (["lpoly", "--f", "x^5-x", "--N", "20"], EXIT_OK),
     (["lpoly", "--f", "x^5-x", "--threads", "0"], EXIT_CONFIG),
-    (["trace", "--f", "x^3+x", "--N", "5000", "--threads", str(MAX_THREADS + 1)], EXIT_CONFIG),
     (["lpoly", "--f", "x^3+x"], EXIT_BAD_CURVE),
     (["lpoly", "--f", "x^5-x", "--N", BIG_N], EXIT_CAP),
     (["lpoly", "--f", "x^5-x", "--N", "20000"], EXIT_CAP),
+    (["lpoly", "--f", "x^5-x", "--N", "20", *THREADS_OVER], EXIT_CAP),
     (["lpoly", "--f", "x^5-x", "--N", "20"], EXIT_CACHE),
     (["nagao", "--f", "T^3+T", "--N", "200", "--grid", "100,200"], EXIT_OK),
     (["nagao", "--f", "T^3+T", "--N", "200", "--grid", "300"], EXIT_CONFIG),
+    # a cutoff outside [2, N], a bad point count, a kind that is not exactly "geometric"
+    *[
+        (["nagao", "--f", "T^3+T", "--N", "100", "--grid", grid], EXIT_CONFIG)
+        for grid in ("5000", "1,50", "geometric:x", "geometric:0", "geometricXYZ", "geometric:")
+    ],
+    # more geometric points than N: refused before the grid loop and the sweep
+    (["nagao", "--f", "T^3+T", "--N", "100000", "--grid", "geometric:1000000000"], EXIT_CONFIG),
+    (["nagao", "--f", "T^3+T", "--N", "100", "--mode", "fiberwise"], EXIT_CONFIG),
+    (["nagao", "--f", "T^3+T", "--N", "100", "--gr", "100"], EXIT_CONFIG),  # no prefix of --grid
     (["nagao", "--f", "T^3+T", "--D", "T^2-2*T+1", "--N", "200"], EXIT_BAD_CURVE),
     (["nagao", "--f", "x^7+x+1", "--N", "200"], EXIT_BAD_CURVE),  # accepted before
     (["nagao", "--f", "T^3+T", "--N", BIG_N], EXIT_CAP),
     (["nagao", "--f", "T^3+T", "--D", "x^11+x+1", "--N", "200"], EXIT_CAP),  # deg D > 10
+    (["nagao", "--f", "T^3+T", "--N", "200", *THREADS_OVER], EXIT_CAP),
     (["nagao", "--f", "T^3+T", "--N", "200", "--grid", "200"], EXIT_CACHE),
     (["moments", "--f", "x^3+x+1", "--N", "200"], EXIT_OK),
     (["moments", "--f", "x^3+x", "--N", "2"], EXIT_CONFIG),
     (["moments", "--f", "x^4"], EXIT_BAD_CURVE),
     (["moments", "--f", "x^3+x", "--N", BIG_N], EXIT_CAP),
+    (["moments", "--f", "x^3+x+1", "--N", "200", *THREADS_OVER], EXIT_CAP),
     (["moments", "--f", "x^3+x+1", "--N", "200"], EXIT_CACHE),
     (["st-classify", "--f", "x^5-x+1", "--N", "200"], EXIT_OK),
     (["st-classify", "--f", "x^5-x+1", "--N", "2"], EXIT_CONFIG),
     (["st-classify", "--f", "x^7+1"], EXIT_BAD_CURVE),
     (["st-classify", "--f", "x^5-x+1", "--N", BIG_N], EXIT_CAP),
+    (["st-classify", "--f", "x^5-x+1", "--N", "200", *THREADS_OVER], EXIT_CAP),
     (["st-classify", "--f", "x^5-x+1", "--N", "200"], EXIT_CACHE),
     (["peterson", "--f", QUINTIC, "--sigma", "1/x"], EXIT_OK),
     (["peterson", "--f", "x^3-x", "--sigma", "-x"], EXIT_CONFIG),
@@ -243,6 +230,7 @@ EXIT_CASES = [
     (["factor-check", "--f", "x^5-x+1", "--D", "x^3+x", "--r", "1", "--s-curves", "x^3+x+1", "--N", "50"], EXIT_BAD_CURVE),
     (["factor-check", "--f", QUINTIC, "--D", "auto-peterson", "--sigma", "1/x", "--N", BIG_N], EXIT_CAP),
     (["factor-check", "--f", "x^3+x", "--D", "x^11+x+1", "--N", "100"], EXIT_CAP),  # deg D > 10
+    (["factor-check", "--f", QUINTIC, "--D", "auto-peterson", "--sigma", "1/x", "--N", "100", *THREADS_OVER], EXIT_CAP),
     (["factor-check", "--f", "x^3+x", "--D", "x^6+2", "--N", "100"], EXIT_CACHE),
     # an option given an empty value is read by its parser, not taken as absent
     (["nagao", "--f", "T^3+T", "--N", "200", "--D="], EXIT_CONFIG),  # exit 0 before: D = f
@@ -261,11 +249,14 @@ EXIT_CASES = [
 )
 def test_exit_codes(argv, code, tmp_path, capsys, monkeypatch):
     """Each command's documented exit codes; a failure prints one stderr line
-    and computes no trace, and no case builds a worker pool.  Every sweeping
-    case but one that names its own --cache-dir runs on a cache dir."""
-    computed = []
+    and computes no trace, a cap opens no cache, and no case builds a worker
+    pool.  Every sweeping case but one that names its own --cache-dir runs on
+    a cache dir."""
+    computed, opened = [], []
     real = curves_mod.traces_at
     monkeypatch.setattr(curves_mod, "traces_at", lambda *a: computed.append(a) or real(*a))
+    real_cache = cli_mod.TraceCache
+    monkeypatch.setattr(cli_mod, "TraceCache", lambda *a: opened.append(a) or real_cache(*a))
 
     def no_pool(workers):
         raise AssertionError(f"a pool of {workers} workers was built")
@@ -283,6 +274,18 @@ def test_exit_codes(argv, code, tmp_path, capsys, monkeypatch):
     else:
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert computed == []
+    if code == EXIT_CAP:
+        assert opened == []
+
+
+SIGMA_READERS = [["peterson"], ["factor-check", "--D", "auto-peterson", "--N", "100"]]
+
+
+@pytest.mark.parametrize("argv", SIGMA_READERS, ids=[a[0] for a in SIGMA_READERS])
+def test_missing_sigma_is_one_message(argv, capsys):
+    """Both readers of --sigma refuse its absence with the same line."""
+    assert main(argv + ["--f", QUINTIC]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: --sigma (a Moebius transform that permutes the roots of f) is required\n"
 
 
 def test_commands_run_without_sympy():
@@ -618,10 +621,6 @@ def test_st_classify_genus2_candidates(f, cls, candidates, tmp_path):
     assert row["moment_class"] == row["predicted_rank"] == cls
     assert row["candidates"] == candidates
     assert candidates.split("|") == [r.name for r in load_st_table() if r.second_moment == cls]
-
-
-def test_peterson_error_exit_code():
-    assert run(cfg("peterson", f="x^3-x", sigma="-x", output="-")) == EXIT_CONFIG
 
 
 # -- cache behavior ----------------------------------------------------------
