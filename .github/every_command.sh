@@ -70,6 +70,13 @@ for row in "${MODES[@]}"; do
     fi
   done
 done
+# the classify, int32 and peterson rows ran on --threads 2 in modes t2 and verified:
+# no worker outlives its run (by process name: the CLI and its forked workers are all "nagaolab")
+row="classify, int32, peterson" mode="after --threads 2"
+if pgrep -ax nagaolab; then
+  echo "a nagaolab process is still alive" >&2
+  exit 1
+fi
 # the extra checks of some mode cases
 row="int32" mode="OPENBLAS_NUM_THREADS=4 --threads 2"  # every numpy load pins BLAS to one thread
 OPENBLAS_NUM_THREADS=4 nagaolab moments --f x^5-x+1 --N 40000 --threads 2 --output int32/blas.csv
@@ -98,12 +105,15 @@ REFUSED=(
   "3|-|trace --f x^3+x --N 10000001"  # N above the hard cap 10^7
   "3|-|trace --f x^3+x --N 100 --threads 65"  # above curves.MAX_THREADS, refused as the sweep starts
   "3|-|nagao --f T^3+T --D x^11+x+1 --N 100"  # D of degree above 10
+  "3|-|factor-check --f x^3+x --D x^11+x+1 --N 100"  # the same cap, from the same twist_surface
   "3|-|lpoly --f x^5-x+1 --N 10008"  # 10007, a good prime above lpoly's cap 10^4
+  "2|-|factor-check --f x^3+x --D x^2-2*x+1 --N 50"  # a D with a repeated root
   "1|-|trace --f x^3+x+1* --N 100"  # a '*' with no variable after it
   "1|-|trace --f x^²+1 --N 100"  # a digit that is not ASCII
   "1|-|peterson --f $Q --sigma 1/x --threads 2"  # peterson sweeps nothing, so it takes no --threads
   "1|-|peterson --f $Q"  # no --sigma, refused with one message by both of its readers
   "1|-|factor-check --f $Q --D auto-peterson --N 100"
+  "1|-|peterson --f $Q --sigma=-x"  # a PetersonError (sigma has a pole at infinity) is a PolynomialError
   "1|-|nagao --f T^3+T --N 100000 --grid geometric:1000000000"  # more points than N, refused before the grid loop
   # an empty value is read, not taken as absent: the --flag= form, since read -a drops empty words
   "1|-|trace --f x^3+x --N 100 --cache-dir="  # no cache dir named, refused as an empty --output is

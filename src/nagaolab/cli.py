@@ -45,7 +45,6 @@ from .stats import (
 )
 from .twist import (
     MobiusTransform,
-    PetersonError,
     PetersonResult,
     geometric_grid,
     nagao_series,
@@ -305,14 +304,13 @@ _COMMANDS = {
 }
 
 # Exception -> exit code; the first match wins, so CurveError precedes its
-# base class PolynomialError (which ParseError also derives from).
+# base class PolynomialError (which ParseError and PetersonError also derive from).
 _EXIT_CODES = {
     CacheCorruptError: EXIT_CACHE,
     WorkerDiedError: EXIT_WORKER,
     CapExceededError: EXIT_CAP,
     CurveError: EXIT_BAD_CURVE,
     PolynomialError: EXIT_CONFIG,
-    PetersonError: EXIT_CONFIG,
     ConfigError: EXIT_CONFIG,
     OSError: EXIT_CONFIG,
 }

@@ -15,9 +15,7 @@ moments, and S1 is ``math.fsum`` of the doubles -A_p log p, divided by N.
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
-from functools import reduce
 from itertools import islice
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -43,13 +41,8 @@ if TYPE_CHECKING:
 MAX_D_DEGREE = 10
 
 
-class PetersonError(ValueError):
+class PetersonError(PolynomialError):
     pass
-
-
-def _check_D_degree(D: IntPolynomial) -> None:
-    if not D.is_zero and D.degree > MAX_D_DEGREE:
-        raise CapExceededError(f"D has degree {D.degree}, above the cap {MAX_D_DEGREE}")
 
 
 class TwistSurfaceSpec(NamedTuple):
@@ -61,8 +54,9 @@ class TwistSurfaceSpec(NamedTuple):
 
 
 def twist_surface(f: IntPolynomial, D: IntPolynomial) -> TwistSurfaceSpec:
-    """The surface D(T) y^2 = f(x); CapExceededError for deg D > MAX_D_DEGREE."""
-    _check_D_degree(D)
+    """The surface D(T) y^2 = f(x); deg D > MAX_D_DEGREE is refused before any discriminant."""
+    if not D.is_zero and D.degree > MAX_D_DEGREE:
+        raise CapExceededError(f"D has degree {D.degree}, above the cap {MAX_D_DEGREE}")
     return TwistSurfaceSpec(f, D, hyperelliptic_bad_primes(f) | hyperelliptic_bad_primes(D))
 
 
@@ -231,21 +225,23 @@ def verify_factorization(
     """Certify a_p(J_D) = r * a_p(J_f) + sum_i a_p(E_i) at every good odd prime <= n_max.
 
     A necessary condition for J_D ~ J_f^r x prod E_i (trace identity on the
-    L-polynomial linear coefficients), not a proof of the isogeny.  With
-    ``others`` given, f and every E_i must be genus-1 curves (else CurveError).
-    deg D > MAX_D_DEGREE raises CapExceededError.  Stops at, and reports, the
-    least violating prime.  One ``sweep`` of [D, f, *others] gives the traces.
+    L-polynomial linear coefficients), not a proof of the isogeny.  Checks as
+    ``nagao`` does: ``twist_surface(f, D)`` (deg D > MAX_D_DEGREE, then a bad f
+    or D), then with ``others`` given, that f and every E_i are genus-1 curves
+    (CurveError).  Stops at, and reports, the least violating prime.  One
+    ``sweep`` of [D, f, *others] gives the traces, at the surface's good
+    primes that are good for every E_i.
     """
-    _check_D_degree(D)
+    bad = twist_surface(f, D).bad_primes
     g = next((g for g in (f, *others) if g.genus != 1), None)
     if others and g is not None:
         raise CurveError(
             f"{g} has degree {g.degree}: with --s-curves, --f and s-curves need degree 3 or 4"
         )
-    polys = [D, f, *others]
-    bad = reduce(operator.or_, map(hyperelliptic_bad_primes, polys))
+    for e in others:
+        bad |= hyperelliptic_bad_primes(e)
     checked = 0
-    for p, (a_D, a_f, *a_others) in sweep(polys, good_primes(bad, n_max)):
+    for p, (a_D, a_f, *a_others) in sweep([D, f, *others], good_primes(bad, n_max)):
         if a_D != r * a_f + sum(a_others):
             return FactorizationReport(False, p, checked)
         checked += 1

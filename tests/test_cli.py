@@ -122,10 +122,17 @@ CURVE_ERRORS = [
         ["factor-check", "--f", "x^3+x", "--D", "x^2-2*x+1", "--N", "50"],
         "error: x^2 - 2*x + 1 has a repeated root (not squarefree over Q)",
     ),
+    # D is checked with f, as nagao checks its surface, before f's genus-1 rule of --s-curves
+    (
+        ["factor-check", "--f", "x^5-x+1", "--D", "x^2-2*x+1", "--s-curves", "x^3+x+1", "--N", "50"],
+        "error: x^2 - 2*x + 1 has a repeated root (not squarefree over Q)",
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv, line", CURVE_ERRORS, ids=[a[0] for a, _ in CURVE_ERRORS])
+@pytest.mark.parametrize(
+    "argv, line", CURVE_ERRORS, ids=[a[0] + (" --s-curves" if "--s-curves" in a else "") for a, _ in CURVE_ERRORS]
+)
 def test_curve_error_names_the_polynomial(argv, line, capsys):
     assert main(argv) == EXIT_BAD_CURVE
     assert capsys.readouterr().err == line + "\n"
@@ -217,13 +224,14 @@ EXIT_CASES = [
     (["st-classify", "--f", "x^5-x+1", "--N", "200", *THREADS_OVER], EXIT_CAP),
     (["st-classify", "--f", "x^5-x+1", "--N", "200"], EXIT_CACHE),
     (["peterson", "--f", QUINTIC, "--sigma", "1/x"], EXIT_OK),
-    (["peterson", "--f", "x^3-x", "--sigma", "-x"], EXIT_CONFIG),
+    (["peterson", "--f", "x^3-x", "--sigma=-x"], EXIT_CONFIG),  # a PetersonError: sigma has a pole at infinity
     (["peterson", "--f", "x^3-x"], EXIT_CONFIG),
     (["peterson", "--f", "x^3", "--sigma", "1/x"], EXIT_BAD_CURVE),  # exit 1 before
     (["factor-check", "--f", "x^3+x", "--D", "x^6+2", "--N", "100"], EXIT_OK),
     (["factor-check", "--f", "x^3+x", "--D", "x^6+2", "--N", "2"], EXIT_CONFIG),
     (["factor-check", "--f", "x^3+x", "--N", "100"], EXIT_CONFIG),
     (["factor-check", "--f", "x^3+x", "--D", "auto-peterson", "--N", "100"], EXIT_CONFIG),
+    (["factor-check", "--f", "x^3-x", "--D", "auto-peterson", "--sigma=-x", "--N", "50"], EXIT_CONFIG),
     (["factor-check", "--f", "x^3+x", "--D", "x^6+2", "--s-curves", "x^3", "--N", "100"], EXIT_BAD_CURVE),
     (["factor-check", "--f", "x^7+x+1", "--D", "x^3+x", "--N", "100"], EXIT_BAD_CURVE),  # accepted before
     (["factor-check", "--f", "x^3+x", "--D", "x^3+x", "--r", "1", "--s-curves", "x^5-x+1", "--N", "50"], EXIT_BAD_CURVE),

@@ -225,12 +225,14 @@ def test_peterson_three_cycle_exact_model():
 
 def test_peterson_errors():
     f = parse_polynomial("x^3-x")
-    with pytest.raises(PetersonError, match="pole at infinity"):
+    with pytest.raises(PetersonError, match="pole at infinity") as pole:
         peterson_D(f, MobiusTransform(-1, 0, 0, 1))  # sigma = -x
-    with pytest.raises(PetersonError, match="permute"):
+    with pytest.raises(PetersonError, match="permute") as permute:
         peterson_D(f, MobiusTransform(1, 1, 1, 0))
-    with pytest.raises(PetersonError, match="degree"):
+    with pytest.raises(PetersonError, match="degree") as degree:
         peterson_D(parse_polynomial("x^4+1"), MobiusTransform(0, 1, 1, 0))
+    # so the CLI's PolynomialError row of _EXIT_CODES gives each one exit 1
+    assert all(isinstance(e.value, PolynomialError) for e in (pole, permute, degree))
 
 
 def test_peterson_D_of_a_double_root_is_not_squarefree():
@@ -256,17 +258,30 @@ def test_verify_factorization_above_cap_raises():
         verify_factorization(f, f, 1, n_max=10**7 + 1)
 
 
-def test_D_degree_cap_before_discriminant(monkeypatch):
-    """A D above the degree cap raises before its discriminant is computed."""
+TWIST_REFUSALS = [
+    ("x^11+x+1", CapExceededError, "D has degree 11, above the cap 10"),
+    ("5", CurveError, "5 is constant, not a curve"),
+    ("0", CurveError, "0 is constant, not a curve"),
+    ("x^2-2*x+1", CurveError, "x^2 - 2*x + 1 has a repeated root (not squarefree over Q)"),
+]
+
+
+@pytest.mark.parametrize("d, kind, message", TWIST_REFUSALS, ids=[d for d, *_ in TWIST_REFUSALS])
+def test_D_degree_cap_before_discriminant(d, kind, message, monkeypatch):
+    """A D above the degree cap raises before its discriminant is computed, and
+    twist_surface and verify_factorization refuse each bad D alike."""
     f = parse_polynomial("x^3+x")
     peterson = peterson_D(parse_polynomial("x^5+2*x^4+3*x^3+3*x^2+2*x+1"), MobiusTransform(0, 1, 1, 0))
     assert peterson.D.degree == MAX_D_DEGREE == 10
-    D = parse_polynomial("x^11+x+1")
-    monkeypatch.setattr(IntPolynomial, "discriminant", lambda self: pytest.fail("discriminant computed"))
-    with pytest.raises(CapExceededError, match="degree 11"):
+    D = parse_polynomial(d)
+    if kind is CapExceededError:
+        monkeypatch.setattr(IntPolynomial, "discriminant", lambda self: pytest.fail("discriminant computed"))
+    with pytest.raises(kind, match=re.escape(message)) as surface_error:
         twist_surface(f, D)
-    with pytest.raises(CapExceededError, match="degree 11"):
+    with pytest.raises(kind, match=re.escape(message)) as verify_error:
         verify_factorization(D, f, 2, 100)
+    assert type(surface_error.value) is type(verify_error.value)
+    assert str(surface_error.value) == str(verify_error.value) == message
 
 
 def test_verify_mixed_reduces_to_plain():
